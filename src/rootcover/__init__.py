@@ -23,6 +23,7 @@ from .errors import (
     BadInput,
     BadParams,
     BadSignature,
+    CertificationError,
     ConfigError,
     Degenerate,
     DegenerateCone,

@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 from sympy import isprime
 
 from .dedekind import dedekind_fast
-from .errors import BadInput, Exhausted
+from .errors import BadInput, CertificationError, Exhausted
 from .exact import leq_sqrt_bound, log_enclosure, mod_inverse
 from .hj import hj_length
 
@@ -164,7 +164,7 @@ def girstmair_set(n: int) -> ONSet:
     members = frozenset(q for q in range(1, n) if girstmair_member(n, q))
     complement = (n + 1) - len(members)  # complement within {0, ..., n}
     if not _complement_bound_holds(n, complement):
-        raise ArithmeticError(
+        raise CertificationError(
             f"complement bound sqrt(n) log(4n) violated at n={n}: {complement}"
         )
     return ONSet(n, members, complement)

@@ -23,9 +23,15 @@ from sympy import primerange
 from . import __version__
 from .asympt import Partition, find_asymptotic_partition, girstmair_set
 from .dedekind import dedekind_fast, dedekind_sum
-from .errors import ConfigError, Exhausted, IncompatiblePartition, RootcoverError
+from .errors import (
+    BadParams,
+    ConfigError,
+    Exhausted,
+    IncompatiblePartition,
+    RootcoverError,
+)
 from .hj import hj_expand
-from .invariants import invariant_report, report_to_json_dict
+from .invariants import _rat_str, invariant_report, report_to_json_dict
 from .logchern import base_pair_from_json, make_preset
 from .toric import (
     LocalConeSpec,
@@ -78,15 +84,14 @@ _CONFIG_DEFAULTS = {
 }
 
 
-def _fmt_rat(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+_PRESET_PARAMS = {"planes_p3": ("r",), "hypersurface_p4": ("d", "r")}
 
 
 def _fmt_dec(x: Fraction, digits: int) -> str:
     try:
         return f"{float(x):.{digits}f}"
     except OverflowError:
-        return _fmt_rat(x)
+        return _rat_str(x)
 
 
 def _parse_nu(text: str) -> tuple[int, ...]:
@@ -100,7 +105,7 @@ def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a flat JSON object")
@@ -129,19 +134,29 @@ def _load_config(path: str) -> dict:
 
 
 def _build_pair(cfg: dict):
-    if "pair_json" in cfg:
-        with open(cfg["pair_json"], encoding="utf-8") as fh:
-            return base_pair_from_json(fh.read()), 0
-    preset = cfg["preset"]
-    if preset == "planes_p3":
-        if "r" not in cfg:
-            raise ConfigError("planes_p3 needs r")
-        return make_preset("planes_p3", cfg["r"]), 1
-    if preset == "hypersurface_p4":
-        if "d" not in cfg or "r" not in cfg:
-            raise ConfigError("hypersurface_p4 needs d and r")
-        return make_preset("hypersurface_p4", (cfg["d"], cfg["r"])), cfg["d"]
-    raise ConfigError(f"unknown preset {preset!r}")
+    """The base pair and its CSV ``d`` column (0 for a pair file).
+
+    ``cfg`` holds ``pair_json``, or ``preset`` and its parameters by name
+    (see ``_PRESET_PARAMS``).  A pair file that cannot be read or parsed is a
+    ConfigError.
+    """
+    if cfg.get("pair_json"):
+        path = cfg["pair_json"]
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return base_pair_from_json(fh.read()), 0
+        except (OSError, UnicodeDecodeError, BadParams) as exc:
+            raise ConfigError(f"cannot load base pair {path}: {exc}") from exc
+    preset = cfg.get("preset")
+    if preset is None:
+        raise ConfigError("need a preset or a base-pair JSON file")
+    if preset not in _PRESET_PARAMS:
+        raise ConfigError(f"unknown preset {preset!r}")
+    keys = _PRESET_PARAMS[preset]
+    if any(key not in cfg for key in keys):
+        raise ConfigError(f"{preset} needs {' and '.join(keys)}")
+    pair = make_preset(preset, tuple(cfg[key] for key in keys))
+    return pair, cfg["d"] if preset == "hypersurface_p4" else 1
 
 
 def _sweep_cell(args):
@@ -215,7 +230,7 @@ def run_sweep(cfg: dict) -> tuple[str, int]:
             for col in _CSV_VALUE_COLUMNS:
                 val = values.get(col)
                 decs.append("" if val is None else _fmt_dec(val, digits))
-                rats.append("" if val is None else _fmt_rat(val))
+                rats.append("" if val is None else _rat_str(val))
             writer.writerow(record + decs + rats)
         text = buf.getvalue()
     return text, (2 if failures else 0)
@@ -232,10 +247,10 @@ def _cmd_hj(args) -> int:
 
 def _cmd_dedekind(args) -> int:
     value = dedekind_fast(args.a, args.b, args.n)
-    print(f"d({args.a},{args.b},{args.n}) = {_fmt_rat(value)}")
+    print(f"d({args.a},{args.b},{args.n}) = {_rat_str(value)}")
     if args.check:
         naive = dedekind_sum([args.a, args.b], args.n)
-        print(f"naive = {_fmt_rat(naive)} ({'agrees' if naive == value else 'MISMATCH'})")
+        print(f"naive = {_rat_str(naive)} ({'agrees' if naive == value else 'MISMATCH'})")
     return 0
 
 
@@ -262,18 +277,18 @@ def _cmd_resolve(args) -> int:
     doc = {
         "schema": "rootcover-resolve/1",
         "strategy": args.strategy,
-        "max_slope": _fmt_rat(max_slope(v)),
+        "max_slope": _rat_str(max_slope(v)),
         "resolution": json.loads(resolution_to_json(res)),
     }
     if args.table:
         tab = local_intersection_table(res)
         doc["intersections"] = {
-            "F3": _fmt_rat(tab.f3),
-            "KF2": _fmt_rat(tab.kf2),
-            "K2F": _fmt_rat(tab.k2f),
-            "K_Cl": {str(l): _fmt_rat(x) for l, x in sorted(tab.k_cl.items())},
+            "F3": _rat_str(tab.f3),
+            "KF2": _rat_str(tab.kf2),
+            "K2F": _rat_str(tab.k2f),
+            "K_Cl": {str(l): _rat_str(x) for l, x in sorted(tab.k_cl.items())},
             "K_Cjk": {
-                f"{jk[0]}{jk[1]},{a}": _fmt_rat(x)
+                f"{jk[0]}{jk[1]},{a}": _rat_str(x)
                 for (jk, a), x in sorted(tab.k_cjk.items())
             },
         }
@@ -282,15 +297,11 @@ def _cmd_resolve(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
-    if args.pair_json:
-        with open(args.pair_json, encoding="utf-8") as fh:
-            pair = base_pair_from_json(fh.read())
-    elif args.preset == "planes_p3":
-        pair = make_preset("planes_p3", args.params[0])
-    elif args.preset == "hypersurface_p4":
-        pair = make_preset("hypersurface_p4", tuple(args.params))
-    else:
-        raise ConfigError("need --preset or --pair-json")
+    cfg = {"pair_json": args.pair_json, "preset": args.preset}
+    keys = _PRESET_PARAMS.get(args.preset, ())
+    if len(args.params) == len(keys):
+        cfg.update(zip(keys, args.params))
+    pair, _ = _build_pair(cfg)
     part = Partition(args.n, _parse_nu(args.nu))
     report = invariant_report(pair, part, args.strategy)
     print(json.dumps(report_to_json_dict(report), indent=2))

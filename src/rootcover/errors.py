@@ -51,3 +51,7 @@ class DegenerateCone(Degenerate):
 
 class ConfigError(RootcoverError):
     """Invalid sweep configuration."""
+
+
+class CertificationError(RootcoverError):
+    """An exact certification check of a computed object failed."""

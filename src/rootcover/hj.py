@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadInput
+from .errors import BadInput, CertificationError
 
 __all__ = ["HJExpansion", "hj_expand", "hj_evaluate", "hj_dual", "hj_length"]
 
@@ -96,12 +96,18 @@ def hj_dual(e: HJExpansion) -> HJExpansion:
     """The expansion of n/q', whose coefficients are those of n/q reversed.
 
     The m- and n-sequences swap and reverse: (m'_a, n'_a) = (n_{s+1-a}, m_{s+1-a}).
+    CertificationError if the expansion of n/q' does not have that shape.
     """
     dual = hj_expand(e.n, e.q_inv)
     s = e.s
-    assert dual.ks == tuple(reversed(e.ks))
-    assert dual.m_seq == tuple(e.n_seq[s + 1 - a] for a in range(s + 2))
-    assert dual.n_seq == tuple(e.m_seq[s + 1 - a] for a in range(s + 2))
+    if (
+        dual.ks != tuple(reversed(e.ks))
+        or dual.m_seq != tuple(e.n_seq[s + 1 - a] for a in range(s + 2))
+        or dual.n_seq != tuple(e.m_seq[s + 1 - a] for a in range(s + 2))
+    ):
+        raise CertificationError(
+            f"expansion of {e.n}/{e.q_inv} is not the dual of {e.n}/{e.q}"
+        )
     return dual
 
 

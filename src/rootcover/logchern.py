@@ -367,33 +367,41 @@ def base_pair_to_json(pair: BasePair) -> str:
 
 
 def base_pair_from_json(text: str) -> BasePair:
-    doc = json.loads(text)
-    if doc.get("schema") != "rootcover-basepair/1":
-        raise BadParams(f"unsupported schema {doc.get('schema')!r}")
-    r = doc["r"]
-    tdoc = doc["triple"]
-    if "constant" in tdoc:
-        triple = TripleTable(r=r, constant=tdoc["constant"])
-    else:
-        entries = {tuple(e[:3]): e[3] for e in tdoc["entries"]}
-        triple = TripleTable(r=r, entries=entries)
-    return BasePair(
-        r=r,
-        c1_cubed=doc["c1_cubed"],
-        c1c2=doc["c1c2"],
-        c3=doc["c3"],
-        d3=tuple(doc["d3"]),
-        c1sq_d=tuple(doc["c1sq_d"]),
-        c2_d=tuple(doc["c2_d"]),
-        c1_dd=tuple(tuple(row) for row in doc["c1_dd"]),
-        dd2=tuple(tuple(row) for row in doc["dd2"]),
-        triple=triple,
-        pair_curves={
-            (j, k): tuple((g, c) for g, c in curves)
-            for j, k, curves in doc["pair_curves"]
-        },
-        e_d=doc["e_d"],
-        e_sing_d=doc["e_sing_d"],
-        label=doc.get("label", "custom"),
-        h_section=doc.get("h_section", False),
-    )
+    """Inverse of base_pair_to_json; BadParams for text that is not a valid document."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise BadParams(f"base pair is not JSON: {exc}") from None
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != "rootcover-basepair/1":
+        raise BadParams(f"unsupported schema {schema!r}")
+    try:
+        r = doc["r"]
+        tdoc = doc["triple"]
+        if "constant" in tdoc:
+            triple = TripleTable(r=r, constant=tdoc["constant"])
+        else:
+            entries = {tuple(e[:3]): e[3] for e in tdoc["entries"]}
+            triple = TripleTable(r=r, entries=entries)
+        return BasePair(
+            r=r,
+            c1_cubed=doc["c1_cubed"],
+            c1c2=doc["c1c2"],
+            c3=doc["c3"],
+            d3=tuple(doc["d3"]),
+            c1sq_d=tuple(doc["c1sq_d"]),
+            c2_d=tuple(doc["c2_d"]),
+            c1_dd=tuple(tuple(row) for row in doc["c1_dd"]),
+            dd2=tuple(tuple(row) for row in doc["dd2"]),
+            triple=triple,
+            pair_curves={
+                (j, k): tuple((g, c) for g, c in curves)
+                for j, k, curves in doc["pair_curves"]
+            },
+            e_d=doc["e_d"],
+            e_sing_d=doc["e_sing_d"],
+            label=doc.get("label", "custom"),
+            h_section=doc.get("h_section", False),
+        )
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise BadParams(f"malformed base pair: {type(exc).__name__}: {exc}") from None

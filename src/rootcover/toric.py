@@ -25,7 +25,7 @@ from typing import Iterator
 
 from sympy import isprime
 
-from .errors import BadInput, Degenerate, NotInterior
+from .errors import BadInput, CertificationError, Degenerate, NotInterior
 from .exact import mod_inverse
 from .hj import HJExpansion, hj_expand
 
@@ -222,10 +222,33 @@ def select_v(spec: LocalConeSpec, strategy: str) -> LatticePoint:
     """Choose the star-subdivision point.
 
     ``minimal`` takes (1, 1, {p+q}_n), the interior point over the corner of
-    the parallelepiped (Degenerate when {p+q}_n = 0).  ``balanced`` solves
-    v1 + v2 + v3 = n: those points are exactly (x, {cx}_n, n - x - {cx}_n)
-    with c = {-(p+1)(q+1)'}_n and x + {cx}_n < n; among them the one with the
-    smallest max slope is returned, ties broken lexicographically.
+    the parallelepiped (Degenerate when {p+q}_n = 0).
+
+    ``balanced`` solves v1 + v2 + v3 = n: those points are exactly
+    (x, {cx}_n, n - x - {cx}_n) with c = {-(p+1)(q+1)'}_n and x + {cx}_n < n,
+    i.e. the points (x, y) of the rank-2 lattice L = {(x, y) : y = cx (mod n)}
+    in the open triangle x, y >= 1, x + y <= n - 1.  Among them the one with
+    the smallest max slope max(v)/min(v) is returned, ties broken
+    lexicographically on (v1, v2, v3).  The search is exact, in integers:
+
+    * Gauss reduction of (1, c), (0, n) gives a basis u, w of L with u
+      shortest, so L is the union of the lines j*w + Z*u, spaced
+      n/|u| >= |w| sqrt(3)/2 apart.
+    * Along one line the max slope is quasiconvex, and it is constant on a
+      stretch only where it takes its minimum over the line.  So the first
+      step i whose successor has no smaller max slope is the line's best
+      point, found by bisection; u points towards increasing v1, so it is
+      also the lexicographically first of the line's ties.
+    * The two lines next to the centroid (n/3, n/3) give a bound t = a/b on
+      the answer.  Every point with max slope <= t has each coordinate in
+      [ceil(nb/(b+2a)), floor(na/(a+2b))], so only the lines that cross this
+      box are searched, within the box.  With no valid point on those two
+      lines the box is the whole triangle.
+
+    Every point that ties with or beats t lies in the box, so the result is
+    the one the O(n) scan over all x returns, tie-breaks included.  The box
+    is O(|w|) wide, or the whole triangle when |w| is of order n and |u| is
+    O(1); either way it meets O(1) lines, and the cost is O(log n).
     """
     n, p, q = spec.n, spec.p, spec.q
     if strategy == "minimal":
@@ -239,19 +262,107 @@ def select_v(spec: LocalConeSpec, strategy: str) -> LatticePoint:
         c = (-(p + 1) * mod_inverse((q + 1) % n, n)) % n
         if c == 0:
             raise Degenerate("p = n - 1: no interior point with coordinate sum n")
-        best = None
-        for x in range(1, n):
-            y = (c * x) % n
-            if y == 0 or x + y >= n:
-                continue
-            v = LatticePoint(x, y, n - x - y)
-            key = (max_slope(v), v.coords)
-            if best is None or key < best:
-                best = key
+        best = _balanced_point(n, c)
         if best is None:
             raise Degenerate("no interior point with coordinate sum n")
-        return LatticePoint(*best[1])
+        return LatticePoint(*best)
     raise BadInput(f"unknown strategy {strategy!r}")
+
+
+def _reduced_basis(n: int, c: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Gauss-reduced basis (u, w) of {(x, y) : y = cx (mod n)}.
+
+    u is a shortest vector, so u_x != 0 (any (1, y) in L with |y| <= n/2
+    is shorter than (0, n)); it is taken with u_x > 0, and det(u, w) = n.
+    """
+    u, w = (1, c), (0, n)
+    while True:
+        uu = u[0] * u[0] + u[1] * u[1]
+        uw = u[0] * w[0] + u[1] * w[1]
+        mu = (2 * uw + uu) // (2 * uu)  # round(uw / uu)
+        w = (w[0] - mu * u[0], w[1] - mu * u[1])
+        if w[0] * w[0] + w[1] * w[1] >= uu:
+            break
+        u, w = w, u
+    if u[0] < 0:
+        u = (-u[0], -u[1])
+    if u[0] * w[1] - u[1] * w[0] < 0:
+        w = (-w[0], -w[1])
+    return u, w
+
+
+def _step_range(c0: int, c1: int, lo: int, hi: int) -> tuple[int, int]:
+    """The integers i with lo <= c0 + c1*i <= hi, as (first, last); c1 != 0."""
+    if c1 < 0:
+        c0, c1, lo, hi = -c0, -c1, -hi, -lo
+    return -((c0 - lo) // c1), (hi - c0) // c1
+
+
+def _line_best(n: int, u, x0: int, y0: int, lo: int, hi: int):
+    """Best point (max, min, coords) of the line (x0, y0) + Z*u in the box.
+
+    The box is lo <= v1, v2, v3 <= hi with v3 = n - v1 - v2.  Of tied points
+    the one with the smallest v1 is returned; None when the line has no
+    lattice point in the box.
+    """
+    i_lo, i_hi = _step_range(x0, u[0], lo, hi)
+    for c0, c1, a, b in ((y0, u[1], lo, hi), (x0 + y0, u[0] + u[1], n - hi, n - lo)):
+        if c1 == 0:
+            if not a <= c0 <= b:
+                return None
+            continue
+        j_lo, j_hi = _step_range(c0, c1, a, b)
+        i_lo, i_hi = max(i_lo, j_lo), min(i_hi, j_hi)
+    if i_lo > i_hi:
+        return None
+
+    def at(i):
+        x, y = x0 + i * u[0], y0 + i * u[1]
+        v = (x, y, n - x - y)
+        return max(v), min(v), v
+
+    while i_lo < i_hi:
+        mid = (i_lo + i_hi) // 2
+        big0, small0, _ = at(mid)
+        big1, small1, _ = at(mid + 1)
+        if big1 * small0 >= big0 * small1:
+            i_hi = mid
+        else:
+            i_lo = mid + 1
+    return at(i_lo)
+
+
+def _beats(a, b) -> bool:
+    """Whether candidate a = (max, min, coords) sorts before b (or b is None)."""
+    return b is None or (a[0] * b[1], a[2]) < (b[0] * a[1], b[2])
+
+
+def _balanced_point(n: int, c: int) -> tuple[int, int, int] | None:
+    """The balanced point for the multiplier c (see select_v), or None."""
+    u, w = _reduced_basis(n, c)
+
+    def search(lines, lo, hi):
+        best = None
+        for j in lines:
+            cand = _line_best(n, u, j * w[0], j * w[1], lo, hi)
+            if cand is not None and _beats(cand, best):
+                best = cand
+        return best
+
+    # the centroid is a*u + b*w with b = det(u, centroid)/n = (u_x - u_y)/3
+    bound = search({(u[0] - u[1]) // 3, -((u[1] - u[0]) // 3)}, 1, n - 2)
+    if bound is None:
+        lo, hi = 1, n - 2
+    else:
+        big, small, _ = bound
+        lo = -((-n * small) // (small + 2 * big))
+        hi = (n * big) // (big + 2 * small)
+    # a point P lies on line det(u, P)/n, which over the box is extreme at
+    # a corner of the triangle v1, v2, v3 >= lo
+    corners = ((lo, lo), (n - 2 * lo, lo), (lo, n - 2 * lo))
+    ends = [u[0] * y - u[1] * x for x, y in corners]
+    best = search(range(-(-min(ends) // n), max(ends) // n + 1), lo, hi)
+    return None if best is None else best[2]
 
 
 def _wall_seeds(spec: LocalConeSpec) -> dict[tuple[int, int], int]:
@@ -265,7 +376,8 @@ def cyclic_resolution(spec: LocalConeSpec, v: LatticePoint) -> CyclicResolution:
 
     For each 3-cone the lattice determinant is compared with the predicted
     multiplicity v_l, exterior walls are checked unimodular, and the cyclic
-    type is the solution of the divisibility congruence.
+    type is the solution of the divisibility congruence.  A record that fails
+    a check raises CertificationError.
     """
     if spec.is_degenerate:
         raise Degenerate(f"excluded cone shape: {spec.degenerate_flags}")
@@ -294,11 +406,11 @@ def cyclic_resolution(spec: LocalConeSpec, v: LatticePoint) -> CyclicResolution:
         for a in range(e.s + 1):
             det = abs(_det3(v_vec, rays[a], rays[a + 1]))
             if det != vl:
-                raise ArithmeticError(
+                raise CertificationError(
                     f"cone ({j},{k},{a}) multiplicity {det} != v_l = {vl}"
                 )
             if _minor_gcd(rays[a], rays[a + 1]) != 1:
-                raise ArithmeticError(f"exterior wall ({j},{k},{a}) not unimodular")
+                raise CertificationError(f"exterior wall ({j},{k},{a}) not unimodular")
             if vl == 1:
                 ta = tb = 0
             else:
@@ -307,12 +419,15 @@ def cyclic_resolution(spec: LocalConeSpec, v: LatticePoint) -> CyclicResolution:
                 tb = (-n_inv * (e.m_seq[a] * vk - e.n_seq[a] * vj)) % vl
             cones.append(ConeRecord((j, k), a, vl, ta, tb))
         for a in range(1, e.s + 1):
-            # effective discrepancy: m_a + n_a - 1 >= 0
-            assert e.m_seq[a] + e.n_seq[a] - 1 >= 0
+            if e.m_seq[a] + e.n_seq[a] - 1 < 0:
+                raise CertificationError(
+                    f"wall divisor ({j},{k},{a}) has a non-effective discrepancy"
+                )
             inner_mults[((j, k), a)] = math.gcd(
                 vj * e.n_seq[a] - vk * e.m_seq[a], vl
             )
-    assert v.total - 1 >= 0
+    if v.total - 1 < 0:
+        raise CertificationError(f"central divisor of {v} has a non-effective discrepancy")
     return CyclicResolution(spec, v, walls, tuple(cones), inner_mults)
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from sympy import primerange
 
+import rootcover.asympt as asympt
 from rootcover.asympt import (
     Partition,
     SplitMix64,
@@ -14,7 +15,7 @@ from rootcover.asympt import (
     q_of_pair,
 )
 from rootcover.dedekind import dedekind_fast
-from rootcover.errors import BadInput, Exhausted
+from rootcover.errors import BadInput, CertificationError, Exhausted
 from rootcover.exact import leq_sqrt_bound, mod_inverse
 from rootcover.hj import hj_length
 
@@ -105,6 +106,12 @@ def test_girstmair_complement_bound():
         on = girstmair_set(n)
         assert leq_sqrt_bound(0, 1, n, 0)  # sanity of the helper
         assert on.complement_size == (n + 1) - len(on.members)
+
+
+def test_girstmair_set_certification_failure(monkeypatch):
+    monkeypatch.setattr(asympt, "_complement_bound_holds", lambda n, size: False)
+    with pytest.raises(CertificationError, match="complement bound"):
+        girstmair_set(17)
 
 
 def test_find_asymptotic_partition():

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+import rootcover.cli as cli
 from rootcover.cli import _CSV_COLUMNS, _load_config, build_parser, main, run_sweep
-from rootcover.errors import ConfigError
+from rootcover.errors import CertificationError, ConfigError
 
 
 def write_config(tmp_path, **overrides):
@@ -142,6 +143,49 @@ def test_config_errors(tmp_path):
     assert main(["sweep", "--config", str(bad)]) == 1
     bad.write_text("not json")
     assert main(["sweep", "--config", str(bad)]) == 1
+    bad.write_bytes(b"\xff\xfe{}")
+    assert main(["sweep", "--config", str(bad)]) == 1
+
+
+def test_sweep_records_certification_failure(tmp_path, monkeypatch):
+    real_report = cli.invariant_report
+
+    def report(pair, part, strategy):
+        if part.n == 19:
+            raise CertificationError("forced")
+        return real_report(pair, part, strategy)
+
+    monkeypatch.setattr(cli, "invariant_report", report)
+    path = write_config(tmp_path, n_min=17, n_max=31, partition="asymptotic", seed=5)
+    text, code = run_sweep(_load_config(str(path)))
+    assert code == 2
+    rows = [row.split(",") for row in text.strip().split("\n")[1:]]
+    status = {row[0]: row[4] for row in rows}
+    assert status.pop("19") == "error:CertificationError"
+    assert set(status.values()) == {"ok"}
+
+
+@pytest.mark.parametrize("content", [None, "not json", '{"schema": "rootcover-basepair/1"}'])
+def test_pair_json_errors_are_config_errors(tmp_path, capsys, content):
+    pair = tmp_path / "pair.json"
+    if content is not None:
+        pair.write_text(content)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pair_json": str(pair), "n_min": 7, "n_max": 7}))
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("config error: cannot load base pair")
+    assert main(["invariants", "--pair-json", str(pair), "--n", "7", "--nu", "1,2,4"]) == 1
+    assert capsys.readouterr().err.startswith("config error: cannot load base pair")
+
+
+def test_invariants_preset_params(capsys):
+    assert main([
+        "invariants", "--preset", "hypersurface_p4", "--params", "6",
+        "--n", "7", "--nu", "1,2,4",
+    ]) == 1
+    assert "config error: hypersurface_p4 needs d and r" in capsys.readouterr().err
+    assert main(["invariants", "--n", "7", "--nu", "1,2,4"]) == 1
+    assert "config error" in capsys.readouterr().err
 
 
 def test_invariants_from_pair_json(tmp_path, capsys):

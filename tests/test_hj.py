@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from sympy import isprime
 from hypothesis import given, settings, strategies as st
 
-from rootcover.errors import BadInput
+from rootcover.errors import BadInput, CertificationError
 from rootcover.hj import hj_dual, hj_evaluate, hj_expand, hj_length
 
 
@@ -48,6 +49,9 @@ def test_dual_examples():
     assert d.ks == (5,)  # 1' = 1, self-dual
     e = hj_expand(17, 5)
     assert hj_dual(hj_dual(e)) == e
+    # a record whose coefficients do not match its sequences fails certification
+    with pytest.raises(CertificationError):
+        hj_dual(dataclasses.replace(hj_expand(7, 5), ks=(3, 2, 2)))
 
 
 def _check_structure(n, q, prime=None):

@@ -220,8 +220,10 @@ def test_base_pair_json_roundtrip():
         e_d=7, e_sing_d=1,
     )
     assert base_pair_from_json(base_pair_to_json(sparse)) == sparse
-    with pytest.raises(BadParams):
-        base_pair_from_json('{"schema": "other/9"}')
+    for text in ('{"schema": "other/9"}', "not json", "[1, 2]",
+                 '{"schema": "rootcover-basepair/1", "r": 2}'):
+        with pytest.raises(BadParams):
+            base_pair_from_json(text)
 
 
 def test_base_pair_requires_curves_for_crossing_pairs():

@@ -5,10 +5,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from sympy import primerange
+from sympy import nextprime, primerange
 
 import rootcover.toric as toric
-from rootcover.errors import BadInput, Degenerate, NotInterior
+from rootcover.errors import BadInput, CertificationError, Degenerate, NotInterior
 from rootcover.toric import (
     LatticePoint,
     LocalConeSpec,
@@ -77,6 +77,93 @@ def test_select_v_balanced():
     assert max_slope(v) == Fraction(3, 2)
     with pytest.raises(Degenerate):
         select_v(LocalConeSpec(11, 3, 10), "balanced")
+
+
+def balanced_scan(n, c):
+    """O(n) reference for the balanced point of the multiplier c, or None.
+
+    Scans every x; the key is (max slope, coords) as in select_v, with the
+    slopes compared by cross-multiplication.
+    """
+    best = None
+    for x in range(1, n):
+        y = (c * x) % n
+        if y == 0 or x + y >= n:
+            continue
+        v = (x, y, n - x - y)
+        big, small = max(v), min(v)
+        if best is None or (big * best[1], v) < (best[0] * small, best[2]):
+            best = (big, small, v)
+    return None if best is None else LatticePoint(*best[2])
+
+
+def multiplier(spec):
+    n, p, q = spec.n, spec.p, spec.q
+    return (-(p + 1) * pow(q + 1, -1, n)) % n
+
+
+def spec_with_multiplier(n, c):
+    q = 1
+    while (-c * (q + 1) - 1) % n == 0:
+        q += 1
+    return LocalConeSpec(n, (-c * (q + 1) - 1) % n, q)
+
+
+def assert_matches_scan(spec, want):
+    if want is None:
+        with pytest.raises(Degenerate):
+            select_v(spec, "balanced")
+    else:
+        assert select_v(spec, "balanced") == want, spec
+
+
+def test_balanced_matches_scan_every_small_cone():
+    for n in primerange(5, 62):
+        scans = {c: balanced_scan(n, c) for c in range(1, n)}
+        for p in range(1, n):
+            for q in range(1, n):
+                spec = LocalConeSpec(n, p, q)
+                want = None if q == n - 1 else scans.get(multiplier(spec))
+                assert_matches_scan(spec, want)
+
+
+def test_balanced_matches_scan_random_large_cones():
+    rng = random.Random(2024)
+    for _ in range(300):
+        n = nextprime(int(10 ** rng.uniform(3, 5)))
+        spec = LocalConeSpec(n, rng.randrange(1, n), rng.randrange(1, n - 1))
+        assert_matches_scan(spec, balanced_scan(n, multiplier(spec)))
+
+
+def test_balanced_matches_scan_skewed_multipliers():
+    for n in (1009, 10007, 99989, 99991):
+        skewed = {1, 2, 3, n - 2, (n - 1) // 2, (n + 1) // 2}
+        if (n + 1) % 3 == 0:
+            skewed.add((n + 1) // 3)
+        for c in skewed:
+            spec = spec_with_multiplier(n, c)
+            assert multiplier(spec) == c
+            assert_matches_scan(spec, balanced_scan(n, c))
+
+
+def test_balanced_tie_break_is_lexicographic():
+    # c = 2 at n = 29: (6, 12, 11) and (7, 14, 8) share the max slope 2,
+    # on one lattice line; c = 9 at n = 13: three points share slope 3
+    for spec, want, other in (
+        (LocalConeSpec(29, 24, 1), LatticePoint(6, 12, 11), LatticePoint(7, 14, 8)),
+        (LocalConeSpec(13, 7, 1), LatticePoint(2, 5, 6), LatticePoint(5, 6, 2)),
+    ):
+        v = select_v(spec, "balanced")
+        assert v == want
+        assert max_slope(v) == max_slope(other) and v.coords < other.coords
+
+
+def test_balanced_degenerate_when_p_equals_q():
+    # p = q gives c = n - 1, so x + {cx}_n = n for every x
+    spec = LocalConeSpec(11, 4, 4)
+    assert multiplier(spec) == 10
+    with pytest.raises(Degenerate, match="no interior point with coordinate sum n"):
+        select_v(spec, "balanced")
 
 
 def test_balanced_sum_is_n():
@@ -155,6 +242,16 @@ def _verify_records(res):
         assert m == toric._minor_gcd(v_vec, res.ray_vector((j, k), a))
         assert e.m_seq[a] + e.n_seq[a] - 1 >= 0
     assert v.total - 1 >= 0
+
+
+def test_certification_failure_is_typed(monkeypatch):
+    spec, v = LocalConeSpec(7, 5, 3), LatticePoint(1, 1, 1)
+    monkeypatch.setattr(toric, "_minor_gcd", lambda a, b: 2)
+    with pytest.raises(CertificationError, match="not unimodular"):
+        cyclic_resolution(spec, v)
+    monkeypatch.setattr(toric, "_det3", lambda a, b, c: 0)
+    with pytest.raises(CertificationError, match="multiplicity"):
+        cyclic_resolution(spec, v)
 
 
 def test_random_resolutions_verified():
