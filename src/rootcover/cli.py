@@ -202,7 +202,10 @@ def run_sweep(cfg: dict) -> tuple[str, int]:
     workers = cfg.get("workers") or int(os.environ.get("ROOTCOVER_WORKERS", "1"))
     if workers > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_cell, cells))
+            # about four chunks per worker: one task per cell costs more in
+            # pickling and dispatch than a cheap cell takes to compute
+            chunk = max(1, len(cells) // (4 * workers))
+            rows = list(pool.map(_sweep_cell, cells, chunksize=chunk))
     else:
         rows = [_sweep_cell(cell) for cell in cells]
     rows.sort(key=lambda row: row["n"])

@@ -17,6 +17,7 @@ c3 := e.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -197,6 +198,35 @@ def _triple_points(pair: BasePair, part: Partition, strategy: str) -> dict:
     return points
 
 
+def _wall_sums(n: int, q: int) -> tuple[int, int, int, int]:
+    """The integer sums (S0, S1, S2, B) of the wall chain n/q = [k_1, ..., k_s].
+
+    With M_a = m_a + n_a - n and e_a = M_a (2 - k_a),
+
+        S0 = sum_a e_a,
+        S1 = sum_a e_a (m_{a+1} - m_{a-1} + m_0 - m_1),
+        S2 = sum_a e_a (n_{a+1} - n_{a-1} + n_0 - n_1),
+
+    and B = M_1 + M_s + n sum_a (k_a - 2), in one pass of the division
+    algorithm of :func:`hj_expand`; only the coefficients k_a != 2 contribute.
+    """
+    s0 = s1 = s2 = excess = 0
+    m_prev, m_cur, n_prev, n_cur = n, q, 0, 1  # m_{a-1}, m_a, n_{a-1}, n_a
+    while m_cur:
+        k = -((-m_prev) // m_cur)
+        m_next, n_next = k * m_cur - m_prev, k * n_cur - n_prev
+        if k != 2:
+            e = (m_cur + n_cur - n) * (2 - k)
+            s0 += e
+            s1 += e * (m_next - m_prev)
+            s2 += e * (n_next - n_prev)
+            excess += k - 2
+        m_prev, m_cur, n_prev, n_cur = m_cur, m_next, n_cur, n_next
+    # the loop ends on m_s = 1, n_s = q'
+    chain_end = (q + 1 - n) + (n_prev + 1 - n) + n * excess
+    return s0, s1 + (n - q) * s0, s2 - s0, chain_end
+
+
 def k3_root_cover(pair: BasePair, part: Partition, strategy: str = "minimal") -> Fraction:
     """K^3 of the cyclic resolution, assembled from the wall recursions.
 
@@ -212,6 +242,27 @@ def k3_root_cover(pair: BasePair, part: Partition, strategy: str = "minimal") ->
     with x_{jk,1} = D_jk (K + sum_{l != j} N_{jl,1} D_l) and the slope terms
     |D_j|_k = sum_l v_{pos(j)}/v_{pos(l)} D_jkl of the chosen lattice points.
 
+    The wall sum  sum_{a=1}^{s} N_{jk,a} ((k_a - 2) gap/n - x_a - y_a - x_{a+1}),
+    gap = D_jk (D_j + D_k) - |D_j|_k - |D_k|_j, is linear in x_{jk,1} and
+    the two slope gaps a_j = D_jk D_j - |D_j|_k, a_k = D_jk D_k - |D_k|_j,
+    with integer coefficients that depend on the chain alone.  With
+    M_a = m_a + n_a - n (so N_{jk,a} = M_a/n), P_a = m*_a =
+    m_a - m_{a-1} - m_1 + m_0 and Q_a = n*_a the same from n_seq, the sums
+
+        S0 = sum_a M_a (2 - k_a),
+        S1 = sum_a M_a ((1 - k_a) P_a + P_{a+1} - (k_a - 2) m_{a+1}),
+        S2 = sum_a M_a ((1 - k_a) Q_a + Q_{a+1} - (k_a - 2) n_{a+1})
+
+    give the whole wall as
+
+        -S0 (gap/n^2 + x_{jk,1}/n) - (a_k S1 - a_j S2)/n^2.
+
+    Since P_{a+1} - P_a = (k_a - 2) m_a, every term of S1 and S2 carries the
+    factor 2 - k_a too (see :func:`_wall_sums`).  Every remaining piece is an
+    integer over n^2, except the slope terms, which are collected per triple
+    point over n^2 v1 v2 v3 together with its central term; the result is
+    one Fraction.
+
     The chain-end values x_{jk,1} drop the central-divisor corrections
     v_{pos(k)} K.C_{pos(j)} at the triple points; those vanish whenever the
     local K.C_l intersections do (in particular for the minimal point over
@@ -221,105 +272,66 @@ def k3_root_cover(pair: BasePair, part: Partition, strategy: str = "minimal") ->
     """
     _check_compatible(pair, part)
     n, r = part.n, pair.r
-    t_frac = Fraction(n - 1, n)
+    dd2 = pair.dd2
     points = _triple_points(pair, part, strategy)
+    triples = [(key, t, points[key]) for key, t in pair.triple.items_nonzero()]
 
+    # Every integral piece is accumulated as a numerator over n^2.
     dred3 = pair.sum_d3() + 3 * (pair.sum_12() + pair.sum_21()) + 6 * pair.triple.total()
-    k_cubed = (
-        -pair.c1_cubed
-        + 3 * t_frac * pair.c1sq_dred()
-        - 3 * t_frac**2 * (pair.c1_d2() + 2 * pair.c1_d11())
-        + t_frac**3 * dred3
+    total = (
+        -pair.c1_cubed * n**3
+        + 3 * n * n * (n - 1) * pair.c1sq_dred()
+        - 3 * n * (n - 1) ** 2 * (pair.c1_d2() + 2 * pair.c1_d11())
+        + (n - 1) ** 3 * dred3
     )
-    total = n * k_cubed
 
-    def djk_dl(j, k, l):
-        if l == j:
-            return pair.dd2[k][j]
-        if l == k:
-            return pair.dd2[j][k]
-        return pair.triple.get(j, k, l)
+    # Per pair (j, k), over the triples (j, k, l) through it:
+    # [sum_l D_jkl, sum_l (v1+v2+v3 - n) D_jkl, sum_l n N_{jl,1} D_jkl].
+    through = {}
+    for (a, b, c), t, v in triples:
+        v_term = (sum(v) - n) * t
+        for j, k, l in ((a, b, c), (a, c, b), (b, c, a)):
+            sums = through.setdefault((j, k), [0, 0, 0])
+            sums[0] += t
+            sums[1] += v_term
+            sums[2] += (part.wall_seed(j, l) + 1 - n) * t
 
-    def n_first(j, l):
-        # N_{jl,1} = (m_{jl,1} + 1 - n)/n with m_{jl,1} the wall seed j -> l
-        return Fraction(part.wall_seed(j, l) + 1 - n, n)
-
-    def slope_sum(j, k):
-        # |D_j|_k = sum_l v_{pos(j)}/v_{pos(l)} D_jkl
-        acc = Fraction(0)
-        for l in range(r):
-            if l in (j, k):
-                continue
-            t = pair.triple.get(j, k, l)
-            if not t:
-                continue
-            key = tuple(sorted((j, k, l)))
-            v = points[key]
-            acc += Fraction(v[key.index(j)], v[key.index(l)]) * t
-        return acc
-
+    slope_coef = {}
     for j in range(r):
         for k in range(j + 1, r):
             if not pair.pair_meets(j, k):
                 continue
-            wall = hj_expand(n, part.wall_seed(j, k))
-            s = wall.s
-            m_seq, n_seq, ks = wall.m_seq, wall.n_seq, wall.ks
-            N = [Fraction(m_seq[a] + n_seq[a] - n, n) for a in range(s + 2)]
+            t_sum, v_sum, w_sum = through.get((j, k), (0, 0, 0))
+            q = part.wall_seed(j, k)
+            s0, s1, s2, chain_end = _wall_sums(n, q)
+            dd_sum = dd2[k][j] + dd2[j][k]
+            k_class = n * pair.kz_dd(j, k) + (n - 1) * (dd_sum + t_sum)  # n D_jk K
+            x1 = k_class + (q + 1 - n) * dd2[j][k] + w_sum  # n x_{jk,1}
+            total -= 2 * (k_class + v_sum) * chain_end
+            total -= s0 * (dd_sum + x1) + dd2[j][k] * s1 - dd2[k][j] * s2
+            # coefficients of |D_j|_k and |D_k|_j over n^2
+            slope_coef[j, k] = (s0 - s2, s0 + s1)
 
-            djk_k_class = Fraction(
-                pair.kz_dd(j, k)
-            ) + t_frac * (
-                pair.dd2[k][j]
-                + pair.dd2[j][k]
-                + sum(
-                    pair.triple.get(j, k, l)
-                    for l in range(r)
-                    if l not in (j, k)
-                )
+    # Per triple point: n^2 v1 v2 v3 times its central term and its share
+    # of the slope terms of the three pairs through it.
+    dens, nums = [], []
+    for (a, b, c), t, (va, vb, vc) in triples:
+        ab_j, ab_k = slope_coef[a, b]
+        ac_j, ac_k = slope_coef[a, c]
+        bc_j, bc_k = slope_coef[b, c]
+        nums.append(
+            t
+            * (
+                (va + vb + vc - n) ** 3
+                + (ab_j * va + ab_k * vb) * va * vb
+                + (ac_j * va + ac_k * vc) * va * vc
+                + (bc_j * vb + bc_k * vc) * vb * vc
             )
-            v_weighted = Fraction(0)
-            for l in range(r):
-                if l in (j, k):
-                    continue
-                t = pair.triple.get(j, k, l)
-                if not t:
-                    continue
-                key = tuple(sorted((j, k, l)))
-                v = points[key]
-                v_weighted += Fraction(sum(v) - n, n) * t
-
-            total += -2 * (djk_k_class + v_weighted) * (N[1] + N[s] + wall.excess)
-
-            dj_k = slope_sum(j, k)
-            dk_j = slope_sum(k, j)
-            a_j = pair.dd2[k][j] - dj_k  # D_jk D_j - |D_j|_k
-            a_k = pair.dd2[j][k] - dk_j
-            dd_gap = (pair.dd2[k][j] + pair.dd2[j][k]) - (dj_k + dk_j)
-
-            x1 = djk_k_class + sum(
-                n_first(j, l) * djk_dl(j, k, l)
-                for l in range(r)
-                if l != j and djk_dl(j, k, l)
-            )
-            xs = [None] * (s + 2)
-            for a in range(1, s + 2):
-                mstar = m_seq[a] - m_seq[a - 1] - m_seq[1] + m_seq[0]
-                nstar = n_seq[a] - n_seq[a - 1] - n_seq[1] + n_seq[0]
-                xs[a] = x1 + Fraction(1, n) * (mstar * a_k - nstar * a_j)
-            for a in range(1, s + 1):
-                ka = ks[a - 1]
-                ya = -ka * xs[a] + Fraction(ka - 2, n) * (
-                    n_seq[a + 1] * a_j - m_seq[a + 1] * a_k
-                )
-                total += dd_gap / n * N[a] * (ka - 2)
-                total -= N[a] * (xs[a] + ya + xs[a + 1])
-
-    for key, t in pair.triple.items_nonzero():
-        v = points[key]
-        V = Fraction(sum(v) - n, n)
-        total += Fraction(n, v[0] * v[1] * v[2]) * V**3 * t
-    return total
+        )
+        dens.append(va * vb * vc)
+    den = math.lcm(*dens)
+    total = total * den + sum(num * (den // d) for num, d in zip(nums, dens))
+    return Fraction(total, n * n * den)
 
 
 def euler_root_cover(pair: BasePair, part: Partition) -> Fraction:
@@ -404,7 +416,10 @@ def closed_forms_p4(d: int, n: int, part: Partition) -> ClosedFormsP4:
 
 
 def chi_error_bound(
-    pair: BasePair, part: Partition, chi_val: ChiValue | None = None
+    pair: BasePair,
+    part: Partition,
+    chi_val: ChiValue | None = None,
+    bars: LogChernNumbers | None = None,
 ) -> Fraction:
     """A-priori bound for |chi/n - c1c2_bar/24| on asymptotic partitions.
 
@@ -416,11 +431,14 @@ def chi_error_bound(
                         (sum_{j<k} |D_jk (D_j + D_k + K_Z)| + 3 sum |D_jkl|).
 
     The n-dependent drift of the R_1, R_2 terms is exact and added as is.
+    ``chi_val`` and ``bars`` take the chi value and the log Chern numbers
+    when the caller has them already.
     """
     n = part.n
     if chi_val is None:
         chi_val = chi_root_cover(pair, part)
-    bars = log_chern_numbers(pair)
+    if bars is None:
+        bars = log_chern_numbers(pair)
     drift = pair.chi - (chi_val.r1 + chi_val.r2) / (12 * n) - bars.c1c2_bar / 24
     weight = sum(
         abs(_pair_weight(pair, j, k))
@@ -461,7 +479,7 @@ def invariant_report(
         log_chern=bars,
         slopes=slopes,
         log_slopes=log_slopes,
-        chi_error_bound=chi_error_bound(pair, part, chi_val),
+        chi_error_bound=chi_error_bound(pair, part, chi_val, bars),
     )
 
 

@@ -217,6 +217,18 @@ def test_sweep_worker_pool(tmp_path):
     assert run_sweep(cfg) == parallel
 
 
+def test_sweep_worker_pool_chunked(tmp_path):
+    # 41 primes on 2 workers: chunks of 5 cells, the last one short
+    path = write_config(
+        tmp_path, n_min=17, n_max=211, partition="asymptotic", seed=3, workers=2
+    )
+    cfg = _load_config(str(path))
+    parallel = run_sweep(cfg)
+    assert parallel[0].count("\n") == 42
+    cfg["workers"] = 1
+    assert run_sweep(cfg) == parallel
+
+
 def test_parser_builds():
     parser = build_parser()
     args = parser.parse_args(["hj", "7", "5"])

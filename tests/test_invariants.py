@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -6,8 +7,18 @@ from sympy import primerange
 
 from rootcover.asympt import Partition, find_asymptotic_partition, q_of_pair
 from rootcover.dedekind import dedekind_fast
-from rootcover.errors import BadParams, DegenerateCone, IncompatiblePartition
+from rootcover.errors import (
+    BadParams,
+    DegenerateCone,
+    Exhausted,
+    IncompatiblePartition,
+    RootcoverError,
+)
+from rootcover.hj import hj_expand
 from rootcover.invariants import (
+    _check_compatible,
+    _triple_points,
+    _wall_sums,
     chi_eigenspace_oracle,
     chi_error_bound,
     chi_root_cover,
@@ -17,7 +28,13 @@ from rootcover.invariants import (
     k3_root_cover,
     report_to_json_dict,
 )
-from rootcover.logchern import BasePair, TripleTable, log_chern_numbers, make_preset
+from rootcover.logchern import (
+    BasePair,
+    TripleTable,
+    base_pair_from_json,
+    log_chern_numbers,
+    make_preset,
+)
 
 PLANES3 = make_preset("planes_p3", 3)
 FIXTURE = Partition(7, (1, 2, 4))
@@ -42,6 +59,115 @@ def random_h_partition(rng, n, r, distinct=False):
                 continue
             nu = tuple(parts) + (last,)
         return Partition(n, nu)
+
+
+def k3_wall_recursion(pair, part, strategy="minimal"):
+    """K^3 by stepping each wall recursion a = 1..s in Fractions.
+
+    The direct evaluation of the recursions stated in ``k3_root_cover``'s
+    docstring: the oracle for its closed integer sums.
+    """
+    _check_compatible(pair, part)
+    n, r = part.n, pair.r
+    t_frac = Fraction(n - 1, n)
+    points = _triple_points(pair, part, strategy)
+
+    dred3 = pair.sum_d3() + 3 * (pair.sum_12() + pair.sum_21()) + 6 * pair.triple.total()
+    k_cubed = (
+        -pair.c1_cubed
+        + 3 * t_frac * pair.c1sq_dred()
+        - 3 * t_frac**2 * (pair.c1_d2() + 2 * pair.c1_d11())
+        + t_frac**3 * dred3
+    )
+    total = n * k_cubed
+
+    def djk_dl(j, k, l):
+        if l == j:
+            return pair.dd2[k][j]
+        if l == k:
+            return pair.dd2[j][k]
+        return pair.triple.get(j, k, l)
+
+    def n_first(j, l):
+        # N_{jl,1} = (m_{jl,1} + 1 - n)/n with m_{jl,1} the wall seed j -> l
+        return Fraction(part.wall_seed(j, l) + 1 - n, n)
+
+    def slope_sum(j, k):
+        # |D_j|_k = sum_l v_{pos(j)}/v_{pos(l)} D_jkl
+        acc = Fraction(0)
+        for l in range(r):
+            if l in (j, k):
+                continue
+            t = pair.triple.get(j, k, l)
+            if not t:
+                continue
+            key = tuple(sorted((j, k, l)))
+            v = points[key]
+            acc += Fraction(v[key.index(j)], v[key.index(l)]) * t
+        return acc
+
+    for j in range(r):
+        for k in range(j + 1, r):
+            if not pair.pair_meets(j, k):
+                continue
+            wall = hj_expand(n, part.wall_seed(j, k))
+            s = wall.s
+            m_seq, n_seq, ks = wall.m_seq, wall.n_seq, wall.ks
+            N = [Fraction(m_seq[a] + n_seq[a] - n, n) for a in range(s + 2)]
+
+            djk_k_class = Fraction(
+                pair.kz_dd(j, k)
+            ) + t_frac * (
+                pair.dd2[k][j]
+                + pair.dd2[j][k]
+                + sum(
+                    pair.triple.get(j, k, l)
+                    for l in range(r)
+                    if l not in (j, k)
+                )
+            )
+            v_weighted = Fraction(0)
+            for l in range(r):
+                if l in (j, k):
+                    continue
+                t = pair.triple.get(j, k, l)
+                if not t:
+                    continue
+                key = tuple(sorted((j, k, l)))
+                v = points[key]
+                v_weighted += Fraction(sum(v) - n, n) * t
+
+            total += -2 * (djk_k_class + v_weighted) * (N[1] + N[s] + wall.excess)
+
+            dj_k = slope_sum(j, k)
+            dk_j = slope_sum(k, j)
+            a_j = pair.dd2[k][j] - dj_k  # D_jk D_j - |D_j|_k
+            a_k = pair.dd2[j][k] - dk_j
+            dd_gap = (pair.dd2[k][j] + pair.dd2[j][k]) - (dj_k + dk_j)
+
+            x1 = djk_k_class + sum(
+                n_first(j, l) * djk_dl(j, k, l)
+                for l in range(r)
+                if l != j and djk_dl(j, k, l)
+            )
+            xs = [None] * (s + 2)
+            for a in range(1, s + 2):
+                mstar = m_seq[a] - m_seq[a - 1] - m_seq[1] + m_seq[0]
+                nstar = n_seq[a] - n_seq[a - 1] - n_seq[1] + n_seq[0]
+                xs[a] = x1 + Fraction(1, n) * (mstar * a_k - nstar * a_j)
+            for a in range(1, s + 1):
+                ka = ks[a - 1]
+                ya = -ka * xs[a] + Fraction(ka - 2, n) * (
+                    n_seq[a + 1] * a_j - m_seq[a + 1] * a_k
+                )
+                total += dd_gap / n * N[a] * (ka - 2)
+                total -= N[a] * (xs[a] + ya + xs[a + 1])
+
+    for key, t in pair.triple.items_nonzero():
+        v = points[key]
+        V = Fraction(sum(v) - n, n)
+        total += Fraction(n, v[0] * v[1] * v[2]) * V**3 * t
+    return total
 
 
 def test_chi_fixture():
@@ -175,6 +301,108 @@ def test_k3_wall_recursion_chain_end_consistency():
                 mstar = m_seq[s + 1] - m_seq[s] - m_seq[1] + m_seq[0]
                 nstar = n_seq[s + 1] - n_seq[s] - n_seq[1] + n_seq[0]
                 assert x_end == x1 + Fraction(mstar * a_k - nstar * a_j, n)
+
+
+def assert_k3_matches_recursion(pair, part, strategy):
+    try:
+        expected = k3_wall_recursion(pair, part, strategy)
+    except RootcoverError as exc:
+        with pytest.raises(type(exc)):
+            k3_root_cover(pair, part, strategy)
+        return
+    assert k3_root_cover(pair, part, strategy) == expected, (part.nu, strategy)
+
+
+def test_wall_sums_match_chain_definition():
+    # S0, S1, S2 and the chain-end sum B as defined on the full expansion
+    rng = random.Random(29)
+    cases = [(2, 1), (3, 1), (3, 2), (7, 5), (101, 1), (101, 100), (101, 51)]
+    for n in (17, 97, 1009, 10007):
+        cases += [(n, rng.randrange(1, n)) for _ in range(40)]
+    for n, q in cases:
+        wall = hj_expand(n, q)
+        m, nn, ks, s = wall.m_seq, wall.n_seq, wall.ks, wall.s
+        M = [m[a] + nn[a] - n for a in range(s + 2)]
+
+        def P(a):
+            return m[a] - m[a - 1] - m[1] + m[0]
+
+        def Q(a):
+            return nn[a] - nn[a - 1] - nn[1] + nn[0]
+
+        s0 = sum(M[a] * (2 - ks[a - 1]) for a in range(1, s + 1))
+        s1 = sum(
+            M[a] * ((1 - ks[a - 1]) * P(a) + P(a + 1) - (ks[a - 1] - 2) * m[a + 1])
+            for a in range(1, s + 1)
+        )
+        s2 = sum(
+            M[a] * ((1 - ks[a - 1]) * Q(a) + Q(a + 1) - (ks[a - 1] - 2) * nn[a + 1])
+            for a in range(1, s + 1)
+        )
+        chain_end = M[1] + M[s] + n * wall.excess
+        assert _wall_sums(n, q) == (s0, s1, s2, chain_end), (n, q)
+
+
+def test_k3_matches_wall_recursion_on_asymptotic_partitions():
+    primes = list(primerange(17, 200)) + [1009, 2003]
+    for r in (3, 4, 5, 8):
+        pair = make_preset("hypersurface_p4", (6, r))
+        for n in primes:
+            try:
+                part = find_asymptotic_partition(n, r, seed=r, max_trials=2000)
+            except Exhausted:
+                continue
+            for strategy in ("minimal", "balanced"):
+                assert_k3_matches_recursion(pair, part, strategy)
+
+
+def test_k3_matches_wall_recursion_r20():
+    pair = make_preset("hypersurface_p4", (6, 20))
+    part = find_asymptotic_partition(10007, 20, seed=0, max_trials=10**4)
+    for strategy in ("minimal", "balanced"):
+        assert_k3_matches_recursion(pair, part, strategy)
+
+
+def test_k3_matches_wall_recursion_planes():
+    rng = random.Random(37)
+    for r in (3, 4):
+        pair = make_preset("planes_p3", r)
+        for n in primerange(17, 120):
+            part = random_h_partition(rng, n, r, distinct=True)
+            for strategy in ("minimal", "balanced"):
+                assert_k3_matches_recursion(pair, part, strategy)
+
+
+def test_k3_matches_wall_recursion_sparse_pair():
+    # (0,1,3) is a zero triple, (0,3) and (1,3) meet without a triple point,
+    # and (2,3) does not meet at all
+    doc = {
+        "schema": "rootcover-basepair/1",
+        "r": 4,
+        "c1_cubed": 54,
+        "c1c2": 24,
+        "c3": 8,
+        "d3": [1, -2, 3, 0],
+        "c1sq_d": [4, 5, -1, 2],
+        "c2_d": [6, 2, 3, 1],
+        "c1_dd": [[2, 1, -1, 1], [1, 3, 2, 0], [-1, 2, 1, 0], [1, 0, 0, 2]],
+        "dd2": [[0, 3, -1, 2], [1, 0, 2, 0], [2, -1, 0, 0], [-1, 2, 0, 0]],
+        "triple": {"entries": [[0, 1, 2, 2], [0, 1, 3, 0]]},
+        "pair_curves": [
+            [0, 1, [[0, 1]]],
+            [0, 2, [[1, 1]]],
+            [0, 3, [[0, 2]]],
+            [1, 2, [[0, 1]]],
+            [1, 3, [[2, 1]]],
+        ],
+        "e_d": 10,
+        "e_sing_d": 4,
+    }
+    pair = base_pair_from_json(json.dumps(doc))
+    assert not pair.pair_meets(2, 3)
+    for part in (Partition(101, (3, 17, 40, 55)), Partition(103, (5, 60, 22, 91))):
+        for strategy in ("minimal", "balanced"):
+            assert_k3_matches_recursion(pair, part, strategy)
 
 
 def test_minimal_triple_points_are_smooth_for_triple_partitions():
