@@ -18,14 +18,17 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from sympy import isprime
 
-from .dedekind import dedekind_fast
 from .errors import BadInput, CertificationError, Exhausted
-from .exact import leq_sqrt_bound, log_enclosure, mod_inverse
-from .hj import hj_length
+from .exact import log_enclosure, mod_inverse
+
+# girstmair_member runs the chain itself; these two names stay bound
+# here because perfbench/tracer.py wraps them where this module looked them up.
+from .dedekind import dedekind_fast  # noqa: F401
+from .hj import hj_length  # noqa: F401
 
 __all__ = [
     "ONSet",
@@ -130,24 +133,37 @@ def q_of_pair(n: int, nu_j: int, nu_k: int) -> int:
     return (-nu_j * mod_inverse(nu_k, n)) % n
 
 
-@lru_cache(maxsize=1 << 20)
-def _member_canonical(n: int, q: int) -> bool:
-    # q is already the canonical representative min(q, q').
-    cap = math.isqrt(9 * n) + 2  # floor(3 sqrt(n) + 2)
-    if hj_length(n, q, cap=cap) is None:
-        return False
-    return leq_sqrt_bound(abs(dedekind_fast(1, q, n)), 3, n, 5)
-
-
 def girstmair_member(n: int, q: int) -> bool:
     """Exact membership of q in O_n (both bounds, no floating point).
 
-    d(1, q, n) = d(1, q', n) and l(q, n) = l(q', n), so membership is decided
-    on the representative min(q, q') and cached.
+    One pass of the division algorithm gives the length s, the excess
+    sum(k_a - 2) and q' = n_s (the companion sequence); it stops once s
+    passes floor(3 sqrt(n) + 2).  By the length/excess relation
+    12 n d(1, q, n) = n (excess - s) + q + q', so |d(1, q, n)| <= 3 sqrt(n) + 5
+    holds iff x = |n (excess - s) + q + q'| - 60 n is <= 0 or x^2 <= 1296 n^3.
+
+    Nothing is cached: the partition searches keep their own per-call memo.
+    Raises :class:`NotCoprime` when q is not invertible modulo n.
     """
     if not 0 < q < n:
         return False
-    return _member_canonical(n, min(q, mod_inverse(q, n)))
+    if n < 3:
+        raise BadInput(f"modulus must be >= 3, got {n}")
+    mod_inverse(q, n)  # NotCoprime unless gcd(q, n) = 1
+    cap = math.isqrt(9 * n) + 2  # floor(3 sqrt(n) + 2)
+    prev, cur = n, q
+    n_prev, n_cur = 0, 1
+    s = k_sum = 0
+    while cur:
+        k = -(-prev // cur)
+        prev, cur = cur, k * cur - prev
+        n_prev, n_cur = n_cur, k * n_cur - n_prev
+        k_sum += k
+        s += 1
+        if s > cap:
+            return False
+    x = abs(n * (k_sum - 3 * s) + q + n_prev) - 60 * n  # n_prev = n_s = q'
+    return x <= 0 or x * x <= 1296 * n**3
 
 
 def _complement_bound_holds(n: int, complement_size: int) -> bool:
@@ -170,27 +186,123 @@ def girstmair_set(n: int) -> ONSet:
     return ONSet(n, members, complement)
 
 
-def _sample_composition(n: int, r: int, rng: SplitMix64) -> tuple[int, ...]:
-    """Uniform composition of n into r positive parts via r-1 distinct cuts.
+def _sampled_compositions(n: int, r: int, seed: int):
+    """The endless stream of uniform compositions of n into r positive parts.
 
-    Floyd's subset sampling over {1, ..., n-1} keeps the draw count fixed.
+    Each composition takes r - 1 distinct cuts in {1, ..., n-1} by Floyd's
+    subset sampling, drawing ``SplitMix64(seed).below(j) + 1`` for
+    j = n-r+1, ..., n-1, so the draw count per composition is fixed.  The
+    recipe of :class:`SplitMix64` is inlined on a local state, with the
+    rejection limit of each bound j computed once.
     """
-    if r == 1:
-        return (n,)
-    cuts = set()
-    for j in range(n - 1 - (r - 1) + 1, n):  # j = n-r+1 .. n-1
-        t = rng.below(j) + 1
-        cuts.add(j if t in cuts else t)
-    ordered = sorted(cuts)
-    bounds = [0] + ordered + [n]
-    return tuple(bounds[i + 1] - bounds[i] for i in range(r))
+    mask = SplitMix64._MASK
+    state = seed & mask
+    limits = [(j, (1 << 64) - (1 << 64) % j) for j in range(n - r + 1, n)]
+    while True:
+        cuts = set()
+        for j, limit in limits:
+            while True:
+                state = (state + 0x9E3779B97F4A7C15) & mask
+                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+                z ^= z >> 31
+                if z < limit:
+                    break
+            t = z % j + 1
+            cuts.add(j if t in cuts else t)
+        parts = []
+        prev = 0
+        for cut in sorted(cuts):
+            parts.append(cut - prev)
+            prev = cut
+        parts.append(n - prev)
+        yield tuple(parts)
 
 
-def _is_asymptotic(n: int, nu) -> bool:
-    return all(
-        girstmair_member(n, q_of_pair(n, nu[j], nu[k]))
-        for j, k in itertools.combinations(range(len(nu)), 2)
-    )
+def _asymptotic_test(n: int, memo: dict[int, bool]):
+    """The test nu -> (every pair residue of nu lies in O_n).
+
+    Membership of each residue is looked up in ``memo`` (filled through
+    :func:`girstmair_member` on a miss) and the test stops at the first
+    residue outside O_n.
+    """
+    neg_inverses: dict[int, int] = {}
+
+    def asymptotic(nu) -> bool:
+        for k in range(1, len(nu)):
+            m = neg_inverses.get(nu[k])
+            if m is None:
+                m = neg_inverses[nu[k]] = n - mod_inverse(nu[k], n)
+            for j in range(k):
+                q = nu[j] * m % n  # q_of_pair(n, nu[j], nu[k])
+                hit = memo.get(q)
+                if hit is None:
+                    hit = memo[q] = girstmair_member(n, q)
+                if not hit:
+                    return False
+        return True
+
+    return asymptotic
+
+
+def _composition_tree(n: int, r: int, memo: dict[int, bool]):
+    """Exact depth-first search for an asymptotic composition of n into r parts.
+
+    Permuting the parts maps each pair residue to itself or its inverse, and
+    O_n is closed under inverses, so the search runs over nonincreasing parts
+    and tries the most balanced value first at each depth.  Equal parts pair
+    to q = n - 1; when n - 1 is not in O_n (always, for n >= 17: its chain is
+    n - 1 twos) the parts are distinct.  A depth that leaves sum R to ``left``
+    parts of at most ``cap`` only tries values that keep
+    left (left + 1) / 2 <= R <= cap + (cap - 1) + ... + (cap - left + 1)
+    for distinct parts, or left <= R <= left cap for repeats.
+
+    Yields ``(candidate, ok)`` once per part tried: the prefix with that part
+    appended, and whether its new pair residues all lie in O_n (``memo``
+    shared as in :func:`_asymptotic_test`).  An ok candidate of length r is
+    an asymptotic composition; the generator returns once the tree is
+    exhausted, which proves that none exists.
+    """
+
+    def member(q: int) -> bool:
+        hit = memo.get(q)
+        if hit is None:
+            hit = memo[q] = girstmair_member(n, q)
+        return hit
+
+    distinct = 0 if member(n - 1) else 1
+
+    def span(rest_sum: int, left: int, cap: int) -> tuple[int, int]:
+        # Values v for the largest of `left` parts with sum rest_sum: the
+        # other left - 1 parts must fit below v - distinct.
+        rest = left - 1
+        tri = rest * (rest - 1) // 2
+        lo = -(-(rest_sum + distinct * (rest + tri)) // left)
+        return lo, min(cap, rest_sum - rest - distinct * tri)
+
+    parts: list[int] = []
+    highs: list[int] = []
+    rest_sum = n
+    v, hi = span(n, r, n - 1)
+    while True:
+        if v > hi:
+            if not parts:
+                return
+            v = parts.pop()
+            rest_sum += v
+            hi = highs.pop()
+            v += 1
+            continue
+        m = n - pow(v, -1, n)
+        ok = all(member(p * m % n) for p in parts)
+        yield (*parts, v), ok
+        if ok and len(parts) + 1 < r:
+            parts.append(v)
+            highs.append(hi)
+            rest_sum -= v
+            v, hi = span(rest_sum, r - len(parts), v - distinct)
+        else:
+            v += 1
 
 
 def find_asymptotic_partition(
@@ -198,9 +310,13 @@ def find_asymptotic_partition(
 ) -> Partition:
     """Seeded search for a partition nu_1+...+nu_r = n with all q_jk in O_n.
 
-    Deterministic given the seed.  Raises :class:`Exhausted` when the trial
+    Deterministic given the seed: the first asymptotic composition among
+    ``max_trials`` uniform samples.  Raises :class:`Exhausted` when the trial
     budget runs out (immediately when r > n - 1, where no composition with
-    positive parts below n exists).
+    positive parts below n exists).  After each missed trial an exact search
+    of the compositions (:func:`_composition_tree`) takes one step; if it
+    shows that no composition qualifies, ``Exhausted(max_trials)`` is raised
+    at once, the error the samples would have ended in.
     """
     if not isprime(n) or n < 17:
         raise BadInput(f"need a prime n >= 17, got {n}")
@@ -208,11 +324,19 @@ def find_asymptotic_partition(
         raise BadInput(f"need r >= 2, got {r}")
     if r > n - 1:
         raise Exhausted(0, f"no composition of {n} into {r} parts in (0, n)")
-    rng = SplitMix64(seed)
-    for _ in range(max_trials):
-        nu = _sample_composition(n, r, rng)
-        if _is_asymptotic(n, nu):
+    memo: dict[int, bool] = {}
+    asymptotic = _asymptotic_test(n, memo)
+    tree = _composition_tree(n, r, memo)
+    for _, nu in zip(range(max_trials), _sampled_compositions(n, r, seed)):
+        if asymptotic(nu):
             return Partition(n, nu)
+        if tree is not None:
+            node = next(tree, None)
+            if node is None:
+                break
+            candidate, ok = node
+            if ok and len(candidate) == r:
+                tree = None  # a composition qualifies: sampling decides
     raise Exhausted(max_trials)
 
 
@@ -239,16 +363,15 @@ def partition_density(
         return Fraction(1)
     if r > n - 1:
         raise BadInput(f"no composition of {n} into {r} positive parts")
+    asymptotic = _asymptotic_test(n, {})
     if samples is None:
         hits = total = 0
         for nu in _all_compositions(n, r):
             total += 1
-            hits += _is_asymptotic(n, nu)
+            hits += asymptotic(nu)
         return Fraction(hits, total)
     if samples < 1:
         raise BadInput("need at least one sample")
-    rng = SplitMix64(seed)
-    hits = sum(
-        _is_asymptotic(n, _sample_composition(n, r, rng)) for _ in range(samples)
-    )
+    stream = _sampled_compositions(n, r, seed)
+    hits = sum(asymptotic(next(stream)) for _ in range(samples))
     return Fraction(hits, samples)

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,9 +17,59 @@ from rootcover.asympt import (
     q_of_pair,
 )
 from rootcover.dedekind import dedekind_fast
-from rootcover.errors import BadInput, CertificationError, Exhausted
+from rootcover.errors import BadInput, CertificationError, Exhausted, NotCoprime
 from rootcover.exact import leq_sqrt_bound, mod_inverse
 from rootcover.hj import hj_length
+
+
+@functools.lru_cache(maxsize=None)
+def fraction_member(n, q):
+    """Membership in O_n by its definition: full chain length, Fraction sum."""
+    return leq_sqrt_bound(hj_length(n, q), 3, n, 2) and leq_sqrt_bound(
+        abs(dedekind_fast(1, q, n)), 3, n, 5
+    )
+
+
+def _sample_composition(n, r, rng):
+    """Uniform composition of n into r positive parts via r-1 distinct cuts.
+
+    Floyd's subset sampling over {1, ..., n-1} keeps the draw count fixed.
+    """
+    if r == 1:
+        return (n,)
+    cuts = set()
+    for j in range(n - 1 - (r - 1) + 1, n):  # j = n-r+1 .. n-1
+        t = rng.below(j) + 1
+        cuts.add(j if t in cuts else t)
+    ordered = sorted(cuts)
+    bounds = [0] + ordered + [n]
+    return tuple(bounds[i + 1] - bounds[i] for i in range(r))
+
+
+def _is_asymptotic(n, nu):
+    return all(
+        fraction_member(n, q_of_pair(n, nu[j], nu[k]))
+        for j, k in itertools.combinations(range(len(nu)), 2)
+    )
+
+
+def sample_search(n, r, seed, max_trials):
+    """The plain sampler: the first asymptotic one of max_trials samples."""
+    if r > n - 1:
+        raise Exhausted(0, f"no composition of {n} into {r} parts in (0, n)")
+    rng = SplitMix64(seed)
+    for _ in range(max_trials):
+        nu = _sample_composition(n, r, rng)
+        if _is_asymptotic(n, nu):
+            return Partition(n, nu)
+    raise Exhausted(max_trials)
+
+
+def _outcome(search, n, r, seed, max_trials):
+    try:
+        return search(n, r, seed, max_trials).nu
+    except Exhausted as exc:
+        return ("exhausted", exc.trials, str(exc))
 
 
 def test_splitmix64_reference_stream():
@@ -82,15 +134,44 @@ def test_girstmair_fixtures():
 
 def test_girstmair_membership_is_extensional():
     # recompute the two bounds directly for every q
-    for n in [17, 19, 101]:
+    for n in [17, 19, 101, 1009]:
         on = girstmair_set(n)
         for q in range(1, n):
-            length = hj_length(n, q)
-            expected = leq_sqrt_bound(length, 3, n, 2) and leq_sqrt_bound(
-                abs(dedekind_fast(1, q, n)), 3, n, 5
-            )
+            expected = fraction_member(n, q)
             assert (q in on.members) == expected
             assert girstmair_member(n, q) == expected
+    rng = random.Random(5)
+    for n in [10007, 100003]:
+        for q in rng.sample(range(1, n), 2000):
+            assert girstmair_member(n, q) == fraction_member(n, q)
+    # the chain-length cap and both Dedekind-bound branches are exercised
+    assert not girstmair_member(1009, 1008)  # 1008 twos: over the length cap
+    verdicts = {fraction_member(1009, q) for q in range(1, 1009)}
+    assert verdicts == {True, False}
+
+
+def test_girstmair_dedekind_bound_edges():
+    # Below n ~ 1600 no residue fails the Dedekind bound alone.  These short
+    # chains (q and q' at each n) have |d(1, q, n)| within 1/20 of
+    # 3 sqrt(n) + 5, on either side.
+    inside = [(5431, 2), (5431, 2716), (33023, 5), (33023, 19814)]
+    outside = [(12043, 3), (12043, 8029), (21227, 4), (21227, 5307)]
+    for (n, q), expected in [(c, True) for c in inside] + [(c, False) for c in outside]:
+        assert leq_sqrt_bound(hj_length(n, q), 3, n, 2)
+        d = abs(dedekind_fast(1, q, n))
+        shifted = d + Fraction(1, 20) if expected else d - Fraction(1, 20)
+        assert leq_sqrt_bound(shifted, 3, n, 5) != expected
+        assert fraction_member(n, q) == expected
+        assert girstmair_member(n, q) == expected
+
+
+def test_girstmair_member_errors():
+    assert not girstmair_member(17, 0) and not girstmair_member(17, 17)
+    with pytest.raises(NotCoprime):
+        girstmair_member(18, 3)
+    with pytest.raises(BadInput):
+        girstmair_member(2, 1)
+    assert girstmair_member(18, 5) == fraction_member(18, 5)
 
 
 def test_girstmair_inverse_closure():
@@ -157,16 +238,114 @@ def test_partition_density():
     assert 0 <= partition_density(997, 3, 300, 7) <= 1
     # density at least 1/2 for primes n >= 10^3, r = 3
     assert partition_density(1009, 3, 300, 7) >= Fraction(1, 2)
+    # against the plain sampler and a scan of every composition
+    for n, r, seed in [(101, 4, 3), (1009, 8, 1)]:
+        rng = SplitMix64(seed)
+        hits = sum(_is_asymptotic(n, _sample_composition(n, r, rng)) for _ in range(300))
+        assert partition_density(n, r, 300, seed) == Fraction(hits, 300)
+    hits = sum(_is_asymptotic(19, nu) for nu in asympt._all_compositions(19, 4))
+    assert partition_density(19, 4, None) == Fraction(hits, 816)  # C(18, 3)
 
 
 def test_composition_sampler_uniform_support():
     # every composition of 7+10 into 3 parts shows up under a long run
-    rng = SplitMix64(1)
-    from rootcover.asympt import _sample_composition
-
+    stream = asympt._sampled_compositions(17, 3, 1)
     seen = set()
     for _ in range(4000):
-        nu = _sample_composition(17, 3, rng)
+        nu = next(stream)
         assert sum(nu) == 17 and all(v > 0 for v in nu)
         seen.add(nu)
     assert len(seen) == 120  # C(16, 2) compositions
+
+
+def test_sampled_compositions_match_splitmix64_floyd():
+    for n, r, seed in [(17, 2, 0), (101, 8, 7), (1009, 20, 3), (10007, 4, 2**64 + 5)]:
+        rng = SplitMix64(seed)
+        stream = asympt._sampled_compositions(n, r, seed)
+        for _ in range(10**4 if n == 101 else 500):
+            assert next(stream) == _sample_composition(n, r, rng)
+
+
+def test_search_matches_plain_sampler():
+    primes = list(primerange(17, 62))
+    cases = [(n, 8, n % 5) for n in primes]
+    cases += [(n, 12, n % 7) for n in primerange(61, 152)]
+    cases += [(n, 20, n % 3) for n in [*primerange(83, 242), 1009]]
+    exhausted = 0
+    for n, r, seed in cases:
+        expected = _outcome(sample_search, n, r, seed, 2000)
+        assert _outcome(find_asymptotic_partition, n, r, seed, 2000) == expected
+        exhausted += expected[0] == "exhausted"
+    assert 0 < exhausted < len(cases)
+    # r > n - 1, and budgets smaller than the tree
+    for n, r in [(17, 17), (19, 25)]:
+        assert _outcome(find_asymptotic_partition, n, r, 0, 10) == _outcome(
+            sample_search, n, r, 0, 10
+        )
+    for max_trials in [0, 1, 10, 100]:
+        for n, r in [(47, 8), (53, 8), (101, 12), (239, 20)]:
+            assert _outcome(
+                find_asymptotic_partition, n, r, 1, max_trials
+            ) == _outcome(sample_search, n, r, 1, max_trials)
+
+
+def _brute_force_witnesses(n, r, member):
+    """Every asymptotic composition of n into r parts, parts sorted down."""
+    found = set()
+    for cuts in itertools.combinations(range(1, n), r - 1):
+        bounds = (0,) + cuts + (n,)
+        nu = tuple(bounds[i + 1] - bounds[i] for i in range(r))
+        if all(
+            member(q_of_pair(n, nu[j], nu[k]))
+            for j, k in itertools.combinations(range(r), 2)
+        ):
+            found.add(tuple(sorted(nu, reverse=True)))
+    return found
+
+
+def _tree_witnesses(n, r, member, memo):
+    """Run the tree to the end; check every candidate it tries on the way."""
+    distinct = not member(n - 1)
+    found = []
+    for candidate, ok in asympt._composition_tree(n, r, memo):
+        *prefix, v = candidate
+        assert ok == all(member(q_of_pair(n, p, v)) for p in prefix)
+        # nonincreasing (decreasing when parts are distinct), below n
+        assert 0 < v < n and all(a - b >= distinct for a, b in itertools.pairwise(candidate))
+        left, rest = r - len(candidate), n - sum(candidate)
+        cap = v - distinct
+        if distinct:
+            assert left * (left + 1) // 2 <= rest <= left * cap - left * (left - 1) // 2
+        else:
+            assert left <= rest <= left * cap
+        if ok and len(candidate) == r:
+            found.append(candidate)
+    assert len(found) == len(set(found))
+    return set(found)
+
+
+def test_composition_tree_matches_brute_force():
+    cases = [(n, r) for n in [17, 19, 23] for r in range(2, 7)]
+    cases += [(n, 8) for n in [17, 19, 23]]
+    for n, r in cases:
+        member = functools.partial(fraction_member, n)
+        assert _tree_witnesses(n, r, member, {}) == _brute_force_witnesses(
+            n, r, member
+        )
+    # r = 8 needs 1 + ... + 8 = 36 from distinct parts: proven at the root
+    assert list(asympt._composition_tree(31, 8, {})) == []
+
+
+def test_composition_tree_repeat_rule():
+    # With a memo that puts n - 1 (and so every residue) in O_n, equal parts
+    # are allowed and every partition of n into r parts qualifies.
+    n = 17
+    every = dict.fromkeys(range(1, n), True)
+    but_last = {**every, n - 1: False}
+    for fake in [every, but_last]:
+        for r in range(2, 7):
+            assert _tree_witnesses(
+                n, r, fake.get, dict(fake)
+            ) == _brute_force_witnesses(n, r, fake.get)
+    assert _tree_witnesses(n, 16, every.get, dict(every)) == {(2,) + (1,) * 15}
+    assert _tree_witnesses(n, 16, but_last.get, dict(but_last)) == set()
