@@ -7,8 +7,6 @@ O_n are the partitions for which the cover invariants stay asymptotic.  The
 probability of a uniform partition being asymptotic tends to 1.
 """
 
-from sympy import nextprime
-
 from rootcover import (
     find_asymptotic_partition,
     girstmair_member,
@@ -16,7 +14,7 @@ from rootcover import (
     partition_density,
     q_of_pair,
 )
-from rootcover.exact import log_enclosure, sqrt_upper
+from rootcover.exact import is_prime, log_enclosure, sqrt_upper
 
 print("=== O_n sizes and the complement bound ===")
 print(f"{'n':>6} {'|O_n|':>7} {'compl':>6} {'sqrt(n)log(4n)':>15}")
@@ -47,7 +45,9 @@ n = 997
 for _ in range(5):
     d = partition_density(n, 3, 200, seed=9)
     print(f"{n:>7} {float(d):>9.3f}")
-    n = nextprime(n * 4)
+    n = n * 4 + 1
+    while not is_prime(n):
+        n += 1
 print()
 print("exhaustive check at n = 101, r = 2:",
       partition_density(101, 2, None), "(all compositions asymptotic)")

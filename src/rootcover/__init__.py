@@ -22,7 +22,6 @@ from .dedekind import barkan_residual, dedekind_fast, dedekind_sum, power_sums
 from .errors import (
     BadInput,
     BadParams,
-    BadSignature,
     CertificationError,
     ConfigError,
     Degenerate,
@@ -55,7 +54,6 @@ from .logchern import (
     TripleTable,
     base_pair_from_json,
     base_pair_to_json,
-    bracket,
     log_chern_numbers,
     make_preset,
     nonsingular_cover_chern,

@@ -20,10 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from sympy import isprime
-
 from .errors import BadInput, CertificationError, Exhausted
-from .exact import log_enclosure, mod_inverse
+from .exact import is_prime, log_enclosure, mod_inverse
 
 # girstmair_member runs the chain itself; these two names stay bound
 # here because perfbench/tracer.py wraps them where this module looked them up.
@@ -98,7 +96,7 @@ class Partition:
     nu: tuple[int, ...]
 
     def __post_init__(self):
-        if not isprime(self.n):
+        if not is_prime(self.n):
             raise BadInput(f"modulus must be prime, got {self.n}")
         if any(not 0 < v < self.n for v in self.nu):
             raise BadInput(f"multiplicities must lie in (0, {self.n})")
@@ -175,7 +173,7 @@ def _complement_bound_holds(n: int, complement_size: int) -> bool:
 
 def girstmair_set(n: int) -> ONSet:
     """The extensional O_n for a prime n >= 17; complement bound verified."""
-    if n < 17 or not isprime(n):
+    if n < 17 or not is_prime(n):
         raise BadInput(f"need a prime n >= 17, got {n}")
     members = frozenset(q for q in range(1, n) if girstmair_member(n, q))
     complement = (n + 1) - len(members)  # complement within {0, ..., n}
@@ -318,7 +316,7 @@ def find_asymptotic_partition(
     shows that no composition qualifies, ``Exhausted(max_trials)`` is raised
     at once, the error the samples would have ended in.
     """
-    if not isprime(n) or n < 17:
+    if not is_prime(n) or n < 17:
         raise BadInput(f"need a prime n >= 17, got {n}")
     if r < 2:
         raise BadInput(f"need r >= 2, got {r}")
@@ -355,7 +353,7 @@ def partition_density(
     a seeded uniform sample of the given size is used.  r = 1 is vacuously
     asymptotic (no pairs).
     """
-    if not isprime(n) or n < 17:
+    if not is_prime(n) or n < 17:
         raise BadInput(f"need a prime n >= 17, got {n}")
     if r < 1:
         raise BadInput(f"need r >= 1, got {r}")

@@ -13,12 +13,8 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
-
-from sympy import primerange
 
 from . import __version__
 from .asympt import Partition, find_asymptotic_partition, girstmair_set
@@ -30,6 +26,7 @@ from .errors import (
     IncompatiblePartition,
     RootcoverError,
 )
+from .exact import is_prime
 from .hj import hj_expand
 from .invariants import _rat_str, invariant_report, report_to_json_dict
 from .logchern import base_pair_from_json, make_preset
@@ -87,11 +84,24 @@ _CONFIG_DEFAULTS = {
 _PRESET_PARAMS = {"planes_p3": ("r",), "hypersurface_p4": ("d", "r")}
 
 
-def _fmt_dec(x: Fraction, digits: int) -> str:
+def _csv_rats(row: dict) -> list[str]:
+    """A row's ``_CSV_VALUE_COLUMNS`` as "num/den" strings ("" if absent)."""
+    report = row.get("report")
+    if report is None:
+        return [""] * len(_CSV_VALUE_COLUMNS)
+    slopes = report["slopes"] or ["", ""]
+    log_slopes = report["log_slopes"] or ["", ""]
+    return [report["chi"], report["k3"], report["euler"], *slopes, *log_slopes,
+            report["chi_error_bound"]]
+
+
+def _fmt_dec(rat: str, digits: int) -> str:
+    """A "num/den" string as a decimal, rounded as ``float(Fraction)`` is."""
+    num, den = rat.split("/")
     try:
-        return f"{float(x):.{digits}f}"
+        return f"{int(num) / int(den):.{digits}f}"
     except OverflowError:
-        return _rat_str(x)
+        return rat
 
 
 def _parse_nu(text: str) -> tuple[int, ...]:
@@ -179,17 +189,6 @@ def _sweep_cell(args):
     except RootcoverError as exc:
         row["status"] = f"error:{type(exc).__name__}"
         return row
-    values = {
-        "chi": report.chi.chi,
-        "K3": report.k3,
-        "euler": report.euler,
-        "slope1": report.slopes[0] if report.slopes else None,
-        "slope2": report.slopes[1] if report.slopes else None,
-        "log_slope1": report.log_slopes[0] if report.log_slopes else None,
-        "log_slope2": report.log_slopes[1] if report.log_slopes else None,
-        "chi_err_bound": report.chi_error_bound,
-    }
-    row["values"] = values
     row["report"] = report_to_json_dict(report)
     return row
 
@@ -197,9 +196,9 @@ def _sweep_cell(args):
 def run_sweep(cfg: dict) -> tuple[str, int]:
     """Execute a sweep; returns (rendered output, exit code)."""
     pair, d = _build_pair(cfg)
-    primes = list(primerange(cfg["n_min"], cfg["n_max"] + 1))
+    primes = [n for n in range(cfg["n_min"], cfg["n_max"] + 1) if is_prime(n)]
     cells = [(pair, d, n, cfg) for n in primes]
-    workers = cfg.get("workers") or int(os.environ.get("ROOTCOVER_WORKERS", "1"))
+    workers = cfg.get("workers") or 1
     if workers > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # about four chunks per worker: one task per cell costs more in
@@ -228,12 +227,8 @@ def run_sweep(cfg: dict) -> tuple[str, int]:
         digits = cfg["digits"]
         for row in rows:
             record = [row["n"], row["d"], row["r"], row["nu"], row["status"]]
-            values = row.get("values", {})
-            decs, rats = [], []
-            for col in _CSV_VALUE_COLUMNS:
-                val = values.get(col)
-                decs.append("" if val is None else _fmt_dec(val, digits))
-                rats.append("" if val is None else _rat_str(val))
+            rats = _csv_rats(row)
+            decs = [rat and _fmt_dec(rat, digits) for rat in rats]
             writer.writerow(record + decs + rats)
         text = buf.getvalue()
     return text, (2 if failures else 0)
@@ -384,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", type=int, help="decimal places for CSV floats")
     p.add_argument(
         "--workers", type=int,
-        help="worker pool size (default: ROOTCOVER_WORKERS or 1)",
+        help="worker pool size (default: the config's workers key, or 1)",
     )
     p.set_defaults(func=_cmd_sweep)
 

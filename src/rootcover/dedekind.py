@@ -14,9 +14,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from sympy import isprime
-
 from .errors import BadInput, NotCoprime
+from .exact import is_prime
 from .hj import hj_expand
 
 __all__ = ["dedekind_sum", "dedekind_fast", "power_sums", "barkan_residual"]
@@ -116,7 +115,7 @@ def barkan_residual(n: int, q: int) -> Fraction:
     matches sum(k-2) + 8/7 but (-1/14) + 3 does not.  This function exists to
     keep that correction regression-tested; do not remove the 12.
     """
-    if not isprime(n):
+    if not is_prime(n):
         raise BadInput(f"modulus must be prime, got {n}")
     if not 0 < q < n:
         raise BadInput(f"need 0 < q < n, got q={q}")

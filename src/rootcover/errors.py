@@ -17,10 +17,6 @@ class BadParams(BadInput):
     """Invalid preset or closed-form parameters."""
 
 
-class BadSignature(BadInput):
-    """Invalid bracket signature / ambient-class weight combination."""
-
-
 class NotDisjoint(RootcoverError):
     """The branch divisors have nonzero pairwise products."""
 

@@ -3,6 +3,8 @@
 Everything downstream computes with arbitrary-precision rationals; the only
 irrational quantities in the whole system (square-root and logarithm bounds)
 are compared or enclosed exactly here, so no floating point enters any result.
+The deterministic primality test every prime modulus is checked with lives
+here too.
 """
 
 from __future__ import annotations
@@ -35,6 +37,51 @@ def mod_inverse(a: int, n: int) -> int:
         return pow(a, -1, n)
     except ValueError:
         raise NotCoprime(f"{a} is not invertible modulo {n}") from None
+
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Miller-Rabin to the bases 2, 3, ..., _SMALL_PRIMES[i] decides primality for
+# every n < _SPRP_BOUNDS[i]; each bound is the least strong pseudoprime to
+# those bases (OEIS A014233).
+_SPRP_BOUNDS = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051, 318665857834031151167461,
+)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality test for ``n < 318665857834031151167461``.
+
+    Trial division by the first 12 primes, then strong-probable-prime tests
+    to the bases 2, 3, ..., 37, stopping as soon as ``n`` lies below the
+    proven bound for the bases tested so far.  Raises :class:`BadInput` at
+    or above the last bound, where these bases no longer decide.
+    """
+    if n >= _SPRP_BOUNDS[-1]:
+        raise BadInput(f"primality is decided below {_SPRP_BOUNDS[-1]}, got {n}")
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < 37 * 37:
+        return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    d = (n - 1) >> s
+    for a, bound in zip(_SMALL_PRIMES, _SPRP_BOUNDS):
+        x = pow(a, d, n)
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < bound:
+            break
+    return True
 
 
 def sawtooth(x) -> Rat:

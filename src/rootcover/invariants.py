@@ -32,13 +32,11 @@ from .toric import local_cone, select_v
 
 __all__ = [
     "ChiValue",
-    "EigenspaceDivisor",
     "ClosedFormsP4",
     "InvariantReport",
     "chi_root_cover",
     "chi_eigenspace_oracle",
     "chi_error_bound",
-    "eigenspace_divisor",
     "k3_root_cover",
     "euler_root_cover",
     "closed_forms_p4",
@@ -55,14 +53,6 @@ class ChiValue:
     r1: Fraction
     r2: Fraction
     r3: Fraction
-
-
-@dataclass(frozen=True)
-class EigenspaceDivisor:
-    """The i-th eigenspace class L^(i) = (1/n) sum {i nu_j}_n D_j."""
-
-    i: int
-    coefficients: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -143,14 +133,6 @@ def chi_root_cover(pair: BasePair, part: Partition) -> ChiValue:
     r3 *= 6
     chi = n * pair.chi - (r1 + r2 + r3) / 12
     return ChiValue(chi, r1, r2, r3)
-
-
-def eigenspace_divisor(part: Partition, i: int) -> EigenspaceDivisor:
-    """L^(i) as exact coefficients {i nu_j}_n / n; n L^(i) is integral."""
-    n = part.n
-    return EigenspaceDivisor(
-        i, tuple(Fraction((i * v) % n, n) for v in part.nu)
-    )
 
 
 def chi_eigenspace_oracle(pair: BasePair, part: Partition) -> Fraction:
@@ -264,11 +246,11 @@ def k3_root_cover(pair: BasePair, part: Partition, strategy: str = "minimal") ->
     one Fraction.
 
     The chain-end values x_{jk,1} drop the central-divisor corrections
-    v_{pos(k)} K.C_{pos(j)} at the triple points; those vanish whenever the
-    local K.C_l intersections do (in particular for the minimal point over
-    sum-n triple partitions, where the result is certified exactly against
-    the closed form), and are O(1) per pair otherwise, so K^3/n keeps its
-    asymptotic meaning for every strategy.
+    v_{pos(k)} K.C_{pos(j)} at the triple points.  Those vanish whenever the
+    local K.C_l intersections do, so the result is certified exact only for
+    the minimal point over triples whose parts sum to n (checked against the
+    closed form).  Elsewhere a correction can be O(n) (the minimal point at
+    r >= 4) and the result is not exact; see ROADMAP item 1.
     """
     _check_compatible(pair, part)
     n, r = part.n, pair.r

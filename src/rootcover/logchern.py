@@ -24,13 +24,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import BadParams, BadSignature, NotDisjoint
+from .errors import BadParams, NotDisjoint
 
 __all__ = [
     "TripleTable",
     "BasePair",
     "LogChernNumbers",
-    "bracket",
     "log_chern_numbers",
     "nonsingular_cover_chern",
     "make_preset",
@@ -177,51 +176,6 @@ class LogChernNumbers:
     c1_cubed_bar: Fraction
     c1c2_bar: Fraction
     c3_bar: Fraction
-
-
-_WEIGHT_DEGREE = {"one": 0, "c1": 1, "c2": 2, "c1^2": 2, "c1^3": 3, "c1c2": 3, "c3": 3}
-
-
-def bracket(pair: BasePair, signature, weight: str = "one") -> Fraction:
-    """Degree-3 pairing of D^[signature] against an ambient Chern class.
-
-    ``signature`` is a list of positive integers (or [0]); its total plus the
-    weight's cohomological degree must be 3.  Examples: ([2], "c1") gives
-    c1 . sum D_j^2; ([0], "c1c2") is the ambient Chern number itself.
-    """
-    if weight not in _WEIGHT_DEGREE:
-        raise BadSignature(f"unknown weight {weight!r}")
-    signature = list(signature)
-    if signature == [0]:
-        total = 0
-    elif signature and all(isinstance(i, int) and i >= 1 for i in signature):
-        total = sum(signature)
-    else:
-        raise BadSignature(f"invalid signature {signature}")
-    if total + _WEIGHT_DEGREE[weight] != 3:
-        raise BadSignature(
-            f"signature {signature} with weight {weight!r} is not degree 3"
-        )
-    r = pair.r
-    if total == 0:
-        return Fraction(
-            {"c1^3": pair.c1_cubed, "c1c2": pair.c1c2, "c3": pair.c3}[weight]
-        )
-    if signature == [3]:
-        return Fraction(pair.sum_d3())
-    if signature == [2]:
-        return Fraction(pair.c1_d2())
-    if signature == [1]:
-        return Fraction(pair.c1sq_dred() if weight == "c1^2" else pair.c2_dred())
-    if signature == [1, 1]:
-        return Fraction(pair.c1_d11())
-    if signature == [1, 2]:
-        return Fraction(pair.sum_12())
-    if signature == [2, 1]:
-        return Fraction(pair.sum_21())
-    if signature == [1, 1, 1]:
-        return Fraction(pair.triple.total())
-    raise BadSignature(f"unsupported signature {signature}")
 
 
 def log_chern_numbers(pair: BasePair) -> LogChernNumbers:

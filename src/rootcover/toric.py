@@ -23,10 +23,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator
 
-from sympy import isprime
-
 from .errors import BadInput, CertificationError, Degenerate, NotInterior
-from .exact import mod_inverse
+from .exact import is_prime, mod_inverse
 from .hj import HJExpansion, hj_expand
 
 __all__ = [
@@ -56,7 +54,7 @@ class LocalConeSpec:
     q: int
 
     def __post_init__(self):
-        if not isprime(self.n):
+        if not is_prime(self.n):
             raise BadInput(f"modulus must be prime, got {self.n}")
         if not (0 < self.p < self.n and 0 < self.q < self.n):
             raise BadInput("p, q must be nonzero modulo n")

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -233,3 +235,28 @@ def test_parser_builds():
     parser = build_parser()
     args = parser.parse_args(["hj", "7", "5"])
     assert args.n == 7 and args.q == 5
+
+
+def test_cli_import_leaves_out_sympy():
+    # the runtime needs only the standard library; sympy is a test oracle
+    code = "import sys, rootcover.cli; print('sympy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_csv_decimal_matches_fraction_float():
+    # the CSV renders decimals from the report's "num/den" strings
+    import random
+
+    rng = random.Random(12)
+    for _ in range(2000):
+        den = rng.randint(1, 10 ** rng.randint(1, 30))
+        x = Fraction(rng.randint(-10**30, 10**30), den)
+        digits = rng.randint(0, 17)
+        rat = f"{x.numerator}/{x.denominator}"
+        assert cli._fmt_dec(rat, digits) == f"{float(x):.{digits}f}"
+    huge = f"{10**400}/3"
+    assert cli._fmt_dec(huge, 6) == huge  # past the float range: exact form

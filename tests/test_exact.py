@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
+from sympy import isprime
 
 from rootcover.errors import BadInput, NotCoprime
 from rootcover.exact import (
+    is_prime,
     leq_sqrt_bound,
     log_enclosure,
     mod_inverse,
@@ -113,3 +115,41 @@ def test_log_enclosure():
         assert hi - lo < Fraction(1, 10**15)
     with pytest.raises(BadInput):
         log_enclosure(0)
+
+
+# The least strong pseudoprime to the bases 2, 3, ..., p for each prime p
+# <= 37 (the bounds is_prime stops at), without repeats.
+STRONG_PSEUDOPRIMES = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051,
+)
+PRIME_LIMIT = 318665857834031151167461
+
+
+def test_is_prime_matches_sympy_below_3e5():
+    assert [n for n in range(300_000) if is_prime(n)] == [
+        n for n in range(300_000) if isprime(n)
+    ]
+
+
+def test_is_prime_matches_sympy_on_random_odd_numbers():
+    rng = random.Random(6)
+    for _ in range(3000):
+        bits = rng.randint(12, 78)
+        n = rng.getrandbits(bits) | 1 | (1 << (bits - 1))
+        assert is_prime(n) == isprime(n), n
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    for n in STRONG_PSEUDOPRIMES:
+        assert not isprime(n)
+        assert not is_prime(n), n
+
+
+def test_is_prime_small_and_out_of_range():
+    for n in (-1, 0, 1):
+        assert not is_prime(n)
+    for n in range(PRIME_LIMIT - 300, PRIME_LIMIT):
+        assert is_prime(n) == isprime(n), n
+    with pytest.raises(BadInput):
+        is_prime(PRIME_LIMIT)

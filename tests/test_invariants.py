@@ -481,19 +481,6 @@ def test_invariant_report_fixture():
     assert Fraction(int(num), int(den)) == rep.chi_error_bound
 
 
-def test_eigenspace_divisor_coefficients():
-    from rootcover.invariants import eigenspace_divisor
-
-    part = Partition(7, (1, 2, 4))
-    for i in range(1, 7):
-        div = eigenspace_divisor(part, i)
-        assert div.i == i
-        for j, coeff in enumerate(div.coefficients):
-            scaled = 7 * coeff
-            assert scaled.denominator == 1  # n L^(i) has integer coefficients
-            assert scaled == (i * part.nu[j]) % 7
-
-
 def test_report_integrality():
     rng = random.Random(31)
     for _ in range(10):

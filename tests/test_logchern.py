@@ -3,13 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from rootcover.errors import BadParams, BadSignature, NotDisjoint
+from rootcover.errors import BadParams, NotDisjoint
 from rootcover.logchern import (
     BasePair,
     TripleTable,
     base_pair_from_json,
     base_pair_to_json,
-    bracket,
     log_chern_numbers,
     make_preset,
     nonsingular_cover_chern,
@@ -81,21 +80,17 @@ def test_preset_hypersurface_fixtures():
 
 
 def test_bracket_examples():
+    # degree-3 pairings of the brackets D^[i_1,...,i_m] with ambient classes
     pair = make_preset("planes_p3", 3)
-    assert bracket(pair, [1, 1, 1]) == 1
-    assert bracket(pair, [3]) == 3
-    assert bracket(pair, [0], "c1c2") == 24
-    assert bracket(pair, [0], "c1^3") == 64
-    assert bracket(pair, [2], "c1") == 12
-    assert bracket(pair, [1, 1], "c1") == 12
-    assert bracket(pair, [1], "c1^2") == 48
-    assert bracket(pair, [1], "c2") == 18
-    assert bracket(pair, [1, 2]) == 3 and bracket(pair, [2, 1]) == 3
-    for bad in ([0], [4], [1, 1], [2, 2], [1, -1]):
-        with pytest.raises(BadSignature):
-            bracket(pair, bad)
-    with pytest.raises(BadSignature):
-        bracket(pair, [1], "c7")
+    assert pair.triple.total() == 1  # D^[1,1,1]
+    assert pair.sum_d3() == 3  # D^[3]
+    assert pair.c1c2 == 24
+    assert pair.c1_cubed == 64
+    assert pair.c1_d2() == 12  # c1 . D^[2]
+    assert pair.c1_d11() == 12  # c1 . D^[1,1]
+    assert pair.c1sq_dred() == 48  # c1^2 . D^[1]
+    assert pair.c2_dred() == 18  # c2 . D^[1]
+    assert pair.sum_12() == 3 and pair.sum_21() == 3  # D^[1,2], D^[2,1]
 
 
 def test_bracket_trinomial_identity():
@@ -117,9 +112,9 @@ def test_bracket_trinomial_identity():
                     else:
                         direct += pair.triple.get(j, k, l)
         via_brackets = (
-            bracket(pair, [3])
-            + 3 * (bracket(pair, [1, 2]) + bracket(pair, [2, 1]))
-            + 6 * bracket(pair, [1, 1, 1])
+            pair.sum_d3()
+            + 3 * (pair.sum_12() + pair.sum_21())
+            + 6 * pair.triple.total()
         )
         assert direct == via_brackets
 
