@@ -34,7 +34,14 @@ from .errors import (
     RootcoverError,
 )
 from .exact import Rat, leq_sqrt_bound, mod_inverse, residue, sawtooth
-from .hj import HJExpansion, hj_dual, hj_evaluate, hj_expand, hj_length
+from .hj import (
+    HJExpansion,
+    chain_record,
+    hj_dual,
+    hj_evaluate,
+    hj_expand,
+    hj_length,
+)
 from .invariants import (
     ChiValue,
     ClosedFormsP4,

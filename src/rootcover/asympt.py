@@ -22,6 +22,7 @@ from functools import cached_property
 
 from .errors import BadInput, CertificationError, Exhausted
 from .exact import is_prime, log_enclosure, mod_inverse
+from .hj import chain_record
 
 # girstmair_member runs the chain itself; these two names stay bound
 # here because perfbench/tracer.py wraps them where this module looked them up.
@@ -90,6 +91,8 @@ class Partition:
 
     q_matrix[j][k] is the unique q in (0, n) with nu_j + q nu_k ~ 0 (mod n);
     the diagonal is None.  Rows/columns pair into inverses: q_kj = (q_jk)'.
+    chain_records[j, k] (j < k) is the :func:`chain_record` of the wall
+    chain n / wall_seed(j, k).
     """
 
     n: int
@@ -115,6 +118,16 @@ class Partition:
             )
             for j in range(r)
         )
+
+    @cached_property
+    def chain_records(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        q = self.q_matrix
+        n, r = self.n, self.r
+        return {
+            (j, k): chain_record(n, q[k][j])
+            for j in range(r)
+            for k in range(j + 1, r)
+        }
 
     def wall_seed(self, j: int, k: int) -> int:
         """First numerator of the exceptional chain in direction j -> k.

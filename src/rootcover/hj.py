@@ -8,7 +8,8 @@ is produced by the division algorithm
 together with the companion sequence n_0 = 0, n_1 = 1 satisfying the same
 recurrence.  It encodes the minimal resolution of the surface cyclic quotient
 singularity of type (1/n)(q, 1); the chain lengths s and the excesses
-sum(k_a - 2) drive every global invariant downstream.
+sum(k_a - 2) drive every global invariant downstream.  :func:`chain_record`
+reads everything the invariants need from one pass of that algorithm.
 """
 
 from __future__ import annotations
@@ -19,7 +20,14 @@ from fractions import Fraction
 
 from .errors import BadInput, CertificationError
 
-__all__ = ["HJExpansion", "hj_expand", "hj_evaluate", "hj_dual", "hj_length"]
+__all__ = [
+    "HJExpansion",
+    "hj_expand",
+    "hj_evaluate",
+    "hj_dual",
+    "hj_length",
+    "chain_record",
+]
 
 
 @dataclass(frozen=True)
@@ -126,3 +134,44 @@ def hj_length(n: int, q: int, cap: int | None = None) -> int | None:
         if cap is not None and s > cap:
             return None
     return s
+
+
+def chain_record(n: int, q: int) -> tuple[int, int, int, int, int, int]:
+    """The integers (s, D, S0, S1, S2, B) of the chain n/q = [k_1, ..., k_s].
+
+    s is the length, D = n (excess - s) + q + q' with excess = sum_a (k_a - 2),
+    so that 12 n d(1, q, n) = D by the length/excess relation (n >= 3).  With
+    M_a = m_a + n_a - n and e_a = M_a (2 - k_a), the wall sums are
+
+        S0 = sum_a e_a,
+        S1 = sum_a e_a (m_{a+1} - m_{a-1} + m_0 - m_1),
+        S2 = sum_a e_a (n_{a+1} - n_{a-1} + n_0 - n_1),
+
+    and B = M_1 + M_s + n excess.  One pass of the division algorithm of
+    :func:`hj_expand`; only the coefficients k_a != 2 enter the sums.
+    BadInput unless q is coprime to n with 0 < q < n, as for hj_expand.
+    """
+    _validate(n, q)
+    s = s0 = s1 = s2 = excess = 0
+    m_prev, m_cur, n_prev, n_cur = n, q, 0, 1  # m_{a-1}, m_a, n_{a-1}, n_a
+    while m_cur:
+        k = -((-m_prev) // m_cur)
+        m_next, n_next = k * m_cur - m_prev, k * n_cur - n_prev
+        s += 1
+        if k != 2:
+            e = (m_cur + n_cur - n) * (2 - k)
+            s0 += e
+            s1 += e * (m_next - m_prev)
+            s2 += e * (n_next - n_prev)
+            excess += k - 2
+        m_prev, m_cur, n_prev, n_cur = m_cur, m_next, n_cur, n_next
+    # the loop ends on m_s = 1, n_s = q'
+    ends = q + n_prev  # q + q'
+    return (
+        s,
+        n * (excess - s) + ends,
+        s0,
+        s1 + (n - q) * s0,
+        s2 - s0,
+        ends + 2 - 2 * n + n * excess,
+    )

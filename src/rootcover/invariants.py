@@ -11,6 +11,12 @@ resolution, this module evaluates, as exact rationals:
   * the hyperplane-section specializations in P^4 and the slope limits;
   * aggregated reports with an a-priori Girstmair error bound for chi/n.
 
+chi, K^3 and e read one integer record per pair j < k,
+``Partition.chain_records``: (s, D, S0, S1, S2, B) from a single pass of the
+division algorithm over the wall chain n/q_kj.  The length/excess relation
+gives the Dedekind sums of chi from it, d(nu_j, nu_k, n) = -D_jk/(12 n), so
+chi is assembled over 24 n in integers.
+
 Slopes use the singular-model convention c1^3 := -K^3, c1c2 := 24 chi,
 c3 := e.
 """
@@ -24,11 +30,21 @@ from typing import Optional
 
 from .asympt import Partition
 from .dedekind import dedekind_fast
-from .errors import BadParams, Degenerate, DegenerateCone, IncompatiblePartition
+from .errors import (
+    BadInput,
+    BadParams,
+    Degenerate,
+    DegenerateCone,
+    IncompatiblePartition,
+)
 from .exact import sqrt_upper
-from .hj import hj_expand, hj_length
+from .hj import hj_expand
 from .logchern import BasePair, LogChernNumbers, log_chern_numbers
-from .toric import local_cone, select_v
+from .toric import LocalConeSpec, select_v
+
+# The chain lengths come from Partition.chain_records; this name stays bound
+# here because perfbench/tracer.py wraps it where this module looked it up.
+from .hj import hj_length  # noqa: F401
 
 __all__ = [
     "ChiValue",
@@ -100,39 +116,42 @@ def chi_root_cover(pair: BasePair, part: Partition) -> ChiValue:
     """chi(O_{X_n}) = n chi(O_Z) - (R_1 + R_2 + R_3)/12, exactly.
 
     R_1 carries the pure divisor brackets, R_2 the mixed Chern terms, and
-    R_3 the Dedekind sums d(nu_j, nu_k, n) weighted by D_j D_k (D_j+D_k+K_Z)
-    and by the triple products.
+    R_3 = 6 sum d(nu_j, nu_k, n) w_jk, the Dedekind sums weighted by
+    D_j D_k (D_j+D_k+K_Z) and by the triple products.  By the length/excess
+    relation d(nu_j, nu_k, n) = -d(1, q_jk, n) = -D_jk/(12 n), with
+    D_jk = n (excess - s) + q + q' the integer of the pair's chain record,
+    so R_3 = -sum D_jk w_jk/(2 n).  R_1, R_2 and R_3 are integers over 2 n
+    and chi one over 24 n.  BadInput for n < 3, where no Dedekind sum is
+    defined.
     """
     _check_compatible(pair, part)
     n = part.n
-    r1 = (
-        Fraction((n - 1) ** 2, 2 * n) * pair.sum_d3()
-        + Fraction((n - 1) * (2 * n - 1), 2 * n) * (pair.sum_12() + pair.sum_21())
-        + Fraction(3 * (n - 1), 2) * pair.triple.total()
+    if n < 3:
+        raise BadInput(f"modulus must be >= 3, got {n}")
+    # every R-term as its numerator over 2 n
+    r1 = (n - 1) * (
+        (n - 1) * pair.sum_d3()
+        + (2 * n - 1) * (pair.sum_12() + pair.sum_21())
+        + 3 * n * pair.triple.total()
     )
-    r2 = Fraction(1 - n, 2) * (
-        Fraction(2 * n - 1, n) * pair.c1_d2() + 3 * pair.c1_d11()
-    ) + Fraction(n - 1, 2) * (pair.c1sq_dred() + pair.c2_dred())
-
-    dsums = {}
-
-    def dval(j, k):
-        key = (min(j, k), max(j, k))
-        if key not in dsums:
-            dsums[key] = dedekind_fast(part.nu[key[0]], part.nu[key[1]], n)
-        return dsums[key]
-
-    r3 = Fraction(0)
+    r2 = (n - 1) * (
+        n * (pair.c1sq_dred() + pair.c2_dred())
+        - (2 * n - 1) * pair.c1_d2()
+        - 3 * n * pair.c1_d11()
+    )
+    chains = part.chain_records
+    r3 = 0
     for j in range(pair.r):
         for k in range(j + 1, pair.r):
             w = _pair_weight(pair, j, k)
             if w:
-                r3 += dval(j, k) * w
+                r3 -= chains[j, k][1] * w
     for (j, k, l), t in pair.triple.items_nonzero():
-        r3 += (dval(j, k) + dval(j, l) + dval(k, l)) * t
-    r3 *= 6
-    chi = n * pair.chi - (r1 + r2 + r3) / 12
-    return ChiValue(chi, r1, r2, r3)
+        r3 -= (chains[j, k][1] + chains[j, l][1] + chains[k, l][1]) * t
+    chi = Fraction(n * n * pair.c1c2 - r1 - r2 - r3, 24 * n)
+    return ChiValue(
+        chi, Fraction(r1, 2 * n), Fraction(r2, 2 * n), Fraction(r3, 2 * n)
+    )
 
 
 def chi_eigenspace_oracle(pair: BasePair, part: Partition) -> Fraction:
@@ -167,8 +186,9 @@ def _triple_points(pair: BasePair, part: Partition, strategy: str) -> dict:
     """Chosen subdivision point per nonzero triple, keyed by sorted indices."""
     points = {}
     n = part.n
+    q = part.q_matrix
     for (a, b, c), _t in pair.triple.items_nonzero():
-        spec = local_cone(n, part.nu[a], part.nu[b], part.nu[c])
+        spec = LocalConeSpec(n, q[a][c], q[b][c])
         if spec.is_degenerate:
             raise DegenerateCone(
                 f"triple ({a},{b},{c}): excluded cone shape {spec.degenerate_flags}"
@@ -178,35 +198,6 @@ def _triple_points(pair: BasePair, part: Partition, strategy: str) -> dict:
         except Degenerate as exc:
             raise DegenerateCone(f"triple ({a},{b},{c}): {exc}") from exc
     return points
-
-
-def _wall_sums(n: int, q: int) -> tuple[int, int, int, int]:
-    """The integer sums (S0, S1, S2, B) of the wall chain n/q = [k_1, ..., k_s].
-
-    With M_a = m_a + n_a - n and e_a = M_a (2 - k_a),
-
-        S0 = sum_a e_a,
-        S1 = sum_a e_a (m_{a+1} - m_{a-1} + m_0 - m_1),
-        S2 = sum_a e_a (n_{a+1} - n_{a-1} + n_0 - n_1),
-
-    and B = M_1 + M_s + n sum_a (k_a - 2), in one pass of the division
-    algorithm of :func:`hj_expand`; only the coefficients k_a != 2 contribute.
-    """
-    s0 = s1 = s2 = excess = 0
-    m_prev, m_cur, n_prev, n_cur = n, q, 0, 1  # m_{a-1}, m_a, n_{a-1}, n_a
-    while m_cur:
-        k = -((-m_prev) // m_cur)
-        m_next, n_next = k * m_cur - m_prev, k * n_cur - n_prev
-        if k != 2:
-            e = (m_cur + n_cur - n) * (2 - k)
-            s0 += e
-            s1 += e * (m_next - m_prev)
-            s2 += e * (n_next - n_prev)
-            excess += k - 2
-        m_prev, m_cur, n_prev, n_cur = m_cur, m_next, n_cur, n_next
-    # the loop ends on m_s = 1, n_s = q'
-    chain_end = (q + 1 - n) + (n_prev + 1 - n) + n * excess
-    return s0, s1 + (n - q) * s0, s2 - s0, chain_end
 
 
 def k3_root_cover(pair: BasePair, part: Partition, strategy: str = "minimal") -> Fraction:
@@ -240,7 +231,8 @@ def k3_root_cover(pair: BasePair, part: Partition, strategy: str = "minimal") ->
         -S0 (gap/n^2 + x_{jk,1}/n) - (a_k S1 - a_j S2)/n^2.
 
     Since P_{a+1} - P_a = (k_a - 2) m_a, every term of S1 and S2 carries the
-    factor 2 - k_a too (see :func:`_wall_sums`).  Every remaining piece is an
+    factor 2 - k_a too (see :func:`rootcover.hj.chain_record`, which the
+    kernel reads from ``part.chain_records``).  Every remaining piece is an
     integer over n^2, except the slope terms, which are collected per triple
     point over n^2 v1 v2 v3 together with its central term; the result is
     one Fraction.
@@ -278,6 +270,7 @@ def k3_root_cover(pair: BasePair, part: Partition, strategy: str = "minimal") ->
             sums[1] += v_term
             sums[2] += (part.wall_seed(j, l) + 1 - n) * t
 
+    chains = part.chain_records
     slope_coef = {}
     for j in range(r):
         for k in range(j + 1, r):
@@ -285,7 +278,7 @@ def k3_root_cover(pair: BasePair, part: Partition, strategy: str = "minimal") ->
                 continue
             t_sum, v_sum, w_sum = through.get((j, k), (0, 0, 0))
             q = part.wall_seed(j, k)
-            s0, s1, s2, chain_end = _wall_sums(n, q)
+            _s, _d, s0, s1, s2, chain_end = chains[j, k]
             dd_sum = dd2[k][j] + dd2[j][k]
             k_class = n * pair.kz_dd(j, k) + (n - 1) * (dd_sum + t_sum)  # n D_jk K
             x1 = k_class + (q + 1 - n) * dd2[j][k] + w_sum  # n x_{jk,1}
@@ -323,25 +316,19 @@ def euler_root_cover(pair: BasePair, part: Partition) -> Fraction:
              + sum_{j<k} sum_C [s_jk (3 - 4 g(C)) - 1]
              - sum_{j<k<l} (s_jk + s_jl + s_kl - 3) D_jkl,
 
-    with s_jk the chain length l(q_jk, n).
+    with s_jk the chain length l(q_jk, n), read from the pair's chain record
+    (n/q_jk and its dual n/q_kj have the same length).
     """
     _check_compatible(pair, part)
     n = part.n
-    lengths = {}
-
-    def s_of(j, k):
-        key = (min(j, k), max(j, k))
-        if key not in lengths:
-            lengths[key] = hj_length(n, part.q_matrix[key[0]][key[1]])
-        return lengths[key]
-
+    chains = part.chain_records
     e = n * (pair.c3 - pair.e_d) + pair.e_d - pair.e_sing_d
     for (j, k), curves in pair.pair_curves.items():
-        s = s_of(j, k)
+        s = chains[j, k][0]
         for genus, count in curves:
             e += count * (s * (3 - 4 * genus) - 1)
     for (j, k, l), t in pair.triple.items_nonzero():
-        e -= (s_of(j, k) + s_of(j, l) + s_of(k, l) - 3) * t
+        e -= (chains[j, k][0] + chains[j, l][0] + chains[k, l][0] - 3) * t
     return Fraction(e)
 
 

@@ -50,6 +50,13 @@ class TripleTable:
     constant: Optional[int] = None
     entries: dict = field(default_factory=dict)  # {(j,k,l): value}, j<k<l
 
+    def __post_init__(self):
+        for key in self.entries:
+            if not (len(key) == 3 and 0 <= key[0] < key[1] < key[2] < self.r):
+                raise BadParams(
+                    f"triple key {key} must be (j, k, l) with 0 <= j < k < l < {self.r}"
+                )
+
     def get(self, j: int, k: int, l: int) -> int:
         key = tuple(sorted((j, k, l)))
         if len(set(key)) != 3:
@@ -113,6 +120,11 @@ class BasePair:
         for name in ("d3", "c1sq_d", "c2_d"):
             if len(getattr(self, name)) != r:
                 raise BadParams(f"table {name} must have length {r}")
+        for key in self.pair_curves:
+            if not (len(key) == 2 and 0 <= key[0] < key[1] < r):
+                raise BadParams(
+                    f"pair_curves key {key} must be (j, k) with 0 <= j < k < {r}"
+                )
         for j in range(r):
             for k in range(r):
                 if self.c1_dd[j][k] != self.c1_dd[k][j]:

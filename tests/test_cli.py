@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -124,13 +125,36 @@ def test_sweep_output_file(tmp_path):
 
 def test_sweep_csv_golden(tmp_path):
     # byte-for-byte regression of the CSV surface
-    from pathlib import Path
-
     path = write_config(tmp_path, n_min=7, n_max=13, partition="1,2,4")
     text, code = run_sweep(_load_config(str(path)))
     assert code == 2  # 11 and 13 reject the explicit partition
     golden = Path(__file__).parent / "data" / "sweep_planes3_7_13.csv"
     assert text == golden.read_text()
+
+
+@pytest.mark.parametrize(
+    "name, golden_ext, exit_code",
+    [
+        # r = 8 minimal: six primes exhaust the search, the rest are ok
+        ("sweep_p4d6_r8_17_211", "csv", 2),
+        # r = 4 balanced over 2003..2129
+        ("sweep_p4d6_r4_balanced_2003_2129", "json", 0),
+    ],
+)
+def test_sweep_goldens(name, golden_ext, exit_code):
+    # byte-for-byte regression of search, r >= 4 and balanced cells
+    data = Path(__file__).parent / "data"
+    text, code = run_sweep(_load_config(str(data / f"{name}.cfg.json")))
+    assert code == exit_code
+    assert text == (data / f"{name}.{golden_ext}").read_text()
+
+
+def test_sweep_modulus_two_row(tmp_path):
+    # chi has no Dedekind sums modulo 2: the row is a BadInput, not a cone error
+    path = write_config(tmp_path, r=4, n_min=2, n_max=2, partition="1,1,1,1")
+    text, code = run_sweep(_load_config(str(path)))
+    assert code == 2
+    assert text.splitlines()[1].startswith("2,1,4,1+1+1+1,error:BadInput,")
 
 
 def test_config_errors(tmp_path):

@@ -7,7 +7,7 @@ from sympy import isprime
 from hypothesis import given, settings, strategies as st
 
 from rootcover.errors import BadInput, CertificationError
-from rootcover.hj import hj_dual, hj_evaluate, hj_expand, hj_length
+from rootcover.hj import chain_record, hj_dual, hj_evaluate, hj_expand, hj_length
 
 
 def test_expand_examples():
@@ -30,6 +30,8 @@ def test_expand_bad_input():
     for n, q in [(7, 0), (7, 7), (7, 9), (1, 1), (10, 4)]:
         with pytest.raises(BadInput):
             hj_expand(n, q)
+        with pytest.raises(BadInput):
+            chain_record(n, q)
 
 
 def test_evaluate_examples():

@@ -8,17 +8,19 @@ from sympy import primerange
 from rootcover.asympt import Partition, find_asymptotic_partition, q_of_pair
 from rootcover.dedekind import dedekind_fast
 from rootcover.errors import (
+    BadInput,
     BadParams,
     DegenerateCone,
     Exhausted,
     IncompatiblePartition,
     RootcoverError,
 )
-from rootcover.hj import hj_expand
+from rootcover.hj import chain_record, hj_expand
 from rootcover.invariants import (
+    ChiValue,
     _check_compatible,
+    _pair_weight,
     _triple_points,
-    _wall_sums,
     chi_eigenspace_oracle,
     chi_error_bound,
     chi_root_cover,
@@ -38,6 +40,32 @@ from rootcover.logchern import (
 
 PLANES3 = make_preset("planes_p3", 3)
 FIXTURE = Partition(7, (1, 2, 4))
+
+# (0,1,3) is a zero triple, (0,3) and (1,3) meet without a triple point,
+# and (2,3) does not meet at all
+SPARSE_PAIR_DOC = {
+    "schema": "rootcover-basepair/1",
+    "r": 4,
+    "c1_cubed": 54,
+    "c1c2": 24,
+    "c3": 8,
+    "d3": [1, -2, 3, 0],
+    "c1sq_d": [4, 5, -1, 2],
+    "c2_d": [6, 2, 3, 1],
+    "c1_dd": [[2, 1, -1, 1], [1, 3, 2, 0], [-1, 2, 1, 0], [1, 0, 0, 2]],
+    "dd2": [[0, 3, -1, 2], [1, 0, 2, 0], [2, -1, 0, 0], [-1, 2, 0, 0]],
+    "triple": {"entries": [[0, 1, 2, 2], [0, 1, 3, 0]]},
+    "pair_curves": [
+        [0, 1, [[0, 1]]],
+        [0, 2, [[1, 1]]],
+        [0, 3, [[0, 2]]],
+        [1, 2, [[0, 1]]],
+        [1, 3, [[2, 1]]],
+    ],
+    "e_d": 10,
+    "e_sing_d": 4,
+}
+SPARSE_PAIR_PARTS = (Partition(101, (3, 17, 40, 55)), Partition(103, (5, 60, 22, 91)))
 
 
 def random_h_partition(rng, n, r, distinct=False):
@@ -59,6 +87,40 @@ def random_h_partition(rng, n, r, distinct=False):
                 continue
             nu = tuple(parts) + (last,)
         return Partition(n, nu)
+
+
+def chi_dedekind_oracle(pair, part):
+    """chi with its R-term breakdown, R_3 summed from Dedekind sums in Fractions.
+
+    The direct evaluation of the closed form in ``chi_root_cover``'s
+    docstring, d(nu_j, nu_k, n) by reciprocity descent: the oracle for its
+    integer chain-record kernel, field by field.
+    """
+    _check_compatible(pair, part)
+    n = part.n
+    r1 = (
+        Fraction((n - 1) ** 2, 2 * n) * pair.sum_d3()
+        + Fraction((n - 1) * (2 * n - 1), 2 * n) * (pair.sum_12() + pair.sum_21())
+        + Fraction(3 * (n - 1), 2) * pair.triple.total()
+    )
+    r2 = Fraction(1 - n, 2) * (
+        Fraction(2 * n - 1, n) * pair.c1_d2() + 3 * pair.c1_d11()
+    ) + Fraction(n - 1, 2) * (pair.c1sq_dred() + pair.c2_dred())
+
+    def dval(j, k):
+        return dedekind_fast(part.nu[j], part.nu[k], n)
+
+    r3 = Fraction(0)
+    for j in range(pair.r):
+        for k in range(j + 1, pair.r):
+            w = _pair_weight(pair, j, k)
+            if w:
+                r3 += dval(j, k) * w
+    for (j, k, l), t in pair.triple.items_nonzero():
+        r3 += (dval(j, k) + dval(j, l) + dval(k, l)) * t
+    r3 *= 6
+    chi = n * pair.chi - (r1 + r2 + r3) / 12
+    return ChiValue(chi, r1, r2, r3)
 
 
 def k3_wall_recursion(pair, part, strategy="minimal"):
@@ -204,6 +266,58 @@ def test_chi_matches_oracle_random_cells():
         assert a.denominator == 1  # integrality
 
 
+def assert_chi_matches_dedekind_oracle(pair, part):
+    try:
+        expected = chi_dedekind_oracle(pair, part)
+    except RootcoverError as exc:
+        with pytest.raises(type(exc)):
+            chi_root_cover(pair, part)
+        return
+    assert chi_root_cover(pair, part) == expected, part.nu
+
+
+def test_chi_breakdown_matches_dedekind_oracle_asymptotic():
+    primes = list(primerange(17, 200)) + [1009, 2003]
+    for r in (3, 4, 5, 8):
+        pair = make_preset("hypersurface_p4", (6, r))
+        for n in primes:
+            try:
+                part = find_asymptotic_partition(n, r, seed=r, max_trials=2000)
+            except Exhausted:
+                continue
+            assert_chi_matches_dedekind_oracle(pair, part)
+
+
+def test_chi_breakdown_matches_dedekind_oracle_planes_and_sparse():
+    rng = random.Random(41)
+    for r in (3, 4):
+        pair = make_preset("planes_p3", r)
+        for n in primerange(5, 120):
+            assert_chi_matches_dedekind_oracle(pair, random_h_partition(rng, n, r))
+    sparse = base_pair_from_json(json.dumps(SPARSE_PAIR_DOC))
+    for part in SPARSE_PAIR_PARTS:
+        assert_chi_matches_dedekind_oracle(sparse, part)
+
+
+def test_chi_rejects_modulus_two():
+    # no Dedekind sum exists modulo 2, while the chains n/1 = [2] do
+    part = Partition(2, (1, 1, 1, 1))
+    with pytest.raises(BadInput, match="modulus must be >= 3, got 2"):
+        chi_root_cover(make_preset("planes_p3", 4), part)
+
+
+def test_chain_record_gives_pair_dedekind_sums():
+    # d(nu_j, nu_k, n) = -d(1, q_jk, n) = -D_jk/(12 n), in both orders
+    rng = random.Random(43)
+    primes = list(primerange(3, 2000))
+    for _ in range(800):
+        n = rng.choice(primes)
+        nu = (rng.randrange(1, n), rng.randrange(1, n))
+        d = -Fraction(Partition(n, nu).chain_records[0, 1][1], 12 * n)
+        assert dedekind_fast(nu[0], nu[1], n) == d, (n, nu)
+        assert dedekind_fast(nu[1], nu[0], n) == d, (n, nu)
+
+
 def test_chi_r3_vanishes_without_dedekind_mass():
     # q^2 ~ -1 (mod 13) at q = 5 makes d(1, 5, 13) = 0
     assert dedekind_fast(1, 5, 13) == 0
@@ -314,7 +428,7 @@ def assert_k3_matches_recursion(pair, part, strategy):
 
 
 def test_wall_sums_match_chain_definition():
-    # S0, S1, S2 and the chain-end sum B as defined on the full expansion
+    # s, D, S0, S1, S2 and the chain-end sum B as defined on the full expansion
     rng = random.Random(29)
     cases = [(2, 1), (3, 1), (3, 2), (7, 5), (101, 1), (101, 100), (101, 51)]
     for n in (17, 97, 1009, 10007):
@@ -340,7 +454,10 @@ def test_wall_sums_match_chain_definition():
             for a in range(1, s + 1)
         )
         chain_end = M[1] + M[s] + n * wall.excess
-        assert _wall_sums(n, q) == (s0, s1, s2, chain_end), (n, q)
+        d = n * (wall.excess - s) + q + wall.q_inv
+        assert chain_record(n, q) == (s, d, s0, s1, s2, chain_end), (n, q)
+        if n >= 3:
+            assert d == 12 * n * dedekind_fast(1, q, n), (n, q)
 
 
 def test_k3_matches_wall_recursion_on_asymptotic_partitions():
@@ -374,33 +491,9 @@ def test_k3_matches_wall_recursion_planes():
 
 
 def test_k3_matches_wall_recursion_sparse_pair():
-    # (0,1,3) is a zero triple, (0,3) and (1,3) meet without a triple point,
-    # and (2,3) does not meet at all
-    doc = {
-        "schema": "rootcover-basepair/1",
-        "r": 4,
-        "c1_cubed": 54,
-        "c1c2": 24,
-        "c3": 8,
-        "d3": [1, -2, 3, 0],
-        "c1sq_d": [4, 5, -1, 2],
-        "c2_d": [6, 2, 3, 1],
-        "c1_dd": [[2, 1, -1, 1], [1, 3, 2, 0], [-1, 2, 1, 0], [1, 0, 0, 2]],
-        "dd2": [[0, 3, -1, 2], [1, 0, 2, 0], [2, -1, 0, 0], [-1, 2, 0, 0]],
-        "triple": {"entries": [[0, 1, 2, 2], [0, 1, 3, 0]]},
-        "pair_curves": [
-            [0, 1, [[0, 1]]],
-            [0, 2, [[1, 1]]],
-            [0, 3, [[0, 2]]],
-            [1, 2, [[0, 1]]],
-            [1, 3, [[2, 1]]],
-        ],
-        "e_d": 10,
-        "e_sing_d": 4,
-    }
-    pair = base_pair_from_json(json.dumps(doc))
+    pair = base_pair_from_json(json.dumps(SPARSE_PAIR_DOC))
     assert not pair.pair_meets(2, 3)
-    for part in (Partition(101, (3, 17, 40, 55)), Partition(103, (5, 60, 22, 91))):
+    for part in SPARSE_PAIR_PARTS:
         for strategy in ("minimal", "balanced"):
             assert_k3_matches_recursion(pair, part, strategy)
 

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -229,6 +230,22 @@ def test_base_pair_requires_curves_for_crossing_pairs():
             triple=TripleTable(r=2, constant=0), pair_curves={},
             e_d=4, e_sing_d=2,
         )
+
+
+def test_base_pair_rejects_unordered_keys():
+    # the invariants index pair data by (j, k), j < k, and triples by
+    # j < k < l; TripleTable.get would also miss an unordered entry
+    doc = json.loads(base_pair_to_json(make_preset("planes_p3", 3)))
+    for field_name, bad in (
+        ("triple", {"entries": [[2, 0, 1, 1]]}),
+        ("triple", {"entries": [[0, 1, 3, 1]]}),
+        ("pair_curves", doc["pair_curves"] + [[1, 0, [[0, 1]]]]),
+        ("pair_curves", doc["pair_curves"] + [[1, 1, [[0, 1]]]]),
+    ):
+        with pytest.raises(BadParams):
+            base_pair_from_json(json.dumps({**doc, field_name: bad}))
+    with pytest.raises(BadParams):
+        TripleTable(r=3, entries={(1, 0, 2): 1})
 
 
 def test_triple_table():
