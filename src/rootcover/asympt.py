@@ -110,13 +110,14 @@ class Partition:
 
     @cached_property
     def q_matrix(self) -> tuple[tuple[int | None, ...], ...]:
-        r = self.r
+        # q_jk = nu_j (-nu_k') mod n: one inverse per column
+        n, nu = self.n, self.nu
+        neg_inverses = [n - mod_inverse(v, n) for v in nu]
         return tuple(
             tuple(
-                q_of_pair(self.n, self.nu[j], self.nu[k]) if j != k else None
-                for k in range(r)
+                nu_j * m % n if j != k else None for k, m in enumerate(neg_inverses)
             )
-            for j in range(r)
+            for j, nu_j in enumerate(nu)
         )
 
     @cached_property

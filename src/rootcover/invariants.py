@@ -11,11 +11,17 @@ resolution, this module evaluates, as exact rationals:
   * the hyperplane-section specializations in P^4 and the slope limits;
   * aggregated reports with an a-priori Girstmair error bound for chi/n.
 
-chi, K^3 and e read one integer record per pair j < k,
-``Partition.chain_records``: (s, D, S0, S1, S2, B) from a single pass of the
-division algorithm over the wall chain n/q_kj.  The length/excess relation
-gives the Dedekind sums of chi from it, d(nu_j, nu_k, n) = -D_jk/(12 n), so
-chi is assembled over 24 n in integers.
+The data splits into two kinds.  Per base pair, computed once and kept on
+the :class:`BasePair` (see its docstring): the divisor aggregates, the
+nonzero triples, the meeting pairs, the weights of each pair in chi and e,
+the weight of the chi bound and the log Chern numbers.  Per cell (n and the partition)
+is everything else: ``Partition.q_matrix`` and ``Partition.chain_records``,
+one integer record (s, D, S0, S1, S2, B) per pair j < k from a single pass
+of the division algorithm over the wall chain n/q_kj, and the subdivision
+point of each triple, picked in integers from the q_matrix.  chi, K^3 and e
+read the chain records.  The length/excess relation gives the Dedekind sums
+of chi from them, d(nu_j, nu_k, n) = -D_jk/(12 n), so chi is assembled over
+24 n in integers.
 
 Slopes use the singular-model convention c1^3 := -K^3, c1c2 := 24 chi,
 c3 := e.
@@ -39,12 +45,16 @@ from .errors import (
 )
 from .exact import sqrt_upper
 from .hj import hj_expand
-from .logchern import BasePair, LogChernNumbers, log_chern_numbers
-from .toric import LocalConeSpec, select_v
+from .logchern import BasePair, LogChernNumbers
+from .toric import LocalConeSpec, subdivision_point
 
-# The chain lengths come from Partition.chain_records; this name stays bound
-# here because perfbench/tracer.py wraps it where this module looked it up.
+# Reports read chain lengths from Partition.chain_records, log Chern numbers
+# from BasePair.log_chern and triple points from subdivision_point; these
+# names stay bound here because perfbench/tracer.py wraps them where this
+# module looked them up.
 from .hj import hj_length  # noqa: F401
+from .logchern import log_chern_numbers  # noqa: F401
+from .toric import select_v  # noqa: F401
 
 __all__ = [
     "ChiValue",
@@ -107,22 +117,17 @@ def _check_compatible(pair: BasePair, part: Partition) -> None:
         )
 
 
-def _pair_weight(pair: BasePair, j: int, k: int) -> int:
-    """D_j D_k (D_j + D_k + K_Z)."""
-    return pair.dd2[k][j] + pair.dd2[j][k] + pair.kz_dd(j, k)
-
-
 def chi_root_cover(pair: BasePair, part: Partition) -> ChiValue:
     """chi(O_{X_n}) = n chi(O_Z) - (R_1 + R_2 + R_3)/12, exactly.
 
     R_1 carries the pure divisor brackets, R_2 the mixed Chern terms, and
-    R_3 = 6 sum d(nu_j, nu_k, n) w_jk, the Dedekind sums weighted by
-    D_j D_k (D_j+D_k+K_Z) and by the triple products.  By the length/excess
-    relation d(nu_j, nu_k, n) = -d(1, q_jk, n) = -D_jk/(12 n), with
-    D_jk = n (excess - s) + q + q' the integer of the pair's chain record,
-    so R_3 = -sum D_jk w_jk/(2 n).  R_1, R_2 and R_3 are integers over 2 n
-    and chi one over 24 n.  BadInput for n < 3, where no Dedekind sum is
-    defined.
+    R_3 = 6 sum_{j<k} d(nu_j, nu_k, n) w_jk, the Dedekind sums weighted by
+    w_jk = D_j D_k (D_j+D_k+K_Z) + sum_l D_jkl (``BasePair.pair_weights``).
+    By the length/excess relation d(nu_j, nu_k, n) = -d(1, q_jk, n) =
+    -D_jk/(12 n), with D_jk = n (excess - s) + q + q' the integer of the
+    pair's chain record, so R_3 = -sum D_jk w_jk/(2 n).  R_1, R_2 and R_3
+    are integers over 2 n and chi one over 24 n.  BadInput for n < 3, where
+    no Dedekind sum is defined.
     """
     _check_compatible(pair, part)
     n = part.n
@@ -141,13 +146,8 @@ def chi_root_cover(pair: BasePair, part: Partition) -> ChiValue:
     )
     chains = part.chain_records
     r3 = 0
-    for j in range(pair.r):
-        for k in range(j + 1, pair.r):
-            w = _pair_weight(pair, j, k)
-            if w:
-                r3 -= chains[j, k][1] * w
-    for (j, k, l), t in pair.triple.items_nonzero():
-        r3 -= (chains[j, k][1] + chains[j, l][1] + chains[k, l][1]) * t
+    for j, k, w in pair.pair_weights:
+        r3 -= chains[j, k][1] * w
     chi = Fraction(n * n * pair.c1c2 - r1 - r2 - r3, 24 * n)
     return ChiValue(
         chi, Fraction(r1, 2 * n), Fraction(r2, 2 * n), Fraction(r3, 2 * n)
@@ -182,19 +182,26 @@ def chi_eigenspace_oracle(pair: BasePair, part: Partition) -> Fraction:
     return n * pair.chi - Fraction(total, 12 * n**3)
 
 
-def _triple_points(pair: BasePair, part: Partition, strategy: str) -> dict:
-    """Chosen subdivision point per nonzero triple, keyed by sorted indices."""
-    points = {}
+def _triple_points(pair: BasePair, part: Partition, strategy: str) -> list:
+    """The subdivision point (v1, v2, v3) of each nonzero triple, in integers.
+
+    Aligned with ``pair.triple.items_nonzero()``.  The triple (a, b, c) has
+    the cone (n, q_ac, q_bc) of :func:`rootcover.toric.local_cone`; its
+    excluded shapes are tested on those q_matrix integers and the point is
+    :func:`rootcover.toric.subdivision_point`.  The partition has checked
+    that n is prime, so no :class:`LocalConeSpec` is built, except for the
+    message of a DegenerateCone.
+    """
+    points = []
     n = part.n
     q = part.q_matrix
     for (a, b, c), _t in pair.triple.items_nonzero():
-        spec = LocalConeSpec(n, q[a][c], q[b][c])
-        if spec.is_degenerate:
-            raise DegenerateCone(
-                f"triple ({a},{b},{c}): excluded cone shape {spec.degenerate_flags}"
-            )
+        p_ac, q_bc = q[a][c], q[b][c]
+        if p_ac == q_bc or p_ac + q_bc == n or n - 1 in (p_ac, q_bc):
+            flags = LocalConeSpec(n, p_ac, q_bc).degenerate_flags
+            raise DegenerateCone(f"triple ({a},{b},{c}): excluded cone shape {flags}")
         try:
-            points[(a, b, c)] = select_v(spec, strategy).coords
+            points.append(subdivision_point(n, p_ac, q_bc, strategy))
         except Degenerate as exc:
             raise DegenerateCone(f"triple ({a},{b},{c}): {exc}") from exc
     return points
@@ -245,10 +252,11 @@ def k3_root_cover(pair: BasePair, part: Partition, strategy: str = "minimal") ->
     r >= 4) and the result is not exact; see ROADMAP item 1.
     """
     _check_compatible(pair, part)
-    n, r = part.n, pair.r
+    n = part.n
     dd2 = pair.dd2
+    q = part.q_matrix  # the wall seed j -> k is q[k][j]
+    chains = part.chain_records
     points = _triple_points(pair, part, strategy)
-    triples = [(key, t, points[key]) for key, t in pair.triple.items_nonzero()]
 
     # Every integral piece is accumulated as a numerator over n^2.
     dred3 = pair.sum_d3() + 3 * (pair.sum_12() + pair.sum_21()) + 6 * pair.triple.total()
@@ -259,48 +267,43 @@ def k3_root_cover(pair: BasePair, part: Partition, strategy: str = "minimal") ->
         + (n - 1) ** 3 * dred3
     )
 
-    # Per pair (j, k), over the triples (j, k, l) through it:
-    # [sum_l D_jkl, sum_l (v1+v2+v3 - n) D_jkl, sum_l n N_{jl,1} D_jkl].
-    through = {}
-    for (a, b, c), t, v in triples:
-        v_term = (sum(v) - n) * t
-        for j, k, l in ((a, b, c), (a, c, b), (b, c, a)):
-            sums = through.setdefault((j, k), [0, 0, 0])
-            sums[0] += t
-            sums[1] += v_term
-            sums[2] += (part.wall_seed(j, l) + 1 - n) * t
+    # Per pair (j, k), the terms of the chain ends and of the wall sum
+    # without the triples (j, k, l) through it.
+    for j, k in pair.meeting_pairs:
+        _s, _d, s0, s1, s2, chain_end = chains[j, k]
+        dd_sum = dd2[k][j] + dd2[j][k]
+        k_class = n * pair.kz_dd(j, k) + (n - 1) * dd_sum  # n D_jk K, less triples
+        x1 = k_class + (q[k][j] + 1 - n) * dd2[j][k]  # n x_{jk,1}, less triples
+        total -= 2 * k_class * chain_end
+        total -= s0 * (dd_sum + x1) + dd2[j][k] * s1 - dd2[k][j] * s2
 
-    chains = part.chain_records
-    slope_coef = {}
-    for j in range(r):
-        for k in range(j + 1, r):
-            if not pair.pair_meets(j, k):
-                continue
-            t_sum, v_sum, w_sum = through.get((j, k), (0, 0, 0))
-            q = part.wall_seed(j, k)
-            _s, _d, s0, s1, s2, chain_end = chains[j, k]
-            dd_sum = dd2[k][j] + dd2[j][k]
-            k_class = n * pair.kz_dd(j, k) + (n - 1) * (dd_sum + t_sum)  # n D_jk K
-            x1 = k_class + (q + 1 - n) * dd2[j][k] + w_sum  # n x_{jk,1}
-            total -= 2 * (k_class + v_sum) * chain_end
-            total -= s0 * (dd_sum + x1) + dd2[j][k] * s1 - dd2[k][j] * s2
-            # coefficients of |D_j|_k and |D_k|_j over n^2
-            slope_coef[j, k] = (s0 - s2, s0 + s1)
-
-    # Per triple point: n^2 v1 v2 v3 times its central term and its share
-    # of the slope terms of the three pairs through it.
+    # Per triple point (a, b, c): D_abc adds to each pair (j, k) through it,
+    # l the third index, (n - 1) D_jkl to n D_jk K, (v1 + v2 + v3 - n) D_jkl
+    # to the V-sum and (q_lj + 1 - n) D_jkl to n x_{jk,1}, whose (1 - n)
+    # D_jkl cancels the share of n D_jk K there.  So the chain-end term takes
+    # 2 (v1 + v2 + v3 - 1) D_jkl B_jk and the wall sum q_lj D_jkl S0_jk.
+    # Then n^2 v1 v2 v3 times its central term and its share of the slope
+    # terms |D_j|_k, |D_k|_j, whose coefficients over n^2 are S0 - S2 and
+    # S0 + S1.
     dens, nums = [], []
-    for (a, b, c), t, (va, vb, vc) in triples:
-        ab_j, ab_k = slope_coef[a, b]
-        ac_j, ac_k = slope_coef[a, c]
-        bc_j, bc_k = slope_coef[b, c]
+    for ((a, b, c), t), (va, vb, vc) in zip(pair.triple.items_nonzero(), points):
+        _s, _d, ab0, ab1, ab2, ab_end = chains[a, b]
+        _s, _d, ac0, ac1, ac2, ac_end = chains[a, c]
+        _s, _d, bc0, bc1, bc2, bc_end = chains[b, c]
+        v_sum = va + vb + vc
+        total -= t * (
+            2 * (v_sum - 1) * (ab_end + ac_end + bc_end)
+            + q[c][a] * ab0
+            + q[b][a] * ac0
+            + q[a][b] * bc0
+        )
         nums.append(
             t
             * (
-                (va + vb + vc - n) ** 3
-                + (ab_j * va + ab_k * vb) * va * vb
-                + (ac_j * va + ac_k * vc) * va * vc
-                + (bc_j * vb + bc_k * vc) * vb * vc
+                (v_sum - n) ** 3
+                + ((ab0 - ab2) * va + (ab0 + ab1) * vb) * va * vb
+                + ((ac0 - ac2) * va + (ac0 + ac1) * vc) * va * vc
+                + ((bc0 - bc2) * vb + (bc0 + bc1) * vc) * vb * vc
             )
         )
         dens.append(va * vb * vc)
@@ -317,18 +320,16 @@ def euler_root_cover(pair: BasePair, part: Partition) -> Fraction:
              - sum_{j<k<l} (s_jk + s_jl + s_kl - 3) D_jkl,
 
     with s_jk the chain length l(q_jk, n), read from the pair's chain record
-    (n/q_jk and its dual n/q_kj have the same length).
+    (n/q_jk and its dual n/q_kj have the same length).  Collected per pair,
+    this is n (e(Z) - e(D)) + e_0 + sum_{j<k} c_jk s_jk with the constants of
+    ``BasePair.euler_weights``.
     """
     _check_compatible(pair, part)
-    n = part.n
     chains = part.chain_records
-    e = n * (pair.c3 - pair.e_d) + pair.e_d - pair.e_sing_d
-    for (j, k), curves in pair.pair_curves.items():
-        s = chains[j, k][0]
-        for genus, count in curves:
-            e += count * (s * (3 - 4 * genus) - 1)
-    for (j, k, l), t in pair.triple.items_nonzero():
-        e -= (chains[j, k][0] + chains[j, l][0] + chains[k, l][0] - 3) * t
+    e_0, weights = pair.euler_weights
+    e = part.n * (pair.c3 - pair.e_d) + e_0
+    for j, k, c in weights:
+        e += chains[j, k][0] * c
     return Fraction(e)
 
 
@@ -407,15 +408,9 @@ def chi_error_bound(
     if chi_val is None:
         chi_val = chi_root_cover(pair, part)
     if bars is None:
-        bars = log_chern_numbers(pair)
+        bars = pair.log_chern
     drift = pair.chi - (chi_val.r1 + chi_val.r2) / (12 * n) - bars.c1c2_bar / 24
-    weight = sum(
-        abs(_pair_weight(pair, j, k))
-        for j in range(pair.r)
-        for k in range(j + 1, pair.r)
-    )
-    weight += 3 * sum(abs(t) for _key, t in pair.triple.items_nonzero())
-    girstmair = (3 * sqrt_upper(n) + 5) / (2 * n) * weight
+    girstmair = (3 * sqrt_upper(n) + 5) / (2 * n) * pair.chi_bound_weight
     return abs(drift) + girstmair
 
 
@@ -426,7 +421,7 @@ def invariant_report(
     chi_val = chi_root_cover(pair, part)
     k3 = k3_root_cover(pair, part, strategy)
     euler = euler_root_cover(pair, part)
-    bars = log_chern_numbers(pair)
+    bars = pair.log_chern
     c1c2 = 24 * chi_val.chi
     slopes = None
     if c1c2:

@@ -18,10 +18,12 @@ divisor groups enter with minus signs.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .errors import BadParams, NotDisjoint
@@ -65,17 +67,22 @@ class TripleTable:
             return self.constant
         return self.entries.get(key, 0)
 
-    def items_nonzero(self):
+    def items_nonzero(self) -> tuple[tuple[tuple[int, int, int], int], ...]:
+        """The nonzero triples ((j, k, l), D_jkl), j < k < l, in sorted order."""
+        return self._nonzero
+
+    @cached_property
+    def _nonzero(self) -> tuple[tuple[tuple[int, int, int], int], ...]:
         if self.constant is not None:
-            if self.constant != 0:
-                for j in range(self.r):
-                    for k in range(j + 1, self.r):
-                        for l in range(k + 1, self.r):
-                            yield (j, k, l), self.constant
-            return
-        for key in sorted(self.entries):
-            if self.entries[key]:
-                yield key, self.entries[key]
+            if not self.constant:
+                return ()
+            return tuple(
+                (key, self.constant)
+                for key in itertools.combinations(range(self.r), 3)
+            )
+        return tuple(
+            (key, self.entries[key]) for key in sorted(self.entries) if self.entries[key]
+        )
 
     def total(self) -> int:
         if self.constant is not None:
@@ -93,10 +100,19 @@ class BasePair:
     """All intersection-theoretic data of (Z, D) the invariants consume.
 
     Tables are indexed from 0.  ``c1_dd[j][k]`` is c1.D_j D_k (the diagonal is
-    c1.D_j^2); ``dd2[j][k]`` is D_j.D_k^2, ordered.  ``pair_curves[(j,k)]``
-    lists (genus, component count) for the components of the curve D_j.D_k.
-    ``h_section`` marks pairs whose divisors are all linearly equivalent to a
-    single class H, so multiplicities must satisfy sum(nu) ~ 0 mod n.
+    c1.D_j^2); ``dd2[j][k]`` is D_j.D_k^2, ordered; both are r x r.
+    ``pair_curves[(j,k)]`` lists (genus, component count) for the components
+    of the curve D_j.D_k.  ``h_section`` marks pairs whose divisors are all
+    linearly equivalent to a single class H, so multiplicities must satisfy
+    sum(nu) ~ 0 mod n.
+
+    Everything the invariants derive from these tables alone is computed once
+    per pair, on first use, and kept with it (also through pickling): the
+    divisor aggregates (:meth:`sum_d3` ... :meth:`c2_dred`), the nonzero
+    triples, ``meeting_pairs``, the weights of chi and e per pair
+    (``pair_weights``, ``euler_weights``), ``chi_bound_weight`` and
+    ``log_chern``.  A report then does only the work that depends on n and
+    the partition.
     """
 
     r: int
@@ -120,6 +136,12 @@ class BasePair:
         for name in ("d3", "c1sq_d", "c2_d"):
             if len(getattr(self, name)) != r:
                 raise BadParams(f"table {name} must have length {r}")
+        for name in ("c1_dd", "dd2"):
+            rows = getattr(self, name)
+            if len(rows) != r or any(len(row) != r for row in rows):
+                raise BadParams(f"table {name} must be {r} x {r}")
+        if self.triple.r != r:
+            raise BadParams(f"triple table has r = {self.triple.r}, pair has r = {r}")
         for key in self.pair_curves:
             if not (len(key) == 2 and 0 <= key[0] < key[1] < r):
                 raise BadParams(
@@ -148,31 +170,46 @@ class BasePair:
         """K_Z . D_j D_k = -c1 . D_j D_k."""
         return -self.c1_dd[j][k]
 
+    @cached_property
+    def _aggregates(self) -> tuple[int, ...]:
+        """(sum_d3, sum_12, sum_21, c1_d2, c1_d11, c1sq_dred, c2_dred)."""
+        r, dd2, c1_dd = self.r, self.dd2, self.c1_dd
+        pairs = list(itertools.combinations(range(r), 2))
+        return (
+            sum(self.d3),
+            sum(dd2[j][k] for j, k in pairs),
+            sum(dd2[k][j] for j, k in pairs),
+            sum(c1_dd[j][j] for j in range(r)),
+            sum(c1_dd[j][k] for j, k in pairs),
+            sum(self.c1sq_d),
+            sum(self.c2_d),
+        )
+
     # aggregate divisor sums used by the closed forms
     def sum_d3(self) -> int:
-        return sum(self.d3)
+        return self._aggregates[0]
 
     def sum_12(self) -> int:
         """D^[1,2] = sum_{j<k} D_j D_k^2."""
-        return sum(self.dd2[j][k] for j in range(self.r) for k in range(j + 1, self.r))
+        return self._aggregates[1]
 
     def sum_21(self) -> int:
         """D^[2,1] = sum_{j<k} D_j^2 D_k."""
-        return sum(self.dd2[k][j] for j in range(self.r) for k in range(j + 1, self.r))
+        return self._aggregates[2]
 
     def c1_d2(self) -> int:
         """c1 . D^[2]."""
-        return sum(self.c1_dd[j][j] for j in range(self.r))
+        return self._aggregates[3]
 
     def c1_d11(self) -> int:
         """c1 . D^[1,1]."""
-        return sum(self.c1_dd[j][k] for j in range(self.r) for k in range(j + 1, self.r))
+        return self._aggregates[4]
 
     def c1sq_dred(self) -> int:
-        return sum(self.c1sq_d)
+        return self._aggregates[5]
 
     def c2_dred(self) -> int:
-        return sum(self.c2_d)
+        return self._aggregates[6]
 
     def pair_meets(self, j: int, k: int) -> bool:
         """Whether the divisors D_j, D_k have any nonzero product."""
@@ -181,6 +218,70 @@ class BasePair:
         return any(
             self.triple.get(j, k, l) for l in range(self.r) if l not in (j, k)
         )
+
+    @cached_property
+    def meeting_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The pairs j < k for which :meth:`pair_meets` holds, in order."""
+        return tuple(
+            (j, k)
+            for j, k in itertools.combinations(range(self.r), 2)
+            if self.pair_meets(j, k)
+        )
+
+    @cached_property
+    def _triple_sums(self) -> dict[tuple[int, int], int]:
+        """{(j, k): sum_l D_jkl} over the triples through each pair j < k."""
+        sums = dict.fromkeys(itertools.combinations(range(self.r), 2), 0)
+        for (j, k, l), t in self.triple.items_nonzero():
+            sums[j, k] += t
+            sums[j, l] += t
+            sums[k, l] += t
+        return sums
+
+    @cached_property
+    def pair_weights(self) -> tuple[tuple[int, int, int], ...]:
+        """(j, k, w_jk) for the pairs j < k with w_jk != 0, the weight of the
+        Dedekind sum d(nu_j, nu_k, n) in chi: w_jk = D_j D_k (D_j + D_k + K_Z)
+        + sum_l D_jkl, so each triple product weights its three pairs."""
+        weights = (
+            (j, k, self.dd2[k][j] + self.dd2[j][k] + self.kz_dd(j, k) + t)
+            for (j, k), t in self._triple_sums.items()
+        )
+        return tuple(entry for entry in weights if entry[2])
+
+    @cached_property
+    def euler_weights(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+        """(e_0, ((j, k, c_jk), ...)) with e(X_n) = n (e(Z) - e(D)) + e_0
+        + sum_{j<k} c_jk s_jk for the chain lengths s_jk of a cell.
+
+        c_jk = sum_C (3 - 4 g(C)) - sum_l D_jkl over the components C of
+        D_j D_k (pairs with c_jk = 0 are left out), and e_0 = e(D) - e(Sing D)
+        - #{components C} + 3 D^[1,1,1].
+        """
+        e_0 = self.e_d - self.e_sing_d + 3 * self.triple.total()
+        weights = []
+        for (j, k), t in self._triple_sums.items():
+            c = -t
+            for genus, count in self.pair_curves.get((j, k), ()):
+                c += count * (3 - 4 * genus)
+                e_0 -= count
+            if c:
+                weights.append((j, k, c))
+        return e_0, tuple(weights)
+
+    @cached_property
+    def chi_bound_weight(self) -> int:
+        """sum_{j<k} |D_j D_k (D_j + D_k + K_Z)| + 3 sum_{j<k<l} |D_jkl|, the
+        weight of the a-priori chi bound."""
+        return sum(
+            abs(self.dd2[k][j] + self.dd2[j][k] + self.kz_dd(j, k))
+            for j, k in itertools.combinations(range(self.r), 2)
+        ) + 3 * sum(abs(t) for _key, t in self.triple.items_nonzero())
+
+    @cached_property
+    def log_chern(self) -> LogChernNumbers:
+        """The pair's log Chern numbers, :func:`log_chern_numbers`."""
+        return log_chern_numbers(self)
 
 
 @dataclass(frozen=True)

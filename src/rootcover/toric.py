@@ -36,6 +36,7 @@ __all__ = [
     "local_cone",
     "parallelepiped_points",
     "select_v",
+    "subdivision_point",
     "cyclic_resolution",
     "local_intersection_table",
     "max_slope",
@@ -217,7 +218,22 @@ def parallelepiped_points(spec: LocalConeSpec) -> Iterator[LatticePoint]:
 
 
 def select_v(spec: LocalConeSpec, strategy: str) -> LatticePoint:
-    """Choose the star-subdivision point.
+    """Choose the star-subdivision point of the cone ``spec``.
+
+    The point of :func:`subdivision_point` for (spec.n, spec.p, spec.q), as a
+    :class:`LatticePoint`; the checks of ``spec`` (n prime, p and q nonzero
+    modulo n) have run when it was built.
+    """
+    return LatticePoint(*subdivision_point(spec.n, spec.p, spec.q, strategy))
+
+
+def subdivision_point(n: int, p: int, q: int, strategy: str) -> tuple[int, int, int]:
+    """The star-subdivision point (v1, v2, v3) of the cone (n, p, q), in integers.
+
+    The caller guarantees what :class:`LocalConeSpec` checks: n prime and
+    0 < p, q < n.  The global invariants call this once per triple point
+    with p, q read off ``Partition.q_matrix``; :func:`select_v` wraps it for
+    a validated spec.
 
     ``minimal`` takes (1, 1, {p+q}_n), the interior point over the corner of
     the parallelepiped (Degenerate when {p+q}_n = 0).
@@ -248,12 +264,11 @@ def select_v(spec: LocalConeSpec, strategy: str) -> LatticePoint:
     is O(|w|) wide, or the whole triangle when |w| is of order n and |u| is
     O(1); either way it meets O(1) lines, and the cost is O(log n).
     """
-    n, p, q = spec.n, spec.p, spec.q
     if strategy == "minimal":
         h = (p + q) % n
         if h == 0:
             raise Degenerate("{p+q}_n = 0: the minimal point is not interior")
-        return LatticePoint(1, 1, h)
+        return (1, 1, h)
     if strategy == "balanced":
         if (q + 1) % n == 0:
             raise Degenerate("q = n - 1: the slope parameter is not defined")
@@ -263,7 +278,7 @@ def select_v(spec: LocalConeSpec, strategy: str) -> LatticePoint:
         best = _balanced_point(n, c)
         if best is None:
             raise Degenerate("no interior point with coordinate sum n")
-        return LatticePoint(*best)
+        return best
     raise BadInput(f"unknown strategy {strategy!r}")
 
 
@@ -336,7 +351,7 @@ def _beats(a, b) -> bool:
 
 
 def _balanced_point(n: int, c: int) -> tuple[int, int, int] | None:
-    """The balanced point for the multiplier c (see select_v), or None."""
+    """The balanced point for the multiplier c (see subdivision_point), or None."""
     u, w = _reduced_basis(n, c)
 
     def search(lines, lo, hi):

@@ -204,6 +204,23 @@ def test_pair_json_errors_are_config_errors(tmp_path, capsys, content):
     assert capsys.readouterr().err.startswith("config error: cannot load base pair")
 
 
+def test_pair_json_table_shape_is_config_error(tmp_path, capsys):
+    from rootcover.logchern import base_pair_to_json, make_preset
+
+    doc = json.loads(base_pair_to_json(make_preset("planes_p3", 3)))
+    doc["dd2"].append([1, 1, 1])  # 4 x 3 for r = 3
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps(doc))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pair_json": str(pair), "n_min": 7, "n_max": 7}))
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot load base pair")
+    assert "table dd2 must be 3 x 3" in err
+    assert main(["invariants", "--pair-json", str(pair), "--n", "7", "--nu", "1,2,4"]) == 1
+    assert capsys.readouterr().err.startswith("config error: cannot load base pair")
+
+
 def test_invariants_preset_params(capsys):
     assert main([
         "invariants", "--preset", "hypersurface_p4", "--params", "6",

@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from rootcover.dedekind import dedekind_fast
 from rootcover.errors import (
     BadInput,
     BadParams,
+    Degenerate,
     DegenerateCone,
     Exhausted,
     IncompatiblePartition,
@@ -19,7 +21,6 @@ from rootcover.hj import chain_record, hj_expand
 from rootcover.invariants import (
     ChiValue,
     _check_compatible,
-    _pair_weight,
     _triple_points,
     chi_eigenspace_oracle,
     chi_error_bound,
@@ -37,6 +38,7 @@ from rootcover.logchern import (
     log_chern_numbers,
     make_preset,
 )
+from rootcover.toric import local_cone, select_v
 
 PLANES3 = make_preset("planes_p3", 3)
 FIXTURE = Partition(7, (1, 2, 4))
@@ -113,7 +115,7 @@ def chi_dedekind_oracle(pair, part):
     r3 = Fraction(0)
     for j in range(pair.r):
         for k in range(j + 1, pair.r):
-            w = _pair_weight(pair, j, k)
+            w = pair.dd2[k][j] + pair.dd2[j][k] + pair.kz_dd(j, k)  # D_j D_k (D_j+D_k+K_Z)
             if w:
                 r3 += dval(j, k) * w
     for (j, k, l), t in pair.triple.items_nonzero():
@@ -123,16 +125,35 @@ def chi_dedekind_oracle(pair, part):
     return ChiValue(chi, r1, r2, r3)
 
 
+def public_triple_point(part, key, strategy):
+    """The subdivision point of the triple ``key`` by the public route:
+    ``select_v(local_cone(...))``, DegenerateCone on an excluded shape."""
+    a, b, c = key
+    spec = local_cone(part.n, part.nu[a], part.nu[b], part.nu[c])
+    if spec.is_degenerate:
+        raise DegenerateCone(
+            f"triple ({a},{b},{c}): excluded cone shape {spec.degenerate_flags}"
+        )
+    try:
+        return select_v(spec, strategy).coords
+    except Degenerate as exc:
+        raise DegenerateCone(f"triple ({a},{b},{c}): {exc}") from exc
+
+
 def k3_wall_recursion(pair, part, strategy="minimal"):
     """K^3 by stepping each wall recursion a = 1..s in Fractions.
 
     The direct evaluation of the recursions stated in ``k3_root_cover``'s
-    docstring: the oracle for its closed integer sums.
+    docstring: the oracle for its closed integer sums.  The triple points
+    come from the public route, not from the kernel's ``_triple_points``.
     """
     _check_compatible(pair, part)
     n, r = part.n, pair.r
     t_frac = Fraction(n - 1, n)
-    points = _triple_points(pair, part, strategy)
+    points = {
+        key: public_triple_point(part, key, strategy)
+        for key, _t in pair.triple.items_nonzero()
+    }
 
     dred3 = pair.sum_d3() + 3 * (pair.sum_12() + pair.sum_21()) + 6 * pair.triple.total()
     k_cubed = (
@@ -496,6 +517,125 @@ def test_k3_matches_wall_recursion_sparse_pair():
     for part in SPARSE_PAIR_PARTS:
         for strategy in ("minimal", "balanced"):
             assert_k3_matches_recursion(pair, part, strategy)
+
+
+def test_triple_points_match_public_route():
+    # the kernel picks each point in integers from the q_matrix; it must give
+    # the public route's point, and raise DegenerateCone with the same
+    # message on exactly the cells where that route meets a degenerate cone
+    rng = random.Random(47)
+    small, large = list(primerange(11, 60)), list(primerange(200, 3000))
+    outcomes = set()
+    for r in (3, 4, 5, 8):
+        pair = make_preset("hypersurface_p4", (6, r))
+        for _ in range(40):
+            n = rng.choice(small if rng.random() < 0.3 else large)
+            part = random_h_partition(rng, n, r)
+            for strategy in ("minimal", "balanced"):
+                try:
+                    expected = [
+                        public_triple_point(part, key, strategy)
+                        for key, _t in pair.triple.items_nonzero()
+                    ]
+                except DegenerateCone as exc:
+                    with pytest.raises(DegenerateCone) as info:
+                        _triple_points(pair, part, strategy)
+                    assert str(info.value) == str(exc), (part.nu, strategy)
+                    outcomes.add("degenerate")
+                    continue
+                assert _triple_points(pair, part, strategy) == expected, (part.nu, strategy)
+                outcomes.add("point")
+    assert outcomes == {"degenerate", "point"}
+
+
+def derived_tables_by_direct_sums(pair):
+    """Every table BasePair derives, summed directly from its raw tables."""
+    r, dd2, c1_dd, tt = pair.r, pair.dd2, pair.c1_dd, pair.triple
+    pairs = [(j, k) for j in range(r) for k in range(j + 1, r)]
+    triples = [(j, k, l) for j, k in pairs for l in range(k + 1, r)]
+
+    def through(j, k):
+        return sum(tt.get(j, k, l) for l in range(r) if l not in (j, k))
+
+    weights = [
+        (j, k, dd2[k][j] + dd2[j][k] - c1_dd[j][k] + through(j, k)) for j, k in pairs
+    ]
+    curves = {key: pair.pair_curves.get(key, ()) for key in pairs}
+    lengths = [
+        (j, k, sum(c * (3 - 4 * g) for g, c in curves[j, k]) - through(j, k))
+        for j, k in pairs
+    ]
+    e_0 = (
+        pair.e_d
+        - pair.e_sing_d
+        - sum(c for cs in curves.values() for _g, c in cs)
+        + 3 * sum(tt.get(*key) for key in triples)
+    )
+    return {
+        "aggregates": (
+            sum(pair.d3),
+            sum(dd2[j][k] for j, k in pairs),
+            sum(dd2[k][j] for j, k in pairs),
+            sum(c1_dd[j][j] for j in range(r)),
+            sum(c1_dd[j][k] for j, k in pairs),
+            sum(pair.c1sq_d),
+            sum(pair.c2_d),
+        ),
+        "triples": tuple((key, tt.get(*key)) for key in triples if tt.get(*key)),
+        "meeting": tuple(
+            (j, k)
+            for j, k in pairs
+            if c1_dd[j][k] or dd2[j][k] or dd2[k][j]
+            or any(tt.get(j, k, l) for l in range(r) if l not in (j, k))
+        ),
+        "weights": tuple(w for w in weights if w[2]),
+        "euler": (e_0, tuple(w for w in lengths if w[2])),
+        "bound": sum(abs(dd2[k][j] + dd2[j][k] - c1_dd[j][k]) for j, k in pairs)
+        + 3 * sum(abs(tt.get(*key)) for key in triples),
+    }
+
+
+def derived_tables(pair):
+    return {
+        "aggregates": (
+            pair.sum_d3(), pair.sum_12(), pair.sum_21(), pair.c1_d2(),
+            pair.c1_d11(), pair.c1sq_dred(), pair.c2_dred(),
+        ),
+        "triples": pair.triple.items_nonzero(),
+        "meeting": pair.meeting_pairs,
+        "weights": pair.pair_weights,
+        "euler": pair.euler_weights,
+        "bound": pair.chi_bound_weight,
+    }
+
+
+def test_base_pair_derived_tables_match_direct_sums():
+    pairs = [make_preset("planes_p3", r) for r in range(1, 9)]
+    pairs += [make_preset("hypersurface_p4", (d, r)) for d in range(1, 7) for r in (3, 5)]
+    pairs.append(base_pair_from_json(json.dumps(SPARSE_PAIR_DOC)))
+    for pair in pairs:
+        assert derived_tables(pair) == derived_tables_by_direct_sums(pair), pair.label
+        assert pair.log_chern == log_chern_numbers(pair), pair.label
+
+
+def test_pickled_pair_keeps_its_tables_and_reports():
+    # the sweep pool ships the pair to its workers by pickling
+    pair = base_pair_from_json(json.dumps(SPARSE_PAIR_DOC))
+    fresh = base_pair_from_json(json.dumps(SPARSE_PAIR_DOC))
+    p4 = make_preset("hypersurface_p4", (6, 8))
+    p4_parts = [
+        find_asymptotic_partition(n, 8, seed=8, max_trials=5000) for n in (211, 1009)
+    ]
+    for base, parts in ((pair, SPARSE_PAIR_PARTS), (p4, p4_parts)):
+        reports = [invariant_report(base, part, "balanced") for part in parts]
+        copy = pickle.loads(pickle.dumps(base))
+        assert "log_chern" in vars(copy) and "pair_weights" in vars(copy)
+        assert derived_tables(copy) == derived_tables(base)
+        for part, want in zip(parts, reports):
+            assert invariant_report(copy, part, "balanced") == want
+    assert [invariant_report(fresh, part, "balanced") for part in SPARSE_PAIR_PARTS] == [
+        invariant_report(pair, part, "balanced") for part in SPARSE_PAIR_PARTS
+    ]
 
 
 def test_minimal_triple_points_are_smooth_for_triple_partitions():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -230,6 +231,26 @@ def test_base_pair_requires_curves_for_crossing_pairs():
             triple=TripleTable(r=2, constant=0), pair_curves={},
             e_d=4, e_sing_d=2,
         )
+
+
+def test_base_pair_checks_table_shapes():
+    planes = make_preset("planes_p3", 3)
+    doc = json.loads(base_pair_to_json(planes))
+    for name in ("c1_dd", "dd2"):
+        rows = getattr(planes, name)
+        for bad in (
+            rows + ((1, 1, 1),),  # a fourth row
+            tuple(row + (1,) for row in rows),  # a fourth column
+            rows[:2],  # a missing row
+            (rows[0], rows[1], rows[2][:2]),  # a short row
+        ):
+            with pytest.raises(BadParams, match=f"table {name} must be 3 x 3"):
+                dataclasses.replace(planes, **{name: bad})
+            text = json.dumps({**doc, name: [list(row) for row in bad]})
+            with pytest.raises(BadParams, match=f"table {name} must be 3 x 3"):
+                base_pair_from_json(text)
+    with pytest.raises(BadParams, match="triple table has r = 4, pair has r = 3"):
+        dataclasses.replace(planes, triple=TripleTable(r=4, constant=1))
 
 
 def test_base_pair_rejects_unordered_keys():
