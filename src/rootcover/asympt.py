@@ -22,10 +22,11 @@ from functools import cached_property
 
 from .errors import BadInput, CertificationError, Exhausted
 from .exact import is_prime, log_enclosure, mod_inverse
-from .hj import chain_record
+from .hj import _chain, chain_record, dual_record
 
-# girstmair_member runs the chain itself; these two names stay bound
-# here because perfbench/tracer.py wraps them where this module looked them up.
+# The membership test runs the chain kernel itself; these two names stay
+# bound here because perfbench/tracer.py wraps them where this module looked
+# them up.
 from .dedekind import dedekind_fast  # noqa: F401
 from .hj import hj_length  # noqa: F401
 
@@ -92,7 +93,9 @@ class Partition:
     q_matrix[j][k] is the unique q in (0, n) with nu_j + q nu_k ~ 0 (mod n);
     the diagonal is None.  Rows/columns pair into inverses: q_kj = (q_jk)'.
     chain_records[j, k] (j < k) is the :func:`chain_record` of the wall
-    chain n / wall_seed(j, k).
+    chain n / wall_seed(j, k); a partition returned by
+    :func:`find_asymptotic_partition` arrives with it filled from the
+    records of its search.
     """
 
     n: int
@@ -145,16 +148,31 @@ def q_of_pair(n: int, nu_j: int, nu_k: int) -> int:
     return (-nu_j * mod_inverse(nu_k, n)) % n
 
 
+def _length_cap(n: int) -> int:
+    return math.isqrt(9 * n) + 2  # floor(3 sqrt(n) + 2)
+
+
+def _member_record(n: int, q: int, cap: int):
+    # The chain record of n/q when q lies in O_n, else False; the caller has
+    # checked 0 < q < n with gcd(n, q) = 1 and passes cap = _length_cap(n).
+    record = _chain(n, q, cap)
+    if record is None:
+        return False
+    x = abs(record[1]) - 60 * n  # record[1] = D = 12 n d(1, q, n)
+    return record if x <= 0 or x * x <= 1296 * n**3 else False
+
+
 def girstmair_member(n: int, q: int) -> bool:
     """Exact membership of q in O_n (both bounds, no floating point).
 
-    One pass of the division algorithm gives the length s, the excess
-    sum(k_a - 2) and q' = n_s (the companion sequence); it stops once s
-    passes floor(3 sqrt(n) + 2).  By the length/excess relation
-    12 n d(1, q, n) = n (excess - s) + q + q', so |d(1, q, n)| <= 3 sqrt(n) + 5
-    holds iff x = |n (excess - s) + q + q'| - 60 n is <= 0 or x^2 <= 1296 n^3.
+    The run-length chain pass of :func:`rootcover.hj.chain_record` gives
+    the length s and D = n (excess - s) + q + q'; it stops once s passes
+    floor(3 sqrt(n) + 2).  By the length/excess relation 12 n d(1, q, n) = D,
+    so |d(1, q, n)| <= 3 sqrt(n) + 5 holds iff x = |D| - 60 n is <= 0 or
+    x^2 <= 1296 n^3.
 
-    Nothing is cached: the partition searches keep their own per-call memo.
+    Nothing is cached: the partition searches keep their own per-call memo,
+    of the chain records themselves, and call the chain pass directly.
     Raises :class:`NotCoprime` when q is not invertible modulo n.
     """
     if not 0 < q < n:
@@ -162,20 +180,7 @@ def girstmair_member(n: int, q: int) -> bool:
     if n < 3:
         raise BadInput(f"modulus must be >= 3, got {n}")
     mod_inverse(q, n)  # NotCoprime unless gcd(q, n) = 1
-    cap = math.isqrt(9 * n) + 2  # floor(3 sqrt(n) + 2)
-    prev, cur = n, q
-    n_prev, n_cur = 0, 1
-    s = k_sum = 0
-    while cur:
-        k = -(-prev // cur)
-        prev, cur = cur, k * cur - prev
-        n_prev, n_cur = n_cur, k * n_cur - n_prev
-        k_sum += k
-        s += 1
-        if s > cap:
-            return False
-    x = abs(n * (k_sum - 3 * s) + q + n_prev) - 60 * n  # n_prev = n_s = q'
-    return x <= 0 or x * x <= 1296 * n**3
+    return bool(_member_record(n, q, _length_cap(n)))
 
 
 def _complement_bound_holds(n: int, complement_size: int) -> bool:
@@ -231,13 +236,16 @@ def _sampled_compositions(n: int, r: int, seed: int):
         yield tuple(parts)
 
 
-def _asymptotic_test(n: int, memo: dict[int, bool]):
+def _asymptotic_test(n: int, memo: dict):
     """The test nu -> (every pair residue of nu lies in O_n).
 
-    Membership of each residue is looked up in ``memo`` (filled through
-    :func:`girstmair_member` on a miss) and the test stops at the first
-    residue outside O_n.
+    Membership of each residue q is looked up in ``memo``, which holds the
+    chain record of n/q for a member and False otherwise (filled by the
+    chain pass on a miss; q is a nonzero residue of the prime n, so no
+    coprimality check is needed).  The test stops at the first residue
+    outside O_n.
     """
+    cap = _length_cap(n)
     neg_inverses: dict[int, int] = {}
 
     def asymptotic(nu) -> bool:
@@ -249,7 +257,7 @@ def _asymptotic_test(n: int, memo: dict[int, bool]):
                 q = nu[j] * m % n  # q_of_pair(n, nu[j], nu[k])
                 hit = memo.get(q)
                 if hit is None:
-                    hit = memo[q] = girstmair_member(n, q)
+                    hit = memo[q] = _member_record(n, q, cap)
                 if not hit:
                     return False
         return True
@@ -257,7 +265,7 @@ def _asymptotic_test(n: int, memo: dict[int, bool]):
     return asymptotic
 
 
-def _composition_tree(n: int, r: int, memo: dict[int, bool]):
+def _composition_tree(n: int, r: int, memo: dict):
     """Exact depth-first search for an asymptotic composition of n into r parts.
 
     Permuting the parts maps each pair residue to itself or its inverse, and
@@ -276,10 +284,12 @@ def _composition_tree(n: int, r: int, memo: dict[int, bool]):
     exhausted, which proves that none exists.
     """
 
-    def member(q: int) -> bool:
+    cap = _length_cap(n)
+
+    def member(q: int):
         hit = memo.get(q)
         if hit is None:
-            hit = memo[q] = girstmair_member(n, q)
+            hit = memo[q] = _member_record(n, q, cap)
         return hit
 
     distinct = 0 if member(n - 1) else 1
@@ -328,20 +338,24 @@ def find_asymptotic_partition(
     positive parts below n exists).  After each missed trial an exact search
     of the compositions (:func:`_composition_tree`) takes one step; if it
     shows that no composition qualifies, ``Exhausted(max_trials)`` is raised
-    at once, the error the samples would have ended in.
+    at once, the error the samples would have ended in.  The partition
+    returned carries the chain records its search computed
+    (``Partition.chain_records``).  BadInput for a negative ``max_trials``.
     """
     if not is_prime(n) or n < 17:
         raise BadInput(f"need a prime n >= 17, got {n}")
     if r < 2:
         raise BadInput(f"need r >= 2, got {r}")
+    if max_trials < 0:
+        raise BadInput(f"need max_trials >= 0, got {max_trials}")
     if r > n - 1:
         raise Exhausted(0, f"no composition of {n} into {r} parts in (0, n)")
-    memo: dict[int, bool] = {}
+    memo: dict = {}
     asymptotic = _asymptotic_test(n, memo)
     tree = _composition_tree(n, r, memo)
     for _, nu in zip(range(max_trials), _sampled_compositions(n, r, seed)):
         if asymptotic(nu):
-            return Partition(n, nu)
+            return _with_search_records(Partition(n, nu), memo)
         if tree is not None:
             node = next(tree, None)
             if node is None:
@@ -350,6 +364,22 @@ def find_asymptotic_partition(
             if ok and len(candidate) == r:
                 tree = None  # a composition qualifies: sampling decides
     raise Exhausted(max_trials)
+
+
+def _with_search_records(part: Partition, memo: dict) -> Partition:
+    # The search looked up every pair residue q_jk (j < k) of ``part`` and
+    # kept the chain record of n/q_jk in ``memo``.  The wall chain of the
+    # pair is n/q_kj = n/q_jk', whose record dual_record reads off without a
+    # pass.  Seeding the cached_property's slot in the instance dict leaves
+    # equality, hash, repr and pickling of the frozen dataclass as they are;
+    # the records equal what Partition.chain_records would compute.
+    n, q, r = part.n, part.q_matrix, part.r
+    part.__dict__["chain_records"] = {
+        (j, k): dual_record(n, q[j][k], memo[q[j][k]])
+        for j in range(r)
+        for k in range(j + 1, r)
+    }
+    return part
 
 
 def _all_compositions(n: int, r: int):

@@ -140,7 +140,15 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"unknown format {cfg['format']!r}")
     if cfg["strategy"] not in ("minimal", "balanced"):
         raise ConfigError(f"unknown strategy {cfg['strategy']!r}")
+    _check_counts(cfg)
     return cfg
+
+
+def _check_counts(cfg: dict) -> None:
+    """ConfigError unless trials, digits and workers are nonnegative."""
+    for key in ("trials", "digits", "workers"):
+        if cfg.get(key, 0) < 0:
+            raise ConfigError(f"{key} must be >= 0, got {cfg[key]}")
 
 
 def _build_pair(cfg: dict):
@@ -312,6 +320,7 @@ def _cmd_sweep(args) -> int:
         cfg["digits"] = args.digits
     if args.workers is not None:
         cfg["workers"] = args.workers
+    _check_counts(cfg)
     text, code = run_sweep(cfg)
     if cfg["output"] == "-":
         sys.stdout.write(text)

@@ -112,13 +112,20 @@ def leq_sqrt_bound(x, c, m: int, d) -> bool:
 
 
 def sqrt_upper(m, bits: int = 64) -> Rat:
-    """A rational upper bound for sqrt(m), within 2**-bits of the true value."""
-    m = Fraction(m)
+    """A rational upper bound for sqrt(m), within 2**-bits of the true value.
+
+    The bound is (isqrt(ceil(m 4**bits)) + 1) / 2**bits; an integer radicand
+    takes it by shifts, with no Fraction arithmetic.
+    """
+    if not isinstance(m, int):
+        m = Fraction(m)
     if m < 0:
         raise BadInput("radicand must be nonnegative")
-    scale = 1 << bits
-    num = math.isqrt(math.ceil(m * scale * scale)) + 1
-    return Fraction(num, scale)
+    if isinstance(m, int):
+        scaled = m << 2 * bits
+    else:
+        scaled = math.ceil(m * (1 << 2 * bits))
+    return Fraction(math.isqrt(scaled) + 1, 1 << bits)
 
 
 # Rational enclosure of log.  Used for the Girstmair complement bound, which

@@ -10,6 +10,20 @@ recurrence.  It encodes the minimal resolution of the surface cyclic quotient
 singularity of type (1/n)(q, 1); the chain lengths s and the excesses
 sum(k_a - 2) drive every global invariant downstream.  :func:`chain_record`
 reads everything the invariants need from one pass of that algorithm.
+
+Most coefficients are 2, and a run of 2s is one step of the ordinary
+Euclidean algorithm: with delta = m_{a-1} - m_a, k_a = 2 exactly when
+delta <= m_a, the run is t = m_a // delta long, and both sequences move
+along it in arithmetic progression,
+
+    (m_{a+t-1}, m_{a+t}) = (m_a - (t-1) delta, m_a - t delta),
+    (n_{a+t-1}, n_{a+t}) = (n_a + (t-1) eps, n_a + t eps),  eps = n_a - n_{a-1}.
+
+Coefficients 2 add nothing to the excess or to the wall sums, so the chain
+record and the length are read in one such run-length pass
+(:func:`hj_length`, :func:`chain_record`), and :func:`dual_record` turns the
+record of n/q into that of n/q' without a second pass.  :func:`hj_expand`
+keeps every coefficient, for the callers that need the full sequences.
 """
 
 from __future__ import annotations
@@ -27,6 +41,7 @@ __all__ = [
     "hj_dual",
     "hj_length",
     "chain_record",
+    "dual_record",
 ]
 
 
@@ -122,18 +137,50 @@ def hj_dual(e: HJExpansion) -> HJExpansion:
 def hj_length(n: int, q: int, cap: int | None = None) -> int | None:
     """Length s of the expansion of n/q, or None once it exceeds ``cap``.
 
-    Early exit keeps Girstmair-set construction cheap for the long chains.
+    Read from the run-length pass of :func:`chain_record`, which stops as
+    soon as s passes ``cap``.
     """
     _validate(n, q)
-    prev, cur = n, q
-    s = 0
-    while cur > 0:
-        k = -((-prev) // cur)
-        prev, cur = cur, k * cur - prev
-        s += 1
-        if cap is not None and s > cap:
+    record = _chain(n, q, n if cap is None else cap)  # s <= n - 1 always
+    return None if record is None else record[0]
+
+
+def _chain(n: int, q: int, cap: int) -> tuple[int, int, int, int, int, int] | None:
+    # The run-length pass behind chain_record: the record of n/q, or None
+    # once s > cap.  The caller has checked 0 < q < n and gcd(n, q) = 1.
+    s = s0 = s1 = s2 = excess = 0
+    m_prev, m_cur, n_prev, n_cur = n, q, 0, 1  # m_{a-1}, m_a, n_{a-1}, n_a
+    while m_cur:
+        delta = m_prev - m_cur
+        if delta <= m_cur:  # k_a = ... = k_{a+t-1} = 2, with t = m_a // delta
+            eps = n_cur - n_prev
+            t, m_cur = divmod(m_cur, delta)
+            m_prev = m_cur + delta
+            n_prev = n_cur + (t - 1) * eps
+            n_cur = n_prev + eps
+            s += t
+        else:
+            k = -(-m_prev // m_cur)
+            m_next, n_next = k * m_cur - m_prev, k * n_cur - n_prev
+            e = (m_cur + n_cur - n) * (2 - k)
+            s0 += e
+            s1 += e * (m_next - m_prev)
+            s2 += e * (n_next - n_prev)
+            excess += k - 2
+            m_prev, m_cur, n_prev, n_cur = m_cur, m_next, n_cur, n_next
+            s += 1
+        if s > cap:
             return None
-    return s
+    # the pass ends on m_s = 1, n_s = q'
+    ends = q + n_prev  # q + q'
+    return (
+        s,
+        n * (excess - s) + ends,
+        s0,
+        s1 + (n - q) * s0,
+        s2 - s0,
+        ends + 2 - 2 * n + n * excess,
+    )
 
 
 def chain_record(n: int, q: int) -> tuple[int, int, int, int, int, int]:
@@ -147,31 +194,27 @@ def chain_record(n: int, q: int) -> tuple[int, int, int, int, int, int]:
         S1 = sum_a e_a (m_{a+1} - m_{a-1} + m_0 - m_1),
         S2 = sum_a e_a (n_{a+1} - n_{a-1} + n_0 - n_1),
 
-    and B = M_1 + M_s + n excess.  One pass of the division algorithm of
-    :func:`hj_expand`; only the coefficients k_a != 2 enter the sums.
+    and B = M_1 + M_s + n excess.  Only the coefficients k_a != 2 enter the
+    sums, so the pass over the division algorithm of :func:`hj_expand`
+    crosses each run of 2s in one Euclidean step (see the module docstring):
+    its cost grows with the number of runs, not with s.
     BadInput unless q is coprime to n with 0 < q < n, as for hj_expand.
     """
     _validate(n, q)
-    s = s0 = s1 = s2 = excess = 0
-    m_prev, m_cur, n_prev, n_cur = n, q, 0, 1  # m_{a-1}, m_a, n_{a-1}, n_a
-    while m_cur:
-        k = -((-m_prev) // m_cur)
-        m_next, n_next = k * m_cur - m_prev, k * n_cur - n_prev
-        s += 1
-        if k != 2:
-            e = (m_cur + n_cur - n) * (2 - k)
-            s0 += e
-            s1 += e * (m_next - m_prev)
-            s2 += e * (n_next - n_prev)
-            excess += k - 2
-        m_prev, m_cur, n_prev, n_cur = m_cur, m_next, n_cur, n_next
-    # the loop ends on m_s = 1, n_s = q'
-    ends = q + n_prev  # q + q'
-    return (
-        s,
-        n * (excess - s) + ends,
-        s0,
-        s1 + (n - q) * s0,
-        s2 - s0,
-        ends + 2 - 2 * n + n * excess,
-    )
+    return _chain(n, q, n)  # s <= n - 1, so the cap never cuts
+
+
+def dual_record(
+    n: int, q: int, record: tuple[int, int, int, int, int, int]
+) -> tuple[int, int, int, int, int, int]:
+    """The :func:`chain_record` of n/q' from ``record``, that of n/q.
+
+    The dual chain runs (m'_a, n'_a) = (n_{s+1-a}, m_{s+1-a}) (see
+    :func:`hj_dual`), so s, D, S0 and B are the same, q' = (D - q) mod n,
+    and the wall sums trade places:
+
+        S1' = (n - q' - 1) S0 - S2,   S2' = (n - q - 1) S0 - S1.
+    """
+    s, d, s0, s1, s2, b = record
+    q_inv = (d - q) % n
+    return (s, d, s0, (n - q_inv - 1) * s0 - s2, (n - q - 1) * s0 - s1, b)

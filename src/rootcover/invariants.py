@@ -14,14 +14,15 @@ resolution, this module evaluates, as exact rationals:
 The data splits into two kinds.  Per base pair, computed once and kept on
 the :class:`BasePair` (see its docstring): the divisor aggregates, the
 nonzero triples, the meeting pairs, the weights of each pair in chi and e,
-the weight of the chi bound and the log Chern numbers.  Per cell (n and the partition)
-is everything else: ``Partition.q_matrix`` and ``Partition.chain_records``,
-one integer record (s, D, S0, S1, S2, B) per pair j < k from a single pass
-of the division algorithm over the wall chain n/q_kj, and the subdivision
-point of each triple, picked in integers from the q_matrix.  chi, K^3 and e
-read the chain records.  The length/excess relation gives the Dedekind sums
-of chi from them, d(nu_j, nu_k, n) = -D_jk/(12 n), so chi is assembled over
-24 n in integers.
+the weight of the chi bound, the log Chern numbers and the log slopes.  Per
+cell (n and the partition) is everything else: ``Partition.q_matrix`` and
+``Partition.chain_records``, one integer record (s, D, S0, S1, S2, B) per
+pair j < k from a single run-length pass over the wall chain n/q_kj (handed
+over by the partition search when it found the partition), and the
+subdivision point of each triple, picked in integers from the q_matrix.
+chi, K^3 and e read the chain records.  The length/excess relation gives
+the Dedekind sums of chi from them, d(nu_j, nu_k, n) = -D_jk/(12 n), so chi
+is assembled over 24 n in integers.
 
 Slopes use the singular-model convention c1^3 := -K^3, c1c2 := 24 chi,
 c3 := e.
@@ -400,17 +401,30 @@ def chi_error_bound(
         |R_3|/(12 n) <= (3 sqrt(n) + 5)/(2n)
                         (sum_{j<k} |D_jk (D_j + D_k + K_Z)| + 3 sum |D_jkl|).
 
-    The n-dependent drift of the R_1, R_2 terms is exact and added as is.
-    ``chi_val`` and ``bars`` take the chi value and the log Chern numbers
-    when the caller has them already.
+    The n-dependent drift chi(O_Z) - (R_1 + R_2)/(12 n) - c1c2_bar/24 of the
+    R_1, R_2 terms is exact and added as is.  ``chi_val`` and ``bars`` take
+    the chi value and the log Chern numbers when the caller has them
+    already.  Each term is built as one Fraction from integers: R_1 and R_2
+    are integers over 2 n (see :func:`chi_root_cover`) and sqrt_upper(n) is
+    an integer over 2**64.
     """
     n = part.n
     if chi_val is None:
         chi_val = chi_root_cover(pair, part)
     if bars is None:
         bars = pair.log_chern
-    drift = pair.chi - (chi_val.r1 + chi_val.r2) / (12 * n) - bars.c1c2_bar / 24
-    girstmair = (3 * sqrt_upper(n) + 5) / (2 * n) * pair.chi_bound_weight
+    r12 = sum(r.numerator * (2 * n // r.denominator) for r in (chi_val.r1, chi_val.r2))
+    bar = bars.c1c2_bar
+    n2 = n * n
+    drift = Fraction(
+        (pair.c1c2 * n2 - r12) * bar.denominator - bar.numerator * n2,
+        24 * n2 * bar.denominator,
+    )
+    root = sqrt_upper(n)
+    girstmair = Fraction(
+        (3 * root.numerator + 5 * root.denominator) * pair.chi_bound_weight,
+        2 * n * root.denominator,
+    )
     return abs(drift) + girstmair
 
 
@@ -426,12 +440,6 @@ def invariant_report(
     slopes = None
     if c1c2:
         slopes = (-k3 / c1c2, euler / c1c2)
-    log_slopes = None
-    if bars.c1c2_bar:
-        log_slopes = (
-            bars.c1_cubed_bar / bars.c1c2_bar,
-            bars.c3_bar / bars.c1c2_bar,
-        )
     return InvariantReport(
         n=part.n,
         nu=part.nu,
@@ -442,7 +450,7 @@ def invariant_report(
         euler=euler,
         log_chern=bars,
         slopes=slopes,
-        log_slopes=log_slopes,
+        log_slopes=pair.log_slopes,
         chi_error_bound=chi_error_bound(pair, part, chi_val, bars),
     )
 

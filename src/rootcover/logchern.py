@@ -110,9 +110,9 @@ class BasePair:
     per pair, on first use, and kept with it (also through pickling): the
     divisor aggregates (:meth:`sum_d3` ... :meth:`c2_dred`), the nonzero
     triples, ``meeting_pairs``, the weights of chi and e per pair
-    (``pair_weights``, ``euler_weights``), ``chi_bound_weight`` and
-    ``log_chern``.  A report then does only the work that depends on n and
-    the partition.
+    (``pair_weights``, ``euler_weights``), ``chi_bound_weight``,
+    ``log_chern`` and ``log_slopes``.  A report then does only the work that
+    depends on n and the partition.
     """
 
     r: int
@@ -282,6 +282,14 @@ class BasePair:
     def log_chern(self) -> LogChernNumbers:
         """The pair's log Chern numbers, :func:`log_chern_numbers`."""
         return log_chern_numbers(self)
+
+    @cached_property
+    def log_slopes(self) -> Optional[tuple[Fraction, Fraction]]:
+        """(c1^3_bar / c1c2_bar, c3_bar / c1c2_bar), None if c1c2_bar = 0."""
+        bars = self.log_chern
+        if not bars.c1c2_bar:
+            return None
+        return bars.c1_cubed_bar / bars.c1c2_bar, bars.c3_bar / bars.c1c2_bar
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from rootcover.asympt import (
 from rootcover.dedekind import dedekind_fast
 from rootcover.errors import BadInput, CertificationError, Exhausted, NotCoprime
 from rootcover.exact import leq_sqrt_bound, mod_inverse
-from rootcover.hj import hj_length
+from rootcover.hj import chain_record, hj_length
 
 
 @functools.lru_cache(maxsize=None)
@@ -224,6 +224,29 @@ def test_exhausted():
         find_asymptotic_partition(19, 25, 0, 10)
     with pytest.raises(BadInput):
         find_asymptotic_partition(19, 1, 0, 10)
+
+
+def test_negative_trial_budget_is_bad_input():
+    with pytest.raises(BadInput, match="max_trials >= 0, got -1"):
+        find_asymptotic_partition(1009, 8, 0, -1)
+    with pytest.raises(Exhausted):  # a zero budget stays valid
+        find_asymptotic_partition(1009, 8, 0, 0)
+
+
+def test_search_memo_holds_chain_records_of_members():
+    # both searches share one memo: the chain record of n/q for q in O_n,
+    # False otherwise
+    for n, r in ((17, 3), (101, 5), (1009, 8)):
+        memo = {}
+        test = asympt._asymptotic_test(n, memo)
+        stream = asympt._sampled_compositions(n, r, 3)
+        for _ in range(300):
+            test(next(stream))
+        for _ in zip(range(300), asympt._composition_tree(n, r, memo)):
+            pass
+        assert any(memo.values()) and not all(memo.values())
+        for q, hit in memo.items():
+            assert hit == (chain_record(n, q) if girstmair_member(n, q) else False), q
 
 
 def test_partition_density():

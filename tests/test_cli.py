@@ -250,6 +250,37 @@ def test_sweep_digits_flag(tmp_path, capsys):
     assert "1.00,-14.00,18.00" in out
 
 
+@pytest.mark.parametrize("key", ["digits", "trials", "workers"])
+def test_negative_config_counts_are_config_errors(tmp_path, capsys, key):
+    path = write_config(tmp_path, **{key: -1})
+    with pytest.raises(ConfigError):
+        _load_config(str(path))
+    assert main(["sweep", "--config", str(path)]) == 1
+    assert f"config error: {key} must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--digits", "--workers"])
+def test_negative_count_flags_are_config_errors(tmp_path, capsys, flag):
+    path = write_config(tmp_path)
+    assert main(["sweep", "--config", str(path), flag, "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config error: {flag[2:]} must be >= 0, got -1" in captured.err
+
+
+def test_zero_counts_stay_valid(tmp_path, capsys):
+    path = write_config(tmp_path, partition="asymptotic", n_min=17, n_max=17, trials=0)
+    assert main(["sweep", "--config", str(path), "--digits", "0", "--workers", "0"]) == 2
+    assert "17,1,3,,exhausted," in capsys.readouterr().out
+
+
+def test_partition_negative_trials_exits_with_message(capsys):
+    assert main(["partition", "1009", "8", "--trials", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: BadInput: need max_trials >= 0, got -1" in captured.err
+
+
 def test_sweep_worker_pool(tmp_path):
     path = write_config(
         tmp_path, n_min=7, n_max=31, partition="asymptotic", seed=5, workers=2

@@ -102,6 +102,20 @@ def test_sqrt_upper():
         assert float(up) == pytest.approx(math.sqrt(m), rel=1e-12)
 
 
+def test_sqrt_upper_integer_path_matches_fraction_path():
+    rng = random.Random(5)
+    radicands = list(range(200)) + [rng.randrange(10**30) for _ in range(300)]
+    for bits in (1, 8, 64, 100):
+        scale = 1 << bits
+        for m in radicands:
+            want = Fraction(math.isqrt(math.ceil(Fraction(m) * scale * scale)) + 1, scale)
+            assert sqrt_upper(m, bits) == want == sqrt_upper(Fraction(m), bits)
+    assert sqrt_upper(Fraction(9, 4)) > Fraction(3, 2)
+    for m in (-1, Fraction(-1, 3)):
+        with pytest.raises(BadInput):
+            sqrt_upper(m)
+
+
 def test_log_enclosure():
     getcontext().prec = 60
     slack = Fraction(1, 10**50)

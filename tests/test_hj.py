@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,48 @@ from sympy import isprime
 from hypothesis import given, settings, strategies as st
 
 from rootcover.errors import BadInput, CertificationError
-from rootcover.hj import chain_record, hj_dual, hj_evaluate, hj_expand, hj_length
+from rootcover.hj import (
+    _chain,
+    chain_record,
+    dual_record,
+    hj_dual,
+    hj_evaluate,
+    hj_expand,
+    hj_length,
+)
+
+
+def chain_record_steps(n, q):
+    """chain_record with one division step per coefficient (the test oracle).
+
+    Each step k_a = ceil(m_{a-1}/m_a) moves both sequences by one, and the
+    steps with k_a != 2 add their terms; see the chain_record docstring.
+    """
+    s = s0 = s1 = s2 = excess = 0
+    m_prev, m_cur, n_prev, n_cur = n, q, 0, 1  # m_{a-1}, m_a, n_{a-1}, n_a
+    while m_cur:
+        k = -((-m_prev) // m_cur)
+        m_next, n_next = k * m_cur - m_prev, k * n_cur - n_prev
+        s += 1
+        if k != 2:
+            e = (m_cur + n_cur - n) * (2 - k)
+            s0 += e
+            s1 += e * (m_next - m_prev)
+            s2 += e * (n_next - n_prev)
+            excess += k - 2
+        m_prev, m_cur, n_prev, n_cur = m_cur, m_next, n_cur, n_next
+    ends = q + n_prev  # q + q', since the loop ends on n_s = q'
+    return (
+        s,
+        n * (excess - s) + ends,
+        s0,
+        s1 + (n - q) * s0,
+        s2 - s0,
+        ends + 2 - 2 * n + n * excess,
+    )
+
+
+KERNEL_MODULI = (3, 5, 7, 17, 101, 1009, 4001)
 
 
 def test_expand_examples():
@@ -126,3 +168,52 @@ def test_roundtrip_random(n):
             continue
         e = hj_expand(n, q)
         assert hj_evaluate(e.ks) == Fraction(n, q)
+
+
+def test_chain_record_matches_step_oracle_on_every_residue():
+    for n in KERNEL_MODULI:
+        for q in range(1, n):
+            want = chain_record_steps(n, q)
+            assert chain_record(n, q) == want, (n, q)
+            s = want[0]
+            # the cap cuts exactly past s, also inside a run of 2s
+            assert _chain(n, q, s) == want, (n, q)
+            assert _chain(n, q, s - 1) is None, (n, q)
+            assert hj_length(n, q) == s
+            assert hj_length(n, q, cap=s) == s and hj_length(n, q, cap=s - 1) is None
+
+
+def test_chain_record_matches_step_oracle_on_random_large_moduli():
+    rng = random.Random(20260)
+    checked = 0
+    while checked < 400:
+        n = rng.randrange(2, 10**rng.randrange(2, 13))
+        q = rng.randrange(1, n) if n > 2 else 1
+        if math.gcd(n, q) != 1:
+            continue
+        checked += 1
+        assert chain_record(n, q) == chain_record_steps(n, q), (n, q)
+        assert chain_record(n, 1) == chain_record_steps(n, 1), n
+
+
+def test_chain_record_all_twos_chain_takes_one_step():
+    # n/(n-1) = [2, ..., 2]: n - 1 coefficients, no excess, no wall sum, and
+    # one Euclidean step for the kernel even at n = 10^12 + 39
+    for n in (3, 17, 1009, 10**12 + 39):
+        assert chain_record(n, n - 1) == (n - 1, -(n - 1) * (n - 2), 0, 0, 0, 0)
+        assert _chain(n, n - 1, n - 2) is None
+    assert chain_record(1009, 1008) == chain_record_steps(1009, 1008)
+
+
+def test_dual_record_matches_chain_record_of_inverse():
+    for n in KERNEL_MODULI:
+        for q in range(1, n):
+            q_inv = pow(q, -1, n)
+            assert dual_record(n, q, chain_record(n, q)) == chain_record(n, q_inv), (n, q)
+    rng = random.Random(20261)
+    for _ in range(300):
+        n = rng.randrange(3, 10**12)
+        q = rng.randrange(1, n)
+        if math.gcd(n, q) == 1:
+            q_inv = pow(q, -1, n)
+            assert dual_record(n, q, chain_record(n, q)) == chain_record(n, q_inv)

@@ -1,4 +1,5 @@
 import json
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -752,3 +753,75 @@ def test_chi_over_n_reaches_the_limit():
     part = find_asymptotic_partition(10007, 3, 909, 10**4)
     chi = chi_root_cover(pair, part).chi
     assert abs(chi / Fraction(10007) - (-25)) < Fraction(1, 2)
+
+
+def test_search_hands_its_chain_records_to_the_partition():
+    # The search seeds chain_records from its membership memo (the dual of
+    # each tested record); they must equal a fresh pass over the wall chains,
+    # also after pickling, and leave equality, hash and repr alone.
+    cells = 0
+    for r in (3, 4, 5, 8):
+        pair = make_preset("hypersurface_p4", (6, r))
+        for n in (61, 211, 1009, 4001):
+            for seed in (0, 1, 7):
+                try:
+                    part = find_asymptotic_partition(n, r, seed, 5000)
+                except Exhausted:
+                    continue
+                cells += 1
+                assert "chain_records" in vars(part)
+                fresh = Partition(n, part.nu)
+                assert "chain_records" not in vars(fresh)
+                assert part == fresh and hash(part) == hash(fresh)
+                assert repr(part) == repr(fresh)
+                assert part.chain_records == fresh.chain_records, (n, r, seed)
+                copy = pickle.loads(pickle.dumps(part))
+                assert copy == fresh and copy.chain_records == fresh.chain_records
+                for strategy in ("minimal", "balanced"):
+                    want = invariant_report(pair, Partition(n, part.nu), strategy)
+                    assert invariant_report(pair, part, strategy) == want
+                    assert invariant_report(pair, copy, strategy) == want
+    assert cells >= 30
+
+
+def chi_error_bound_by_fractions(pair, part):
+    """chi_error_bound as Fraction arithmetic on the report's rationals."""
+    n = part.n
+    chi_val = chi_root_cover(pair, part)
+    bars = log_chern_numbers(pair)
+    drift = pair.chi - (chi_val.r1 + chi_val.r2) / (12 * n) - bars.c1c2_bar / 24
+    scale = 1 << 64
+    root = Fraction(math.isqrt(math.ceil(Fraction(n) * scale * scale)) + 1, scale)
+    return abs(drift) + (3 * root + 5) / (2 * n) * pair.chi_bound_weight
+
+
+def test_chi_error_bound_and_log_slopes_match_fraction_formulas():
+    rng = random.Random(77)
+    primes = list(primerange(17, 3000))
+    pairs = [make_preset("hypersurface_p4", (d, 3)) for d in range(1, 7)]
+    pairs += [make_preset("hypersurface_p4", (6, r)) for r in (4, 5, 8)]
+    pairs += [make_preset("planes_p3", r) for r in (3, 4)]
+    cells = [(base_pair_from_json(json.dumps(SPARSE_PAIR_DOC)), SPARSE_PAIR_PARTS)]
+    for pair in pairs:
+        parts = []
+        for n in rng.sample(primes, 6):
+            try:
+                parts.append(find_asymptotic_partition(n, pair.r, rng.randrange(99), 3000))
+            except Exhausted:
+                pass
+        cells.append((pair, parts))
+    checked = 0
+    for pair, parts in cells:
+        bars = log_chern_numbers(pair)
+        want_slopes = None
+        if bars.c1c2_bar:
+            want_slopes = (bars.c1_cubed_bar / bars.c1c2_bar, bars.c3_bar / bars.c1c2_bar)
+        assert pair.log_slopes == want_slopes
+        for part in parts:
+            want = chi_error_bound_by_fractions(pair, part)
+            assert chi_error_bound(pair, part) == want
+            report = invariant_report(pair, part)
+            assert report.chi_error_bound == want
+            assert report.log_slopes == want_slopes
+            checked += 1
+    assert checked >= 40
