@@ -14,11 +14,6 @@ from fractions import Fraction
 
 from .errors import BadInput, NotCoprime
 
-#: The universal numeric carrier: exact rationals in lowest terms with
-#: positive denominator, as provided by the standard library.
-Rat = Fraction
-
-
 def residue(a: int, n: int) -> int:
     """Residue of ``a`` modulo ``n``, normalized to ``[0, n)``."""
     if n < 1:
@@ -84,7 +79,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def sawtooth(x) -> Rat:
+def sawtooth(x) -> Fraction:
     """The sawtooth function ((x)): x - floor(x) - 1/2 off the integers, 0 on them.
 
     Odd and periodic with period 1.
@@ -95,23 +90,7 @@ def sawtooth(x) -> Rat:
     return x - math.floor(x) - Fraction(1, 2)
 
 
-def leq_sqrt_bound(x, c, m: int, d) -> bool:
-    """Decide ``x <= c*sqrt(m) + d`` exactly (no floating point).
-
-    Requires ``c >= 0`` and ``m >= 1``.  True iff ``x <= d``, or ``x > d``
-    and ``(x - d)^2 <= c^2 * m``.
-    """
-    x, c, d = Fraction(x), Fraction(c), Fraction(d)
-    if c < 0:
-        raise BadInput("coefficient of the square root must be nonnegative")
-    if m < 1:
-        raise BadInput(f"radicand must be a positive integer, got {m}")
-    if x <= d:
-        return True
-    return (x - d) ** 2 <= c * c * m
-
-
-def sqrt_upper(m, bits: int = 64) -> Rat:
+def sqrt_upper(m, bits: int = 64) -> Fraction:
     """A rational upper bound for sqrt(m), within 2**-bits of the true value.
 
     The bound is (isqrt(ceil(m 4**bits)) + 1) / 2**bits; an integer radicand
@@ -134,7 +113,7 @@ def sqrt_upper(m, bits: int = 64) -> Rat:
 _LN2_TERMS = 96
 
 
-def _ln2_enclosure() -> tuple[Rat, Rat]:
+def _ln2_enclosure() -> tuple[Fraction, Fraction]:
     # ln 2 = sum_{k>=1} 1/(k 2^k); the tail after K terms is < 1/((K+1) 2^K).
     lo = sum(Fraction(1, k * (1 << k)) for k in range(1, _LN2_TERMS + 1))
     return lo, lo + Fraction(1, (_LN2_TERMS + 1) * (1 << _LN2_TERMS))
@@ -143,7 +122,7 @@ def _ln2_enclosure() -> tuple[Rat, Rat]:
 _LN2_LO, _LN2_HI = _ln2_enclosure()
 
 
-def log_enclosure(x, terms: int = 64) -> tuple[Rat, Rat]:
+def log_enclosure(x, terms: int = 64) -> tuple[Fraction, Fraction]:
     """Exact rationals ``(lo, hi)`` with ``lo <= log(x) <= hi``.
 
     Argument reduction by powers of two, then the atanh series

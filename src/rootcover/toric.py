@@ -101,7 +101,12 @@ class LatticePoint:
 
 
 def max_slope(v: LatticePoint) -> Fraction:
-    """max v_j / v_k over all coordinate pairs (the balance figure of merit)."""
+    """max v_j / v_k over all coordinate pairs (the balance figure of merit).
+
+    Raises :class:`NotInterior` for a point with a zero coordinate.
+    """
+    if not v.is_interior():
+        raise NotInterior(f"{v} has a zero coordinate")
     return Fraction(max(v.coords), min(v.coords))
 
 
@@ -248,21 +253,26 @@ def subdivision_point(n: int, p: int, q: int, strategy: str) -> tuple[int, int, 
     * Gauss reduction of (1, c), (0, n) gives a basis u, w of L with u
       shortest, so L is the union of the lines j*w + Z*u, spaced
       n/|u| >= |w| sqrt(3)/2 apart.
-    * Along one line the max slope is quasiconvex, and it is constant on a
-      stretch only where it takes its minimum over the line.  So the first
-      step i whose successor has no smaller max slope is the line's best
-      point, found by bisection; u points towards increasing v1, so it is
-      also the lexicographically first of the line's ties.
+    * Along one line the coordinates are linear in the step, so the max
+      slope is piecewise linear-fractional, with pieces that end where two
+      coordinates cross.  The line's best point is one of at most eight
+      candidates: the two ends of the line inside the box, and the two
+      integer steps around each of the three crossings (see _line_best).
+      u points towards increasing v1, so the first of the line's ties is
+      also the lexicographically first.
     * The two lines next to the centroid (n/3, n/3) give a bound t = a/b on
       the answer.  Every point with max slope <= t has each coordinate in
       [ceil(nb/(b+2a)), floor(na/(a+2b))], so only the lines that cross this
       box are searched, within the box.  With no valid point on those two
-      lines the box is the whole triangle.
+      lines the box is the whole triangle.  Each line is solved once: a
+      centroid line's best point over the triangle is its best in the box
+      when its max slope is t, and loses to the bound otherwise.
 
     Every point that ties with or beats t lies in the box, so the result is
     the one the O(n) scan over all x returns, tie-breaks included.  The box
     is O(|w|) wide, or the whole triangle when |w| is of order n and |u| is
-    O(1); either way it meets O(1) lines, and the cost is O(log n).
+    O(1); either way it meets O(1) lines.  The cost is the O(log n) Gauss
+    reduction plus O(1) candidates on each of O(1) lines.
     """
     if strategy == "minimal":
         h = (p + q) % n
@@ -314,12 +324,22 @@ def _step_range(c0: int, c1: int, lo: int, hi: int) -> tuple[int, int]:
 def _line_best(n: int, u, x0: int, y0: int, lo: int, hi: int):
     """Best point (max, min, coords) of the line (x0, y0) + Z*u in the box.
 
-    The box is lo <= v1, v2, v3 <= hi with v3 = n - v1 - v2.  Of tied points
-    the one with the smallest v1 is returned; None when the line has no
-    lattice point in the box.
+    The box is lo <= v1, v2, v3 <= hi with v3 = n - v1 - v2, and u_x > 0.
+    Of tied points the one with the smallest v1 is returned; None when the
+    line has no lattice point in the box.
+
+    The coordinates are linear in the step i, so between two of the
+    crossings v1 = v2, v1 = v3, v2 = v3 the max slope f is one
+    linear-fractional function of i, constant or strictly monotone.  At the
+    smallest integer minimiser i, unless it is an end of the step range,
+    f(i - 1) > f(i) <= f(i + 1), so no single piece spans [i - 1, i + 1]
+    and a crossing b lies in [i - 1, i + 1).  The candidates are thus the
+    two ends and floor(b), floor(b) + 1 for each crossing b in range; a
+    stretch of constant f needs no special case.
     """
-    i_lo, i_hi = _step_range(x0, u[0], lo, hi)
-    for c0, c1, a, b in ((y0, u[1], lo, hi), (x0 + y0, u[0] + u[1], n - hi, n - lo)):
+    ux, uy = u
+    i_lo, i_hi = -((x0 - lo) // ux), (hi - x0) // ux
+    for c0, c1, a, b in ((y0, uy, lo, hi), (x0 + y0, ux + uy, n - hi, n - lo)):
         if c1 == 0:
             if not a <= c0 <= b:
                 return None
@@ -328,21 +348,26 @@ def _line_best(n: int, u, x0: int, y0: int, lo: int, hi: int):
         i_lo, i_hi = max(i_lo, j_lo), min(i_hi, j_hi)
     if i_lo > i_hi:
         return None
-
-    def at(i):
-        x, y = x0 + i * u[0], y0 + i * u[1]
-        v = (x, y, n - x - y)
-        return max(v), min(v), v
-
-    while i_lo < i_hi:
-        mid = (i_lo + i_hi) // 2
-        big0, small0, _ = at(mid)
-        big1, small1, _ = at(mid + 1)
-        if big1 * small0 >= big0 * small1:
-            i_hi = mid
-        else:
-            i_lo = mid + 1
-    return at(i_lo)
+    steps = [i_lo, i_hi]
+    for num, den in ((y0 - x0, ux - uy), (n - 2 * x0 - y0, 2 * ux + uy),
+                     (n - x0 - 2 * y0, ux + 2 * uy)):
+        if den:
+            b = num // den
+            if i_lo <= b < i_hi:
+                steps += (b, b + 1)
+    steps.sort()
+    best = None
+    for i in steps:
+        x, y = x0 + i * ux, y0 + i * uy
+        z = n - x - y
+        big, small = max(x, y, z), min(x, y, z)
+        if best is None or big * best[1] < best[0] * small:
+            best = (big, small, i)
+        elif big * best[1] > best[0] * small:
+            break  # f is quasiconvex: no later step is below this one
+    big, small, i = best
+    x, y = x0 + i * ux, y0 + i * uy
+    return big, small, (x, y, n - x - y)
 
 
 def _beats(a, b) -> bool:
@@ -353,28 +378,31 @@ def _beats(a, b) -> bool:
 def _balanced_point(n: int, c: int) -> tuple[int, int, int] | None:
     """The balanced point for the multiplier c (see subdivision_point), or None."""
     u, w = _reduced_basis(n, c)
-
-    def search(lines, lo, hi):
-        best = None
-        for j in lines:
-            cand = _line_best(n, u, j * w[0], j * w[1], lo, hi)
-            if cand is not None and _beats(cand, best):
-                best = cand
-        return best
-
     # the centroid is a*u + b*w with b = det(u, centroid)/n = (u_x - u_y)/3
-    bound = search({(u[0] - u[1]) // 3, -((u[1] - u[0]) // 3)}, 1, n - 2)
-    if bound is None:
+    centroid = {(u[0] - u[1]) // 3, -((u[1] - u[0]) // 3)}
+    best = None
+    for j in centroid:
+        cand = _line_best(n, u, j * w[0], j * w[1], 1, n - 2)
+        if cand is not None and _beats(cand, best):
+            best = cand
+    if best is None:
         lo, hi = 1, n - 2
     else:
-        big, small, _ = bound
+        big, small, _ = best
         lo = -((-n * small) // (small + 2 * big))
         hi = (n * big) // (big + 2 * small)
     # a point P lies on line det(u, P)/n, which over the box is extreme at
-    # a corner of the triangle v1, v2, v3 >= lo
+    # a corner of the triangle v1, v2, v3 >= lo; the centroid lines are not
+    # searched again, as their best point over the triangle is also their
+    # best in the box or loses to the bound
     corners = ((lo, lo), (n - 2 * lo, lo), (lo, n - 2 * lo))
     ends = [u[0] * y - u[1] * x for x, y in corners]
-    best = search(range(-(-min(ends) // n), max(ends) // n + 1), lo, hi)
+    for j in range(-(-min(ends) // n), max(ends) // n + 1):
+        if j in centroid:
+            continue
+        cand = _line_best(n, u, j * w[0], j * w[1], lo, hi)
+        if cand is not None and _beats(cand, best):
+            best = cand
     return None if best is None else best[2]
 
 

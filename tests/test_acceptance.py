@@ -17,7 +17,7 @@ from rootcover.asympt import (
     girstmair_set,
 )
 from rootcover.dedekind import barkan_residual, dedekind_fast, dedekind_sum, power_sums
-from rootcover.exact import leq_sqrt_bound, log_enclosure
+from rootcover.exact import log_enclosure
 from rootcover.hj import hj_dual, hj_evaluate, hj_expand, hj_length
 from rootcover.invariants import (
     chi_eigenspace_oracle,
@@ -43,6 +43,7 @@ from rootcover.toric import (
     select_v,
 )
 import rootcover.toric as toric
+from test_exact import leq_sqrt_bound
 
 
 def _passed(num, text):

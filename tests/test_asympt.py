@@ -18,8 +18,9 @@ from rootcover.asympt import (
 )
 from rootcover.dedekind import dedekind_fast
 from rootcover.errors import BadInput, CertificationError, Exhausted, NotCoprime
-from rootcover.exact import leq_sqrt_bound, mod_inverse
+from rootcover.exact import mod_inverse
 from rootcover.hj import chain_record, hj_length
+from test_exact import leq_sqrt_bound
 
 
 @functools.lru_cache(maxsize=None)

@@ -10,13 +10,31 @@ from sympy import isprime
 from rootcover.errors import BadInput, NotCoprime
 from rootcover.exact import (
     is_prime,
-    leq_sqrt_bound,
     log_enclosure,
     mod_inverse,
     residue,
     sawtooth,
     sqrt_upper,
 )
+
+
+
+def leq_sqrt_bound(x, c, m: int, d) -> bool:
+    """Decide ``x <= c*sqrt(m) + d`` exactly (no floating point).
+
+    Requires ``c >= 0`` and ``m >= 1``.  True iff ``x <= d``, or ``x > d``
+    and ``(x - d)^2 <= c^2 * m``.  The Girstmair bounds of O_n in their
+    textbook form, for the tests' membership oracles.
+    """
+    x, c, d = Fraction(x), Fraction(c), Fraction(d)
+    if c < 0:
+        raise BadInput("coefficient of the square root must be nonnegative")
+    if m < 1:
+        raise BadInput(f"radicand must be a positive integer, got {m}")
+    if x <= d:
+        return True
+    return (x - d) ** 2 <= c * c * m
+
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=1000

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import random
@@ -156,6 +157,169 @@ def test_balanced_tie_break_is_lexicographic():
         v = select_v(spec, "balanced")
         assert v == want
         assert max_slope(v) == max_slope(other) and v.coords < other.coords
+
+
+def line_best_bisect(n, u, x0, y0, lo, hi):
+    """Bisection oracle for toric._line_best: same contract, O(log n) steps.
+
+    The max slope is quasiconvex along the line and constant on a stretch
+    only at its minimum, so the first step whose successor is no better is
+    the line's best point (and, as u_x > 0, the first of its ties).
+    """
+    step_range = toric._step_range
+    i_lo, i_hi = step_range(x0, u[0], lo, hi)
+    for c0, c1, a, b in ((y0, u[1], lo, hi), (x0 + y0, u[0] + u[1], n - hi, n - lo)):
+        if c1 == 0:
+            if not a <= c0 <= b:
+                return None
+            continue
+        j_lo, j_hi = step_range(c0, c1, a, b)
+        i_lo, i_hi = max(i_lo, j_lo), min(i_hi, j_hi)
+    if i_lo > i_hi:
+        return None
+
+    def at(i):
+        x, y = x0 + i * u[0], y0 + i * u[1]
+        v = (x, y, n - x - y)
+        return max(v), min(v), v
+
+    while i_lo < i_hi:
+        mid = (i_lo + i_hi) // 2
+        big0, small0, _ = at(mid)
+        big1, small1, _ = at(mid + 1)
+        if big1 * small0 >= big0 * small1:
+            i_hi = mid
+        else:
+            i_lo = mid + 1
+    return at(i_lo)
+
+
+def line_scan(n, u, x0, y0, lo, hi):
+    """Every point (max, min, coords) of the line inside the box, by step."""
+    out = []
+    for i in range(-((x0 - lo) // u[0]), (hi - x0) // u[0] + 1):
+        x, y = x0 + i * u[0], y0 + i * u[1]
+        v = (x, y, n - x - y)
+        if lo <= min(v) and max(v) <= hi:
+            out.append((max(v), min(v), v))
+    return out
+
+
+def line_best_scan(points):
+    """The first point of smallest max slope, or None."""
+    best = None
+    for big, small, v in points:
+        if best is None or big * best[1] < best[0] * small:
+            best = (big, small, v)
+    return best
+
+
+def balanced_point_bisect(n, c):
+    """The balanced point with bisected lines, each box line searched afresh."""
+    u, w = toric._reduced_basis(n, c)
+
+    def search(lines, lo, hi):
+        best = None
+        for j in lines:
+            cand = line_best_bisect(n, u, j * w[0], j * w[1], lo, hi)
+            if cand is not None and toric._beats(cand, best):
+                best = cand
+        return best
+
+    bound = search({(u[0] - u[1]) // 3, -((u[1] - u[0]) // 3)}, 1, n - 2)
+    if bound is None:
+        lo, hi = 1, n - 2
+    else:
+        big, small, _ = bound
+        lo = -((-n * small) // (small + 2 * big))
+        hi = (n * big) // (big + 2 * small)
+    corners = ((lo, lo), (n - 2 * lo, lo), (lo, n - 2 * lo))
+    ends = [u[0] * y - u[1] * x for x, y in corners]
+    best = search(range(-(-min(ends) // n), max(ends) // n + 1), lo, hi)
+    return None if best is None else best[2]
+
+
+def assert_line_kernel(n, u, x0, y0, lo, hi, seen):
+    points = line_scan(n, u, x0, y0, lo, hi)
+    got = toric._line_best(n, u, x0, y0, lo, hi)
+    assert got == line_best_scan(points) == line_best_bisect(n, u, x0, y0, lo, hi), (
+        n, u, x0, y0, lo, hi)
+    if len(points) == 1:
+        seen["one point"] += 1
+    if u[0] == u[1] and points:
+        seen["u_x = u_y"] += 1
+    if u[1] == 0 and points:
+        seen["u_y = 0"] += 1
+    ties = [p for p in points if p[0] * got[1] == got[0] * p[1]] if got else []
+    if x0 == y0 == 0 and len(ties) > 1:
+        seen["origin plateau"] += 1
+
+
+def test_line_kernel_matches_bisection_and_scan_on_every_line():
+    seen = collections.Counter()
+    for n in primerange(5, 114):
+        for c in range(1, n):
+            u, w = toric._reduced_basis(n, c)
+            scan = balanced_scan(n, c)
+            boxes = [(1, n - 2)]
+            if scan is not None:
+                big, small = max(scan.coords), min(scan.coords)
+                boxes.append((-((-n * small) // (small + 2 * big)),
+                              (n * big) // (big + 2 * small)))
+            corners = ((1, 1), (n - 2, 1), (1, n - 2))
+            ends = [u[0] * y - u[1] * x for x, y in corners]
+            for j in range(-(-min(ends) // n), max(ends) // n + 1):
+                for lo, hi in boxes:
+                    assert_line_kernel(n, u, j * w[0], j * w[1], lo, hi, seen)
+    assert seen["one point"] and seen["u_x = u_y"] and seen["origin plateau"]
+
+
+def test_line_kernel_matches_scan_on_synthetic_lines():
+    # lines no Gauss-reduced basis produces: u_y = 0, steep and flat u, far
+    # offsets and narrow boxes
+    rng = random.Random(11)
+    seen = collections.Counter()
+    for _ in range(4000):
+        n = rng.randrange(6, 400)
+        u = (rng.randrange(1, 8), rng.randrange(-8, 9))
+        x0, y0 = rng.randrange(-n, 2 * n), rng.randrange(-n, 2 * n)
+        lo = rng.randrange(1, n // 3 + 1)
+        hi = rng.randrange(n // 3, n - 1)
+        assert_line_kernel(n, u, x0, y0, lo, hi, seen)
+    assert seen["u_y = 0"] and seen["u_x = u_y"] and seen["one point"]
+
+
+def test_balanced_point_matches_bisection_at_large_n():
+    # far beyond the reach of the O(n) scan
+    rng = random.Random(2025)
+    for _ in range(2000):
+        n = nextprime(int(10 ** rng.uniform(1, 12)))
+        c = rng.randrange(1, n)
+        assert toric._balanced_point(n, c) == balanced_point_bisect(n, c), (n, c)
+
+
+def test_balanced_point_solves_each_line_once(monkeypatch):
+    kernel = toric._line_best
+    lines = []
+
+    def counted(n, u, x0, y0, lo, hi):
+        lines.append((x0, y0))
+        return kernel(n, u, x0, y0, lo, hi)
+
+    monkeypatch.setattr(toric, "_line_best", counted)
+    rng = random.Random(8)
+    for _ in range(300):
+        n = nextprime(rng.randrange(5, 10**6))
+        del lines[:]
+        toric._balanced_point(n, rng.randrange(1, n))
+        assert len(lines) == len(set(lines))
+
+
+def test_max_slope_of_a_boundary_point_is_typed():
+    assert max_slope(LatticePoint(2, 3, 4)) == 2
+    for v in (LatticePoint(0, 3, 4), LatticePoint(3, 0, 4), LatticePoint(3, 4, 0)):
+        with pytest.raises(NotInterior):
+            max_slope(v)
 
 
 def test_balanced_degenerate_when_p_equals_q():
