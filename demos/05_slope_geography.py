@@ -7,11 +7,8 @@ Three movements:
   2. the closed-form volume-slope limits march to 1 as d grows;
   3. hyperplane-arrangement log-Chern ratios approach (2, 1/3) as r grows.
 
-Finally the sweep driver writes a reproducible CSV of movement 1.
+Finally the sweep driver renders a reproducible CSV of movement 1.
 """
-
-import os
-import tempfile
 
 from rootcover import (
     closed_forms_p4,
@@ -66,8 +63,7 @@ for r in (20, 50, 200):
           f"{float(bars.c3_bar / bars.c1c2_bar):>9.4f}")
 print()
 
-print("=== sweep driver: CSV for the d = 6 family, primes in [7, 60] ===")
-out = os.path.join(tempfile.mkdtemp(), "d6_sweep.csv")
+print("=== sweep driver: CSV for the d = 6 family, primes in [17, 60] ===")
 config = {
     "preset": "hypersurface_p4",
     "d": 6,
@@ -79,10 +75,9 @@ config = {
     "trials": 10000,
     "strategy": "minimal",
     "format": "csv",
-    "output": out,
     "digits": 5,
 }
 text, code = run_sweep(config)
 for line in text.splitlines():
     print(line[:118])
-print("exit code:", code, " (also written to", out, ")")
+print("exit code:", code)

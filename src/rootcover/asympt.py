@@ -22,7 +22,7 @@ from functools import cached_property
 
 from .errors import BadInput, CertificationError, Exhausted
 from .exact import is_prime, log_enclosure, mod_inverse
-from .hj import _chain, chain_record, dual_record
+from .hj import _chain, chain_record
 
 # The membership test runs the chain kernel itself; these two names stay
 # bound here because perfbench/tracer.py wraps them where this module looked
@@ -239,22 +239,25 @@ def _sampled_compositions(n: int, r: int, seed: int):
 def _asymptotic_test(n: int, memo: dict):
     """The test nu -> (every pair residue of nu lies in O_n).
 
-    Membership of each residue q is looked up in ``memo``, which holds the
-    chain record of n/q for a member and False otherwise (filled by the
-    chain pass on a miss; q is a nonzero residue of the prime n, so no
-    coprimality check is needed).  The test stops at the first residue
-    outside O_n.
+    Each pair j < k is tested on its wall seed q_kj = q_jk': O_n is closed
+    under q -> q', which keeps the length s and D, so the verdict is that of
+    q_jk.  Membership of each residue q is looked up in ``memo``, which
+    holds the chain record of n/q for a member and False otherwise (filled
+    by the chain pass on a miss; q is a nonzero residue of the prime n, so
+    no coprimality check is needed).  A composition that passes thus leaves
+    the record of each of its wall chains n/q_kj in the memo.  The test
+    stops at the first residue outside O_n.
     """
     cap = _length_cap(n)
     neg_inverses: dict[int, int] = {}
 
     def asymptotic(nu) -> bool:
-        for k in range(1, len(nu)):
-            m = neg_inverses.get(nu[k])
+        for j in range(len(nu) - 1):
+            m = neg_inverses.get(nu[j])
             if m is None:
-                m = neg_inverses[nu[k]] = n - mod_inverse(nu[k], n)
-            for j in range(k):
-                q = nu[j] * m % n  # q_of_pair(n, nu[j], nu[k])
+                m = neg_inverses[nu[j]] = n - mod_inverse(nu[j], n)
+            for k in range(j + 1, len(nu)):
+                q = nu[k] * m % n  # q_of_pair(n, nu[k], nu[j])
                 hit = memo.get(q)
                 if hit is None:
                     hit = memo[q] = _member_record(n, q, cap)
@@ -367,17 +370,14 @@ def find_asymptotic_partition(
 
 
 def _with_search_records(part: Partition, memo: dict) -> Partition:
-    # The search looked up every pair residue q_jk (j < k) of ``part`` and
-    # kept the chain record of n/q_jk in ``memo``.  The wall chain of the
-    # pair is n/q_kj = n/q_jk', whose record dual_record reads off without a
-    # pass.  Seeding the cached_property's slot in the instance dict leaves
-    # equality, hash, repr and pickling of the frozen dataclass as they are;
-    # the records equal what Partition.chain_records would compute.
-    n, q, r = part.n, part.q_matrix, part.r
+    # The search looked up the wall seed q_kj of every pair j < k of ``part``
+    # and kept the chain record of n/q_kj in ``memo``.  Seeding the
+    # cached_property's slot in the instance dict leaves equality, hash,
+    # repr and pickling of the frozen dataclass as they are; the records
+    # equal what Partition.chain_records would compute.
+    q, r = part.q_matrix, part.r
     part.__dict__["chain_records"] = {
-        (j, k): dual_record(n, q[j][k], memo[q[j][k]])
-        for j in range(r)
-        for k in range(j + 1, r)
+        (j, k): memo[q[k][j]] for j in range(r) for k in range(j + 1, r)
     }
     return part
 

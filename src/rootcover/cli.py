@@ -126,11 +126,6 @@ def _load_config(path: str) -> dict:
         if not isinstance(value, _CONFIG_KEYS[key]) or isinstance(value, bool):
             raise ConfigError(f"config key {key!r} must be {_CONFIG_KEYS[key].__name__}")
         cfg[key] = value
-    if "pair_json" in cfg:
-        if "preset" in cfg or "d" in cfg or "r" in cfg:
-            raise ConfigError("give either pair_json or a preset, not both")
-    elif "preset" not in cfg:
-        raise ConfigError("config needs a preset or pair_json")
     for key in ("n_min", "n_max"):
         if key not in cfg:
             raise ConfigError(f"config needs {key}")
@@ -154,11 +149,13 @@ def _check_counts(cfg: dict) -> None:
 def _build_pair(cfg: dict):
     """The base pair and its CSV ``d`` column (0 for a pair file).
 
-    ``cfg`` holds ``pair_json``, or ``preset`` and its parameters by name
-    (see ``_PRESET_PARAMS``).  A pair file that cannot be read or parsed is a
-    ConfigError.
+    ``cfg`` holds either ``pair_json``, or ``preset`` and its parameters by
+    name (see ``_PRESET_PARAMS``); both, or neither, is a ConfigError, as is
+    a pair file that cannot be read or parsed.
     """
-    if cfg.get("pair_json"):
+    if "pair_json" in cfg:
+        if "preset" in cfg or "d" in cfg or "r" in cfg:
+            raise ConfigError("give either pair_json or a preset, not both")
         path = cfg["pair_json"]
         try:
             with open(path, encoding="utf-8") as fh:
@@ -167,7 +164,7 @@ def _build_pair(cfg: dict):
             raise ConfigError(f"cannot load base pair {path}: {exc}") from exc
     preset = cfg.get("preset")
     if preset is None:
-        raise ConfigError("need a preset or a base-pair JSON file")
+        raise ConfigError("need a preset or pair_json")
     if preset not in _PRESET_PARAMS:
         raise ConfigError(f"unknown preset {preset!r}")
     keys = _PRESET_PARAMS[preset]
@@ -303,9 +300,18 @@ def _cmd_resolve(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
-    cfg = {"pair_json": args.pair_json, "preset": args.preset}
-    keys = _PRESET_PARAMS.get(args.preset, ())
-    if len(args.params) == len(keys):
+    # the flags as a sweep config, so the same pair rules apply
+    cfg = {}
+    if args.pair_json is not None:
+        cfg["pair_json"] = args.pair_json
+    if args.preset is not None:
+        keys = _PRESET_PARAMS[args.preset]
+        if len(args.params) != len(keys):
+            raise ConfigError(
+                f"{args.preset} needs {' and '.join(keys)}: --params "
+                f"{','.join(keys)}, got {','.join(map(str, args.params))}"
+            )
+        cfg["preset"] = args.preset
         cfg.update(zip(keys, args.params))
     pair, _ = _build_pair(cfg)
     part = Partition(args.n, _parse_nu(args.nu))

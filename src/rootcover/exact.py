@@ -90,27 +90,22 @@ def sawtooth(x) -> Fraction:
     return x - math.floor(x) - Fraction(1, 2)
 
 
-def sqrt_upper(m, bits: int = 64) -> Fraction:
-    """A rational upper bound for sqrt(m), within 2**-bits of the true value.
+def sqrt_upper(m: int) -> Fraction:
+    """A rational upper bound for sqrt(m), within 2**-64 of the true value.
 
-    The bound is (isqrt(ceil(m 4**bits)) + 1) / 2**bits; an integer radicand
-    takes it by shifts, with no Fraction arithmetic.
+    The bound is (isqrt(m 4**64) + 1) / 2**64, taken by shifts; BadInput
+    unless m is a nonnegative integer.
     """
-    if not isinstance(m, int):
-        m = Fraction(m)
-    if m < 0:
-        raise BadInput("radicand must be nonnegative")
-    if isinstance(m, int):
-        scaled = m << 2 * bits
-    else:
-        scaled = math.ceil(m * (1 << 2 * bits))
-    return Fraction(math.isqrt(scaled) + 1, 1 << bits)
+    if not isinstance(m, int) or m < 0:
+        raise BadInput(f"radicand must be a nonnegative integer, got {m!r}")
+    return Fraction(math.isqrt(m << 128) + 1, 1 << 64)
 
 
 # Rational enclosure of log.  Used for the Girstmair complement bound, which
 # must be checked without trusting floats.
 
 _LN2_TERMS = 96
+_LOG_TERMS = 64  # terms of the atanh series in log_enclosure
 
 
 def _ln2_enclosure() -> tuple[Fraction, Fraction]:
@@ -122,7 +117,7 @@ def _ln2_enclosure() -> tuple[Fraction, Fraction]:
 _LN2_LO, _LN2_HI = _ln2_enclosure()
 
 
-def log_enclosure(x, terms: int = 64) -> tuple[Fraction, Fraction]:
+def log_enclosure(x) -> tuple[Fraction, Fraction]:
     """Exact rationals ``(lo, hi)`` with ``lo <= log(x) <= hi``.
 
     Argument reduction by powers of two, then the atanh series
@@ -143,11 +138,11 @@ def log_enclosure(x, terms: int = 64) -> tuple[Fraction, Fraction]:
     acc = Fraction(0)
     power = t
     tsq = t * t
-    for k in range(terms):
+    for k in range(_LOG_TERMS):
         acc += power / (2 * k + 1)
         power *= tsq
     lo_frac = 2 * acc
-    tail = 2 * power / ((2 * terms + 1) * (1 - tsq)) if t else Fraction(0)
+    tail = 2 * power / ((2 * _LOG_TERMS + 1) * (1 - tsq)) if t else Fraction(0)
     if e >= 0:
         return e * _LN2_LO + lo_frac, e * _LN2_HI + lo_frac + tail
     return e * _LN2_HI + lo_frac, e * _LN2_LO + lo_frac + tail

@@ -21,9 +21,8 @@ along it in arithmetic progression,
 
 Coefficients 2 add nothing to the excess or to the wall sums, so the chain
 record and the length are read in one such run-length pass
-(:func:`hj_length`, :func:`chain_record`), and :func:`dual_record` turns the
-record of n/q into that of n/q' without a second pass.  :func:`hj_expand`
-keeps every coefficient, for the callers that need the full sequences.
+(:func:`hj_length`, :func:`chain_record`).  :func:`hj_expand` keeps every
+coefficient, for the callers that need the full sequences.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ __all__ = [
     "hj_dual",
     "hj_length",
     "chain_record",
-    "dual_record",
 ]
 
 
@@ -134,15 +132,9 @@ def hj_dual(e: HJExpansion) -> HJExpansion:
     return dual
 
 
-def hj_length(n: int, q: int, cap: int | None = None) -> int | None:
-    """Length s of the expansion of n/q, or None once it exceeds ``cap``.
-
-    Read from the run-length pass of :func:`chain_record`, which stops as
-    soon as s passes ``cap``.
-    """
-    _validate(n, q)
-    record = _chain(n, q, n if cap is None else cap)  # s <= n - 1 always
-    return None if record is None else record[0]
+def hj_length(n: int, q: int) -> int:
+    """Length s of the expansion of n/q, read from :func:`chain_record`."""
+    return chain_record(n, q)[0]
 
 
 def _chain(n: int, q: int, cap: int) -> tuple[int, int, int, int, int, int] | None:
@@ -203,18 +195,3 @@ def chain_record(n: int, q: int) -> tuple[int, int, int, int, int, int]:
     _validate(n, q)
     return _chain(n, q, n)  # s <= n - 1, so the cap never cuts
 
-
-def dual_record(
-    n: int, q: int, record: tuple[int, int, int, int, int, int]
-) -> tuple[int, int, int, int, int, int]:
-    """The :func:`chain_record` of n/q' from ``record``, that of n/q.
-
-    The dual chain runs (m'_a, n'_a) = (n_{s+1-a}, m_{s+1-a}) (see
-    :func:`hj_dual`), so s, D, S0 and B are the same, q' = (D - q) mod n,
-    and the wall sums trade places:
-
-        S1' = (n - q' - 1) S0 - S2,   S2' = (n - q - 1) S0 - S1.
-    """
-    s, d, s0, s1, s2, b = record
-    q_inv = (d - q) % n
-    return (s, d, s0, (n - q_inv - 1) * s0 - s2, (n - q - 1) * s0 - s1, b)

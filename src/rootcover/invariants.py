@@ -118,6 +118,24 @@ def _check_compatible(pair: BasePair, part: Partition) -> None:
         )
 
 
+def _r12(pair: BasePair, n: int) -> tuple[int, int]:
+    """The numerators of R_1 and R_2 over 2 n; they depend on the pair and n
+    alone.  BadInput for n < 3, where chi has no Dedekind sums."""
+    if n < 3:
+        raise BadInput(f"modulus must be >= 3, got {n}")
+    r1 = (n - 1) * (
+        (n - 1) * pair.sum_d3()
+        + (2 * n - 1) * (pair.sum_12() + pair.sum_21())
+        + 3 * n * pair.triple.total()
+    )
+    r2 = (n - 1) * (
+        n * (pair.c1sq_dred() + pair.c2_dred())
+        - (2 * n - 1) * pair.c1_d2()
+        - 3 * n * pair.c1_d11()
+    )
+    return r1, r2
+
+
 def chi_root_cover(pair: BasePair, part: Partition) -> ChiValue:
     """chi(O_{X_n}) = n chi(O_Z) - (R_1 + R_2 + R_3)/12, exactly.
 
@@ -132,19 +150,7 @@ def chi_root_cover(pair: BasePair, part: Partition) -> ChiValue:
     """
     _check_compatible(pair, part)
     n = part.n
-    if n < 3:
-        raise BadInput(f"modulus must be >= 3, got {n}")
-    # every R-term as its numerator over 2 n
-    r1 = (n - 1) * (
-        (n - 1) * pair.sum_d3()
-        + (2 * n - 1) * (pair.sum_12() + pair.sum_21())
-        + 3 * n * pair.triple.total()
-    )
-    r2 = (n - 1) * (
-        n * (pair.c1sq_dred() + pair.c2_dred())
-        - (2 * n - 1) * pair.c1_d2()
-        - 3 * n * pair.c1_d11()
-    )
+    r1, r2 = _r12(pair, n)  # every R-term as its numerator over 2 n
     chains = part.chain_records
     r3 = 0
     for j, k, w in pair.pair_weights:
@@ -386,12 +392,7 @@ def closed_forms_p4(d: int, n: int, part: Partition) -> ClosedFormsP4:
     return ClosedFormsP4(k3, chi, euler_limit, slope_pair)
 
 
-def chi_error_bound(
-    pair: BasePair,
-    part: Partition,
-    chi_val: ChiValue | None = None,
-    bars: LogChernNumbers | None = None,
-) -> Fraction:
+def chi_error_bound(pair: BasePair, part: Partition) -> Fraction:
     """A-priori bound for |chi/n - c1c2_bar/24| on asymptotic partitions.
 
     |d(nu_j, nu_k, n)| = |d(1, q_jk, n)| (substitute i -> nu_j^{-1} i and use
@@ -402,19 +403,14 @@ def chi_error_bound(
                         (sum_{j<k} |D_jk (D_j + D_k + K_Z)| + 3 sum |D_jkl|).
 
     The n-dependent drift chi(O_Z) - (R_1 + R_2)/(12 n) - c1c2_bar/24 of the
-    R_1, R_2 terms is exact and added as is.  ``chi_val`` and ``bars`` take
-    the chi value and the log Chern numbers when the caller has them
-    already.  Each term is built as one Fraction from integers: R_1 and R_2
-    are integers over 2 n (see :func:`chi_root_cover`) and sqrt_upper(n) is
-    an integer over 2**64.
+    R_1, R_2 terms is exact and added as is.  Each term is built as one
+    Fraction from integers: R_1 and R_2 are integers over 2 n (see
+    :func:`chi_root_cover`) and sqrt_upper(n) is an integer over 2**64.
     """
+    _check_compatible(pair, part)
     n = part.n
-    if chi_val is None:
-        chi_val = chi_root_cover(pair, part)
-    if bars is None:
-        bars = pair.log_chern
-    r12 = sum(r.numerator * (2 * n // r.denominator) for r in (chi_val.r1, chi_val.r2))
-    bar = bars.c1c2_bar
+    r12 = sum(_r12(pair, n))
+    bar = pair.log_chern.c1c2_bar
     n2 = n * n
     drift = Fraction(
         (pair.c1c2 * n2 - r12) * bar.denominator - bar.numerator * n2,
@@ -451,7 +447,7 @@ def invariant_report(
         log_chern=bars,
         slopes=slopes,
         log_slopes=pair.log_slopes,
-        chi_error_bound=chi_error_bound(pair, part, chi_val, bars),
+        chi_error_bound=chi_error_bound(pair, part),
     )
 
 

@@ -89,11 +89,6 @@ class TripleTable:
             return self.constant * math.comb(self.r, 3)
         return sum(self.entries.values())
 
-    def is_zero(self) -> bool:
-        if self.constant is not None:
-            return self.constant == 0 or self.r < 3
-        return all(v == 0 for v in self.entries.values())
-
 
 @dataclass(frozen=True)
 class BasePair:
@@ -102,9 +97,10 @@ class BasePair:
     Tables are indexed from 0.  ``c1_dd[j][k]`` is c1.D_j D_k (the diagonal is
     c1.D_j^2); ``dd2[j][k]`` is D_j.D_k^2, ordered; both are r x r.
     ``pair_curves[(j,k)]`` lists (genus, component count) for the components
-    of the curve D_j.D_k.  ``h_section`` marks pairs whose divisors are all
-    linearly equivalent to a single class H, so multiplicities must satisfy
-    sum(nu) ~ 0 mod n.
+    of the curve D_j.D_k; it is nonempty for every pair with a nonzero
+    product (``meeting_pairs``), or BadParams.  ``h_section`` marks pairs
+    whose divisors are all linearly equivalent to a single class H, so
+    multiplicities must satisfy sum(nu) ~ 0 mod n.
 
     Everything the invariants derive from these tables alone is computed once
     per pair, on first use, and kept with it (also through pickling): the
@@ -151,15 +147,11 @@ class BasePair:
             for k in range(r):
                 if self.c1_dd[j][k] != self.c1_dd[k][j]:
                     raise BadParams("c1_dd must be symmetric")
-        for j in range(r):
-            for k in range(j + 1, r):
-                crossing = self.dd2[j][k] or self.dd2[k][j] or any(
-                    self.triple.get(j, k, l) for l in range(r) if l not in (j, k)
+        for j, k in self.meeting_pairs:
+            if not self.pair_curves.get((j, k)):
+                raise BadParams(
+                    f"divisors {j}, {k} meet but pair_curves[({j},{k})] is empty"
                 )
-                if crossing and not self.pair_curves.get((j, k)):
-                    raise BadParams(
-                        f"divisors {j}, {k} cross but pair_curves[({j},{k})] is empty"
-                    )
 
     @property
     def chi(self) -> Fraction:
@@ -332,7 +324,7 @@ def nonsingular_cover_chern(pair: BasePair, n: int) -> tuple[Fraction, Fraction,
         for k in range(pair.r):
             if j != k and (pair.c1_dd[j][k] or pair.dd2[j][k]):
                 raise NotDisjoint(f"divisors {j}, {k} have nonzero products")
-    if not pair.triple.is_zero():
+    if pair.triple.items_nonzero():
         raise NotDisjoint("triple products present")
 
     d3 = Fraction(pair.sum_d3())

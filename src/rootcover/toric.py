@@ -260,13 +260,29 @@ def subdivision_point(n: int, p: int, q: int, strategy: str) -> tuple[int, int, 
       integer steps around each of the three crossings (see _line_best).
       u points towards increasing v1, so the first of the line's ties is
       also the lexicographically first.
-    * The two lines next to the centroid (n/3, n/3) give a bound t = a/b on
-      the answer.  Every point with max slope <= t has each coordinate in
+    * The two lines next to the centroid G = (n/3, n/3) give a bound t = a/b
+      on the answer.  Every point with max slope <= t has each coordinate in
       [ceil(nb/(b+2a)), floor(na/(a+2b))], so only the lines that cross this
-      box are searched, within the box.  With no valid point on those two
-      lines the box is the whole triangle.  Each line is solved once: a
+      box are searched, within the box.  Each line is solved once: a
       centroid line's best point over the triangle is its best in the box
       when its max slope is t, and loses to the bound otherwise.
+    * A centroid line holds a point for every c but n - 1 (p = q, where
+      x + y = 0 (mod n) misses the triangle).  Let T be the closed triangle
+      x, y >= 1, x + y <= n - 1, with legs l = n - 3 and centroid G.  G has
+      line index b = det(u, G)/n = (u_x - u_y)/3, and 3b is an integer, so
+      the nearer centroid line is within d = n/(3|u|) of G.  The chord of T
+      parallel to u is a concave function of its offset, at least 2M/3 at G,
+      and reaches zero no nearer than W/3 to G on either side, where M is
+      the longest such chord and W the width of T normal to u: M W = l^2
+      and l/sqrt(2) <= W <= l sqrt(2).
+      So the nearer line's chord is at least h = (2M/3)(1 - 3d/W), and a
+      closed chord at least |u| long holds a lattice point.  By Hermite's
+      bound |u|^2 <= 2n/sqrt(3).  |u| = sqrt(2) only for c in {1, n - 1},
+      and c = 1 has (1, 1) on its centroid line x = y; |u| = 2 or sqrt(8)
+      would make n even or (1, +-1) a shorter vector.  On sqrt(5) <= |u|,
+      h - |u| is concave in |u| and unimodal in W, so its minimum is at a
+      corner, and every corner is positive for n >= 15; the tests check
+      every c at the primes below 15.
 
     Every point that ties with or beats t lies in the box, so the result is
     the one the O(n) scan over all x returns, tie-breaks included.  The box
@@ -376,7 +392,10 @@ def _beats(a, b) -> bool:
 
 
 def _balanced_point(n: int, c: int) -> tuple[int, int, int] | None:
-    """The balanced point for the multiplier c (see subdivision_point), or None."""
+    """The balanced point for the multiplier c (see subdivision_point), or
+    None for c = n - 1, the one multiplier without a point."""
+    if c == n - 1:
+        return None
     u, w = _reduced_basis(n, c)
     # the centroid is a*u + b*w with b = det(u, centroid)/n = (u_x - u_y)/3
     centroid = {(u[0] - u[1]) // 3, -((u[1] - u[0]) // 3)}
@@ -385,12 +404,9 @@ def _balanced_point(n: int, c: int) -> tuple[int, int, int] | None:
         cand = _line_best(n, u, j * w[0], j * w[1], 1, n - 2)
         if cand is not None and _beats(cand, best):
             best = cand
-    if best is None:
-        lo, hi = 1, n - 2
-    else:
-        big, small, _ = best
-        lo = -((-n * small) // (small + 2 * big))
-        hi = (n * big) // (big + 2 * small)
+    big, small, _ = best  # a centroid line holds a point (see subdivision_point)
+    lo = -((-n * small) // (small + 2 * big))
+    hi = (n * big) // (big + 2 * small)
     # a point P lies on line det(u, P)/n, which over the box is extreme at
     # a corner of the triangle v1, v2, v3 >= lo; the centroid lines are not
     # searched again, as their best point over the triangle is also their
@@ -403,7 +419,7 @@ def _balanced_point(n: int, c: int) -> tuple[int, int, int] | None:
         cand = _line_best(n, u, j * w[0], j * w[1], lo, hi)
         if cand is not None and _beats(cand, best):
             best = cand
-    return None if best is None else best[2]
+    return best[2]
 
 
 def _wall_seeds(spec: LocalConeSpec) -> dict[tuple[int, int], int]:

@@ -231,6 +231,26 @@ def test_invariants_preset_params(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_invariants_follows_the_sweep_pair_rules(tmp_path, capsys):
+    from rootcover.logchern import base_pair_to_json, make_preset
+
+    path = tmp_path / "pair.json"
+    path.write_text(base_pair_to_json(make_preset("planes_p3", 4)))
+    cell = ["--n", "7", "--nu", "1,2,4"]
+    # a pair file and a preset together, as in a sweep config
+    assert main(["invariants", "--pair-json", str(path), "--preset", "planes_p3", *cell]) == 1
+    assert "config error: give either pair_json or a preset, not both" in (
+        capsys.readouterr().err
+    )
+    # a --params list of the wrong length names what the preset takes
+    assert main(["invariants", "--preset", "planes_p3", "--params", "3,4", *cell]) == 1
+    assert "config error: planes_p3 needs r: --params r, got 3,4" in capsys.readouterr().err
+    assert main(["invariants", "--preset", "hypersurface_p4", "--params", "6,3,1", *cell]) == 1
+    assert "hypersurface_p4 needs d and r: --params d,r, got 6,3,1" in (
+        capsys.readouterr().err
+    )
+
+
 def test_invariants_from_pair_json(tmp_path, capsys):
     from rootcover.logchern import base_pair_to_json, make_preset
 

@@ -16,12 +16,22 @@ def test_demo_compiles(path):
     compile(path.read_text(), str(path), "exec")
 
 
-def test_fast_demo_runs_end_to_end():
-    # demo 04 is the worked fixture cell; the others trade runtime for range
-    demo = next(p for p in DEMOS if p.name.startswith("04"))
+# lines of each demo's output that its computations decide
+EXPECTED = {
+    "01": ("7/5 = [2, 2, 3]   s=3  q'=3  excess=1", "17/7 = [3, 2, 4]  (reversed)"),
+    "02": ("    17      15      3", "2 in O_17: True    16 in O_17: False"),
+    "03": ("minimal v = (1, 1, 1)", "F^3 = 7   K.F^2 = -4   K^2.F = 1"),
+    "04": ("chi = 1", "K^3 = -14", "e   = 18"),
+    "05": ("targets: 0.63 and d/(d-2) = 1.5", "exit code: 0"),
+}
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_runs_end_to_end(path):
+    # every demo takes well under a second
     proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, timeout=120
+        [sys.executable, str(path)], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert "chi = 1" in proc.stdout
-    assert "K^3 = -14" in proc.stdout
+    for line in EXPECTED[path.name[:2]]:
+        assert line in proc.stdout, line

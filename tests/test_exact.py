@@ -123,13 +123,11 @@ def test_sqrt_upper():
 def test_sqrt_upper_integer_path_matches_fraction_path():
     rng = random.Random(5)
     radicands = list(range(200)) + [rng.randrange(10**30) for _ in range(300)]
-    for bits in (1, 8, 64, 100):
-        scale = 1 << bits
-        for m in radicands:
-            want = Fraction(math.isqrt(math.ceil(Fraction(m) * scale * scale)) + 1, scale)
-            assert sqrt_upper(m, bits) == want == sqrt_upper(Fraction(m), bits)
-    assert sqrt_upper(Fraction(9, 4)) > Fraction(3, 2)
-    for m in (-1, Fraction(-1, 3)):
+    scale = 1 << 64
+    for m in radicands:
+        want = Fraction(math.isqrt(math.ceil(Fraction(m) * scale * scale)) + 1, scale)
+        assert sqrt_upper(m) == want
+    for m in (-1, Fraction(9, 4), 2.0):
         with pytest.raises(BadInput):
             sqrt_upper(m)
 

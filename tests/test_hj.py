@@ -11,7 +11,6 @@ from rootcover.errors import BadInput, CertificationError
 from rootcover.hj import (
     _chain,
     chain_record,
-    dual_record,
     hj_dual,
     hj_evaluate,
     hj_expand,
@@ -154,9 +153,9 @@ def test_dual_reversal_small():
 
 def test_length_cap():
     assert hj_length(100, 99) == 99
-    assert hj_length(100, 99, cap=50) is None
+    assert _chain(100, 99, 50) is None
     assert hj_length(7, 5) == 3
-    assert hj_length(7, 5, cap=3) == 3
+    assert _chain(7, 5, 3)[0] == 3
 
 
 @settings(max_examples=200)
@@ -180,7 +179,6 @@ def test_chain_record_matches_step_oracle_on_every_residue():
             assert _chain(n, q, s) == want, (n, q)
             assert _chain(n, q, s - 1) is None, (n, q)
             assert hj_length(n, q) == s
-            assert hj_length(n, q, cap=s) == s and hj_length(n, q, cap=s - 1) is None
 
 
 def test_chain_record_matches_step_oracle_on_random_large_moduli():
@@ -204,16 +202,3 @@ def test_chain_record_all_twos_chain_takes_one_step():
         assert _chain(n, n - 1, n - 2) is None
     assert chain_record(1009, 1008) == chain_record_steps(1009, 1008)
 
-
-def test_dual_record_matches_chain_record_of_inverse():
-    for n in KERNEL_MODULI:
-        for q in range(1, n):
-            q_inv = pow(q, -1, n)
-            assert dual_record(n, q, chain_record(n, q)) == chain_record(n, q_inv), (n, q)
-    rng = random.Random(20261)
-    for _ in range(300):
-        n = rng.randrange(3, 10**12)
-        q = rng.randrange(1, n)
-        if math.gcd(n, q) == 1:
-            q_inv = pow(q, -1, n)
-            assert dual_record(n, q, chain_record(n, q)) == chain_record(n, q_inv)

@@ -355,10 +355,11 @@ def test_chi_r3_vanishes_without_dedekind_mass():
 
 
 def test_chi_incompatible_partition():
-    with pytest.raises(IncompatiblePartition):
-        chi_root_cover(PLANES3, Partition(7, (1, 2)))
-    with pytest.raises(IncompatiblePartition):
-        chi_root_cover(PLANES3, Partition(11, (1, 2, 4)))  # sum != 0 mod 11
+    for chi_fn in (chi_root_cover, chi_error_bound):
+        with pytest.raises(IncompatiblePartition):
+            chi_fn(PLANES3, Partition(7, (1, 2)))
+        with pytest.raises(IncompatiblePartition):
+            chi_fn(PLANES3, Partition(11, (1, 2, 4)))  # sum != 0 mod 11
 
 
 def test_k3_fixtures():

@@ -233,6 +233,18 @@ def test_base_pair_requires_curves_for_crossing_pairs():
         )
 
 
+def test_base_pair_requires_curves_for_every_meeting_pair():
+    # c1.D_0 D_1 != 0 alone makes the pair meet: meeting_pairs lists it and
+    # e counts its curves, so a pair without them is refused
+    with pytest.raises(BadParams, match=r"pair_curves\[\(0,1\)\] is empty"):
+        dataclasses.replace(disjoint_pair(2), c1_dd=((6, 2), (2, 6)))
+    pair = dataclasses.replace(
+        disjoint_pair(2), c1_dd=((6, 2), (2, 6)), pair_curves={(0, 1): ((0, 1),)}
+    )
+    assert pair.meeting_pairs == ((0, 1),)
+    assert disjoint_pair(2).meeting_pairs == ()
+
+
 def test_base_pair_checks_table_shapes():
     planes = make_preset("planes_p3", 3)
     doc = json.loads(base_pair_to_json(planes))

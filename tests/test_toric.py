@@ -298,6 +298,26 @@ def test_balanced_point_matches_bisection_at_large_n():
         assert toric._balanced_point(n, c) == balanced_point_bisect(n, c), (n, c)
 
 
+def test_centroid_lines_hold_a_point_for_every_multiplier_but_n_minus_1():
+    # subdivision_point's docstring proves this for n >= 15, so
+    # _balanced_point has no search for the case without such a point; below
+    # 15 every c of every prime is checked against the scan, and the claim
+    # itself at every prime below 400
+    for n in primerange(2, 15):
+        for c in range(1, n):
+            want = balanced_scan(n, c)
+            assert toric._balanced_point(n, c) == (want and want.coords), (n, c)
+    for n in primerange(3, 400):
+        for c in range(1, n):
+            u, w = toric._reduced_basis(n, c)
+            b = Fraction(u[0] - u[1], 3)  # the line of the centroid (n/3, n/3)
+            held = any(
+                toric._line_best(n, u, j * w[0], j * w[1], 1, n - 2)
+                for j in (math.floor(b), math.ceil(b))
+            )
+            assert held == (c != n - 1), (n, c)
+
+
 def test_balanced_point_solves_each_line_once(monkeypatch):
     kernel = toric._line_best
     lines = []
