@@ -113,15 +113,15 @@ class Partition:
 
     @cached_property
     def q_matrix(self) -> tuple[tuple[int | None, ...], ...]:
-        # q_jk = nu_j (-nu_k') mod n: one inverse per column
-        n, nu = self.n, self.nu
-        neg_inverses = [n - mod_inverse(v, n) for v in nu]
-        return tuple(
-            tuple(
-                nu_j * m % n if j != k else None for k, m in enumerate(neg_inverses)
-            )
-            for j, nu_j in enumerate(nu)
-        )
+        # q_jk = nu_j (-nu_k') mod n: one inverse per column (n is prime)
+        n = self.n
+        neg_inverses = [n - pow(v, -1, n) for v in self.nu]
+        rows = []
+        for j, nu_j in enumerate(self.nu):
+            row = [nu_j * m % n for m in neg_inverses]
+            row[j] = None
+            rows.append(tuple(row))
+        return tuple(rows)
 
     @cached_property
     def chain_records(self) -> dict[tuple[int, int], tuple[int, ...]]:

@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .asympt import Partition, find_asymptotic_partition, girstmair_set
@@ -111,6 +110,16 @@ def _parse_nu(text: str) -> tuple[int, ...]:
         raise ConfigError(f"cannot parse multiplicities {text!r}") from None
 
 
+def _int_list(text: str) -> list[int]:
+    """The argparse type of ``--params``: comma-separated integers."""
+    try:
+        return [int(t) for t in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -205,6 +214,9 @@ def run_sweep(cfg: dict) -> tuple[str, int]:
     cells = [(pair, d, n, cfg) for n in primes]
     workers = cfg.get("workers") or 1
     if workers > 1 and len(cells) > 1:
+        # imported here: the pool machinery would add to every CLI start
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # about four chunks per worker: one task per cell costs more in
             # pickling and dispatch than a cheap cell takes to compute
@@ -303,16 +315,19 @@ def _cmd_invariants(args) -> int:
     # the flags as a sweep config, so the same pair rules apply
     cfg = {}
     if args.pair_json is not None:
+        if args.params is not None:  # as a sweep config with pair_json and r
+            raise ConfigError("--params gives a preset's parameters; a pair file takes none")
         cfg["pair_json"] = args.pair_json
     if args.preset is not None:
-        keys = _PRESET_PARAMS[args.preset]
-        if len(args.params) != len(keys):
-            raise ConfigError(
-                f"{args.preset} needs {' and '.join(keys)}: --params "
-                f"{','.join(keys)}, got {','.join(map(str, args.params))}"
-            )
         cfg["preset"] = args.preset
-        cfg.update(zip(keys, args.params))
+        keys = _PRESET_PARAMS[args.preset]
+        params = args.params or []
+        if "pair_json" not in cfg and len(params) != len(keys):
+            got = f", got {','.join(map(str, params))}" if params else ""
+            raise ConfigError(
+                f"{args.preset} needs {' and '.join(keys)}: --params {','.join(keys)}{got}"
+            )
+        cfg.update(zip(keys, params))
     pair, _ = _build_pair(cfg)
     part = Partition(args.n, _parse_nu(args.nu))
     report = invariant_report(pair, part, args.strategy)
@@ -378,10 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariants", help="full invariant report of one cell")
     p.add_argument("--preset", choices=("planes_p3", "hypersurface_p4"))
     p.add_argument(
-        "--params",
-        type=lambda s: [int(t) for t in s.split(",")],
-        default=[3],
-        help="r for planes_p3, d,r for hypersurface_p4",
+        "--params", type=_int_list, help="r for planes_p3, d,r for hypersurface_p4"
     )
     p.add_argument("--pair-json", help="path to a base-pair JSON file")
     p.add_argument("--n", type=int, required=True)

@@ -431,11 +431,16 @@ def invariant_report(
     chi_val = chi_root_cover(pair, part)
     k3 = k3_root_cover(pair, part, strategy)
     euler = euler_root_cover(pair, part)
-    bars = pair.log_chern
-    c1c2 = 24 * chi_val.chi
+    chi = chi_val.chi
     slopes = None
-    if c1c2:
-        slopes = (-k3 / c1c2, euler / c1c2)
+    if chi:
+        # -K^3/(24 chi) and e/(24 chi), each reduced once; Fraction moves the
+        # sign of a negative chi to the numerator
+        den = 24 * chi.numerator
+        slopes = (
+            Fraction(-k3.numerator * chi.denominator, k3.denominator * den),
+            Fraction(euler.numerator * chi.denominator, euler.denominator * den),
+        )
     return InvariantReport(
         n=part.n,
         nu=part.nu,
@@ -444,7 +449,7 @@ def invariant_report(
         chi=chi_val,
         k3=k3,
         euler=euler,
-        log_chern=bars,
+        log_chern=pair.log_chern,
         slopes=slopes,
         log_slopes=pair.log_slopes,
         chi_error_bound=chi_error_bound(pair, part),

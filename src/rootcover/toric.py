@@ -288,7 +288,12 @@ def subdivision_point(n: int, p: int, q: int, strategy: str) -> tuple[int, int, 
     the one the O(n) scan over all x returns, tie-breaks included.  The box
     is O(|w|) wide, or the whole triangle when |w| is of order n and |u| is
     O(1); either way it meets O(1) lines.  The cost is the O(log n) Gauss
-    reduction plus O(1) candidates on each of O(1) lines.
+    reduction plus O(1) candidates on each of O(1) lines: about 1.8 lines
+    and at most eight candidates each at n of order 10^3 to 10^5.  This
+    kernel is the largest share of a balanced report, so it runs on plain
+    int locals: the basis is four ints, the candidates' max and min are
+    found by comparisons and ranked by cross-multiplication, and only a
+    line's best point becomes a tuple.
     """
     if strategy == "minimal":
         h = (p + q) % n
@@ -298,7 +303,7 @@ def subdivision_point(n: int, p: int, q: int, strategy: str) -> tuple[int, int, 
     if strategy == "balanced":
         if (q + 1) % n == 0:
             raise Degenerate("q = n - 1: the slope parameter is not defined")
-        c = (-(p + 1) * mod_inverse((q + 1) % n, n)) % n
+        c = (-(p + 1) * pow(q + 1, -1, n)) % n
         if c == 0:
             raise Degenerate("p = n - 1: no interior point with coordinate sum n")
         best = _balanced_point(n, c)
@@ -308,41 +313,34 @@ def subdivision_point(n: int, p: int, q: int, strategy: str) -> tuple[int, int, 
     raise BadInput(f"unknown strategy {strategy!r}")
 
 
-def _reduced_basis(n: int, c: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Gauss-reduced basis (u, w) of {(x, y) : y = cx (mod n)}.
+def _reduced_basis(n: int, c: int) -> tuple[int, int, int, int]:
+    """Gauss-reduced basis u, w of {(x, y) : y = cx (mod n)}, as (ux, uy, wx, wy).
 
     u is a shortest vector, so u_x != 0 (any (1, y) in L with |y| <= n/2
     is shorter than (0, n)); it is taken with u_x > 0, and det(u, w) = n.
     """
-    u, w = (1, c), (0, n)
+    ux, uy, wx, wy = 1, c, 0, n
     while True:
-        uu = u[0] * u[0] + u[1] * u[1]
-        uw = u[0] * w[0] + u[1] * w[1]
-        mu = (2 * uw + uu) // (2 * uu)  # round(uw / uu)
-        w = (w[0] - mu * u[0], w[1] - mu * u[1])
-        if w[0] * w[0] + w[1] * w[1] >= uu:
+        uu = ux * ux + uy * uy
+        mu = (2 * (ux * wx + uy * wy) + uu) // (2 * uu)  # round(u.w / u.u)
+        wx -= mu * ux
+        wy -= mu * uy
+        if wx * wx + wy * wy >= uu:
             break
-        u, w = w, u
-    if u[0] < 0:
-        u = (-u[0], -u[1])
-    if u[0] * w[1] - u[1] * w[0] < 0:
-        w = (-w[0], -w[1])
-    return u, w
+        ux, uy, wx, wy = wx, wy, ux, uy
+    if ux < 0:
+        ux, uy = -ux, -uy
+    if ux * wy - uy * wx < 0:
+        wx, wy = -wx, -wy
+    return ux, uy, wx, wy
 
 
-def _step_range(c0: int, c1: int, lo: int, hi: int) -> tuple[int, int]:
-    """The integers i with lo <= c0 + c1*i <= hi, as (first, last); c1 != 0."""
-    if c1 < 0:
-        c0, c1, lo, hi = -c0, -c1, -hi, -lo
-    return -((c0 - lo) // c1), (hi - c0) // c1
-
-
-def _line_best(n: int, u, x0: int, y0: int, lo: int, hi: int):
+def _line_best(n: int, ux: int, uy: int, x0: int, y0: int, lo: int, hi: int):
     """Best point (max, min, coords) of the line (x0, y0) + Z*u in the box.
 
-    The box is lo <= v1, v2, v3 <= hi with v3 = n - v1 - v2, and u_x > 0.
-    Of tied points the one with the smallest v1 is returned; None when the
-    line has no lattice point in the box.
+    The box is lo <= v1, v2, v3 <= hi with v3 = n - v1 - v2 and lo >= 1,
+    and u_x > 0.  Of tied points the one with the smallest v1 is returned;
+    None when the line has no lattice point in the box.
 
     The coordinates are linear in the step i, so between two of the
     crossings v1 = v2, v1 = v3, v2 = v3 the max slope f is one
@@ -353,42 +351,82 @@ def _line_best(n: int, u, x0: int, y0: int, lo: int, hi: int):
     two ends and floor(b), floor(b) + 1 for each crossing b in range; a
     stretch of constant f needs no special case.
     """
-    ux, uy = u
-    i_lo, i_hi = -((x0 - lo) // ux), (hi - x0) // ux
-    for c0, c1, a, b in ((y0, uy, lo, hi), (x0 + y0, ux + uy, n - hi, n - lo)):
-        if c1 == 0:
-            if not a <= c0 <= b:
-                return None
-            continue
-        j_lo, j_hi = _step_range(c0, c1, a, b)
-        i_lo, i_hi = max(i_lo, j_lo), min(i_hi, j_hi)
+    # the steps i with lo <= v1, v2, v3 <= hi, one coordinate at a time
+    i_lo = -((x0 - lo) // ux)
+    i_hi = (hi - x0) // ux
+    if uy > 0:
+        j = -((y0 - lo) // uy)
+        if j > i_lo:
+            i_lo = j
+        j = (hi - y0) // uy
+        if j < i_hi:
+            i_hi = j
+    elif uy < 0:
+        j = -((y0 - hi) // uy)
+        if j > i_lo:
+            i_lo = j
+        j = (lo - y0) // uy
+        if j < i_hi:
+            i_hi = j
+    elif not lo <= y0 <= hi:
+        return None
+    s0, s1 = n - x0 - y0, ux + uy  # v3 = s0 - i*s1
+    if s1 > 0:
+        j = -((hi - s0) // s1)
+        if j > i_lo:
+            i_lo = j
+        j = (s0 - lo) // s1
+        if j < i_hi:
+            i_hi = j
+    elif s1 < 0:
+        j = -((lo - s0) // s1)
+        if j > i_lo:
+            i_lo = j
+        j = (s0 - hi) // s1
+        if j < i_hi:
+            i_hi = j
+    elif not lo <= s0 <= hi:
+        return None
     if i_lo > i_hi:
         return None
     steps = [i_lo, i_hi]
-    for num, den in ((y0 - x0, ux - uy), (n - 2 * x0 - y0, 2 * ux + uy),
-                     (n - x0 - 2 * y0, ux + 2 * uy)):
-        if den:
-            b = num // den
-            if i_lo <= b < i_hi:
-                steps += (b, b + 1)
+    # the crossings v1 = v2, v1 = v3 and v2 = v3
+    den = ux - uy
+    if den:
+        b = (y0 - x0) // den
+        if i_lo <= b < i_hi:
+            steps += (b, b + 1)
+    den = ux + s1
+    if den:
+        b = (s0 - x0) // den
+        if i_lo <= b < i_hi:
+            steps += (b, b + 1)
+    den = uy + s1
+    if den:
+        b = (s0 - y0) // den
+        if i_lo <= b < i_hi:
+            steps += (b, b + 1)
     steps.sort()
-    best = None
+    best_big, best_small, best_i = 1, 0, i_lo  # loses to any point in the box
     for i in steps:
-        x, y = x0 + i * ux, y0 + i * uy
+        x = x0 + i * ux
+        y = y0 + i * uy
         z = n - x - y
-        big, small = max(x, y, z), min(x, y, z)
-        if best is None or big * best[1] < best[0] * small:
-            best = (big, small, i)
-        elif big * best[1] > best[0] * small:
+        if x < y:
+            big, small = y, x
+        else:
+            big, small = x, y
+        if z > big:
+            big = z
+        elif z < small:
+            small = z
+        if big * best_small < best_big * small:
+            best_big, best_small, best_i = big, small, i
+        elif big * best_small > best_big * small:
             break  # f is quasiconvex: no later step is below this one
-    big, small, i = best
-    x, y = x0 + i * ux, y0 + i * uy
-    return big, small, (x, y, n - x - y)
-
-
-def _beats(a, b) -> bool:
-    """Whether candidate a = (max, min, coords) sorts before b (or b is None)."""
-    return b is None or (a[0] * b[1], a[2]) < (b[0] * a[1], b[2])
+    x = x0 + best_i * ux
+    y = y0 + best_i * uy
+    return best_big, best_small, (x, y, n - x - y)
 
 
 def _balanced_point(n: int, c: int) -> tuple[int, int, int] | None:
@@ -396,28 +434,44 @@ def _balanced_point(n: int, c: int) -> tuple[int, int, int] | None:
     None for c = n - 1, the one multiplier without a point."""
     if c == n - 1:
         return None
-    u, w = _reduced_basis(n, c)
-    # the centroid is a*u + b*w with b = det(u, centroid)/n = (u_x - u_y)/3
-    centroid = {(u[0] - u[1]) // 3, -((u[1] - u[0]) // 3)}
-    best = None
-    for j in centroid:
-        cand = _line_best(n, u, j * w[0], j * w[1], 1, n - 2)
-        if cand is not None and _beats(cand, best):
+    ux, uy, wx, wy = _reduced_basis(n, c)
+    # the centroid is a*u + b*w with b = det(u, centroid)/n = (u_x - u_y)/3,
+    # between the lines j0 and j1 (one line when 3 | u_x - u_y)
+    j0 = (ux - uy) // 3
+    j1 = -((uy - ux) // 3)
+    best = _line_best(n, ux, uy, j0 * wx, j0 * wy, 1, n - 2)
+    if j1 != j0:
+        cand = _line_best(n, ux, uy, j1 * wx, j1 * wy, 1, n - 2)
+        if cand is not None and (
+            best is None or (cand[0] * best[1], cand[2]) < (best[0] * cand[1], best[2])
+        ):
             best = cand
     big, small, _ = best  # a centroid line holds a point (see subdivision_point)
     lo = -((-n * small) // (small + 2 * big))
     hi = (n * big) // (big + 2 * small)
     # a point P lies on line det(u, P)/n, which over the box is extreme at
-    # a corner of the triangle v1, v2, v3 >= lo; the centroid lines are not
-    # searched again, as their best point over the triangle is also their
-    # best in the box or loses to the bound
-    corners = ((lo, lo), (n - 2 * lo, lo), (lo, n - 2 * lo))
-    ends = [u[0] * y - u[1] * x for x, y in corners]
-    for j in range(-(-min(ends) // n), max(ends) // n + 1):
-        if j in centroid:
+    # a corner of the triangle v1, v2, v3 >= lo: (lo, lo), (n - 2 lo, lo)
+    # and (lo, n - 2 lo); the centroid lines are not searched again, as
+    # their best point over the triangle is also their best in the box or
+    # loses to the bound
+    e0 = (ux - uy) * lo
+    e1 = ux * lo - uy * (n - 2 * lo)
+    e2 = ux * (n - 2 * lo) - uy * lo
+    if e1 < e2:
+        e_min, e_max = e1, e2
+    else:
+        e_min, e_max = e2, e1
+    if e0 < e_min:
+        e_min = e0
+    elif e0 > e_max:
+        e_max = e0
+    for j in range(-(-e_min // n), e_max // n + 1):
+        if j == j0 or j == j1:
             continue
-        cand = _line_best(n, u, j * w[0], j * w[1], lo, hi)
-        if cand is not None and _beats(cand, best):
+        cand = _line_best(n, ux, uy, j * wx, j * wy, lo, hi)
+        if cand is not None and (
+            (cand[0] * best[1], cand[2]) < (best[0] * cand[1], best[2])
+        ):
             best = cand
     return best[2]
 

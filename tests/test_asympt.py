@@ -118,6 +118,23 @@ def test_partition_q_matrix():
         Partition(7, (1, 2, 7))
 
 
+def test_q_matrix_matches_q_of_pair_on_random_partitions():
+    rng = random.Random(13)
+    primes = list(primerange(3, 2000))
+    for _ in range(400):
+        n = rng.choice(primes)
+        r = rng.randint(2, 8)
+        nu = tuple(rng.randrange(1, n) for _ in range(r))
+        q = Partition(n, nu).q_matrix
+        assert type(q) is tuple and len(q) == r
+        for j in range(r):
+            assert type(q[j]) is tuple and len(q[j]) == r
+            assert q[j][j] is None
+            for k in range(r):
+                if k != j:
+                    assert q[j][k] == q_of_pair(n, nu[j], nu[k]), (n, nu, j, k)
+
+
 def test_girstmair_fixtures():
     on = girstmair_set(17)
     # l(16, 17) = 16 and (16-2)^2 = 196 > 9*17 = 153

@@ -251,6 +251,33 @@ def test_invariants_follows_the_sweep_pair_rules(tmp_path, capsys):
     )
 
 
+def test_invariants_params_go_with_a_preset_only(tmp_path, capsys):
+    from rootcover.logchern import base_pair_to_json, make_preset
+
+    path = tmp_path / "p3.json"
+    path.write_text(base_pair_to_json(make_preset("planes_p3", 3)))
+    cell = ["--n", "7", "--nu", "1,2,4"]
+    # a pair file takes no parameters, as a sweep config with pair_json and r
+    assert main(["invariants", "--pair-json", str(path), "--params", "9,9,9", *cell]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: --params gives a preset's parameters" in captured.err
+    # a preset without --params names what it takes, as a wrong-length list does
+    assert main(["invariants", "--preset", "planes_p3", *cell]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: planes_p3 needs r: --params r\n"
+    assert main(["invariants", "--preset", "hypersurface_p4", *cell]) == 1
+    assert "hypersurface_p4 needs d and r: --params d,r\n" in capsys.readouterr().err
+    # a list that is not integers is a usage error that names the flag
+    with pytest.raises(SystemExit) as exc:
+        main(["invariants", "--preset", "planes_p3", "--params", "3,x", *cell])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --params: expected comma-separated integers, got '3,x'" in err
+    assert "lambda" not in err
+
+
 def test_invariants_from_pair_json(tmp_path, capsys):
     from rootcover.logchern import base_pair_to_json, make_preset
 
@@ -332,6 +359,16 @@ def test_parser_builds():
 def test_cli_import_leaves_out_sympy():
     # the runtime needs only the standard library; sympy is a test oracle
     code = "import sys, rootcover.cli; print('sympy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # only a sweep with more than one worker imports the pool machinery
+    code = "import sys, rootcover.cli; print('concurrent.futures.process' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
     )

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import pickle
@@ -714,6 +715,51 @@ def test_invariant_report_fixture():
     # every rational round-trips through the num/den encoding
     num, den = doc["chi_error_bound"].split("/")
     assert Fraction(int(num), int(den)) == rep.chi_error_bound
+
+
+def test_slopes_are_the_fraction_quotients():
+    # invariant_report reduces -K^3/(24 chi) and e/(24 chi) once each
+    rng = random.Random(41)
+    primes = list(primerange(17, 2000))
+    sparse = base_pair_from_json(json.dumps(SPARSE_PAIR_DOC))
+    cells = [(sparse, part) for part in SPARSE_PAIR_PARTS]
+    pairs = [make_preset("planes_p3", r) for r in (3, 4, 5)]
+    pairs += [make_preset("hypersurface_p4", (d, r)) for d, r in ((6, 3), (6, 4), (5, 8))]
+    for pair in pairs:
+        for n in rng.sample(primes, 4):
+            try:
+                cells.append((pair, find_asymptotic_partition(n, pair.r, rng.randrange(99), 3000)))
+            except Exhausted:
+                pass
+    signs = collections.Counter()
+    for pair, part in cells:
+        for strategy in ("minimal", "balanced"):
+            try:
+                report = invariant_report(pair, part, strategy)
+            except DegenerateCone:
+                continue
+            chi = report.chi.chi
+            assert chi != 0
+            signs[chi > 0, strategy] += 1
+            assert report.slopes == (-report.k3 / (24 * chi), report.euler / (24 * chi))
+    assert all(signs[sign, strategy] >= 5 for sign in (True, False)
+               for strategy in ("minimal", "balanced")), signs
+
+
+def test_slopes_are_none_when_chi_vanishes(monkeypatch):
+    import rootcover.invariants as inv
+
+    chi_root_cover = inv.chi_root_cover
+
+    def zero_chi(pair, part):
+        value = chi_root_cover(pair, part)
+        return ChiValue(Fraction(0), value.r1, value.r2, value.r3)
+
+    monkeypatch.setattr(inv, "chi_root_cover", zero_chi)
+    report = invariant_report(PLANES3, FIXTURE)
+    assert report.chi.chi == 0 and report.k3 == -14 and report.euler == 18
+    assert report.slopes is None
+    assert report_to_json_dict(report)["slopes"] is None
 
 
 def test_report_integrality():

@@ -159,6 +159,18 @@ def test_balanced_tie_break_is_lexicographic():
         assert max_slope(v) == max_slope(other) and v.coords < other.coords
 
 
+def step_range(c0, c1, lo, hi):
+    """The integers i with lo <= c0 + c1*i <= hi, as (first, last); c1 != 0."""
+    if c1 < 0:
+        c0, c1, lo, hi = -c0, -c1, -hi, -lo
+    return -((c0 - lo) // c1), (hi - c0) // c1
+
+
+def beats(a, b):
+    """Whether candidate a = (max, min, coords) sorts before b (or b is None)."""
+    return b is None or (a[0] * b[1], a[2]) < (b[0] * a[1], b[2])
+
+
 def line_best_bisect(n, u, x0, y0, lo, hi):
     """Bisection oracle for toric._line_best: same contract, O(log n) steps.
 
@@ -166,7 +178,6 @@ def line_best_bisect(n, u, x0, y0, lo, hi):
     only at its minimum, so the first step whose successor is no better is
     the line's best point (and, as u_x > 0, the first of its ties).
     """
-    step_range = toric._step_range
     i_lo, i_hi = step_range(x0, u[0], lo, hi)
     for c0, c1, a, b in ((y0, u[1], lo, hi), (x0 + y0, u[0] + u[1], n - hi, n - lo)):
         if c1 == 0:
@@ -216,13 +227,14 @@ def line_best_scan(points):
 
 def balanced_point_bisect(n, c):
     """The balanced point with bisected lines, each box line searched afresh."""
-    u, w = toric._reduced_basis(n, c)
+    ux, uy, wx, wy = toric._reduced_basis(n, c)
+    u, w = (ux, uy), (wx, wy)
 
     def search(lines, lo, hi):
         best = None
         for j in lines:
             cand = line_best_bisect(n, u, j * w[0], j * w[1], lo, hi)
-            if cand is not None and toric._beats(cand, best):
+            if cand is not None and beats(cand, best):
                 best = cand
         return best
 
@@ -241,7 +253,7 @@ def balanced_point_bisect(n, c):
 
 def assert_line_kernel(n, u, x0, y0, lo, hi, seen):
     points = line_scan(n, u, x0, y0, lo, hi)
-    got = toric._line_best(n, u, x0, y0, lo, hi)
+    got = toric._line_best(n, *u, x0, y0, lo, hi)
     assert got == line_best_scan(points) == line_best_bisect(n, u, x0, y0, lo, hi), (
         n, u, x0, y0, lo, hi)
     if len(points) == 1:
@@ -259,7 +271,8 @@ def test_line_kernel_matches_bisection_and_scan_on_every_line():
     seen = collections.Counter()
     for n in primerange(5, 114):
         for c in range(1, n):
-            u, w = toric._reduced_basis(n, c)
+            ux, uy, wx, wy = toric._reduced_basis(n, c)
+            u, w = (ux, uy), (wx, wy)
             scan = balanced_scan(n, c)
             boxes = [(1, n - 2)]
             if scan is not None:
@@ -309,10 +322,10 @@ def test_centroid_lines_hold_a_point_for_every_multiplier_but_n_minus_1():
             assert toric._balanced_point(n, c) == (want and want.coords), (n, c)
     for n in primerange(3, 400):
         for c in range(1, n):
-            u, w = toric._reduced_basis(n, c)
-            b = Fraction(u[0] - u[1], 3)  # the line of the centroid (n/3, n/3)
+            ux, uy, wx, wy = toric._reduced_basis(n, c)
+            b = Fraction(ux - uy, 3)  # the line of the centroid (n/3, n/3)
             held = any(
-                toric._line_best(n, u, j * w[0], j * w[1], 1, n - 2)
+                toric._line_best(n, ux, uy, j * wx, j * wy, 1, n - 2)
                 for j in (math.floor(b), math.ceil(b))
             )
             assert held == (c != n - 1), (n, c)
@@ -322,9 +335,9 @@ def test_balanced_point_solves_each_line_once(monkeypatch):
     kernel = toric._line_best
     lines = []
 
-    def counted(n, u, x0, y0, lo, hi):
+    def counted(n, ux, uy, x0, y0, lo, hi):
         lines.append((x0, y0))
-        return kernel(n, u, x0, y0, lo, hi)
+        return kernel(n, ux, uy, x0, y0, lo, hi)
 
     monkeypatch.setattr(toric, "_line_best", counted)
     rng = random.Random(8)
