@@ -33,7 +33,7 @@ from .errors import (
     NotInterior,
     RootcoverError,
 )
-from .exact import mod_inverse, residue, sawtooth
+from .exact import mod_inverse, sawtooth
 from .hj import (
     HJExpansion,
     chain_record,

@@ -272,13 +272,14 @@ def _composition_tree(n: int, r: int, memo: dict):
     """Exact depth-first search for an asymptotic composition of n into r parts.
 
     Permuting the parts maps each pair residue to itself or its inverse, and
-    O_n is closed under inverses, so the search runs over nonincreasing parts
-    and tries the most balanced value first at each depth.  Equal parts pair
-    to q = n - 1; when n - 1 is not in O_n (always, for n >= 17: its chain is
-    n - 1 twos) the parts are distinct.  A depth that leaves sum R to ``left``
-    parts of at most ``cap`` only tries values that keep
-    left (left + 1) / 2 <= R <= cap + (cap - 1) + ... + (cap - left + 1)
-    for distinct parts, or left <= R <= left cap for repeats.
+    O_n is closed under inverses, so the search runs over decreasing parts
+    and tries the most balanced value first at each depth.  The parts are
+    distinct: equal parts pair to q = n - 1, whose chain is n - 1 twos,
+    longer than floor(3 sqrt(n) + 2) for every n >= 17, so n - 1 is not in
+    O_n (the only caller, :func:`find_asymptotic_partition`, requires
+    n >= 17).  A depth that leaves sum R to ``left`` parts of at most
+    ``cap`` only tries values that keep
+    left (left + 1) / 2 <= R <= cap + (cap - 1) + ... + (cap - left + 1).
 
     Yields ``(candidate, ok)`` once per part tried: the prefix with that part
     appended, and whether its new pair residues all lie in O_n (``memo``
@@ -295,15 +296,13 @@ def _composition_tree(n: int, r: int, memo: dict):
             hit = memo[q] = _member_record(n, q, cap)
         return hit
 
-    distinct = 0 if member(n - 1) else 1
-
     def span(rest_sum: int, left: int, cap: int) -> tuple[int, int]:
-        # Values v for the largest of `left` parts with sum rest_sum: the
-        # other left - 1 parts must fit below v - distinct.
+        # Values v for the largest of `left` distinct parts with sum
+        # rest_sum: the other left - 1 parts must fit below v - 1.
         rest = left - 1
         tri = rest * (rest - 1) // 2
-        lo = -(-(rest_sum + distinct * (rest + tri)) // left)
-        return lo, min(cap, rest_sum - rest - distinct * tri)
+        lo = -(-(rest_sum + rest + tri) // left)
+        return lo, min(cap, rest_sum - rest - tri)
 
     parts: list[int] = []
     highs: list[int] = []
@@ -325,7 +324,7 @@ def _composition_tree(n: int, r: int, memo: dict):
             parts.append(v)
             highs.append(hi)
             rest_sum -= v
-            v, hi = span(rest_sum, r - len(parts), v - distinct)
+            v, hi = span(rest_sum, r - len(parts), v - 1)
         else:
             v += 1
 

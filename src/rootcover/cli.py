@@ -28,8 +28,9 @@ from .errors import (
 from .exact import is_prime
 from .hj import hj_expand
 from .invariants import _rat_str, invariant_report, report_to_json_dict
-from .logchern import base_pair_from_json, make_preset
+from .logchern import PRESET_PARAMS, base_pair_from_json, make_preset
 from .toric import (
+    STRATEGIES,
     LocalConeSpec,
     cyclic_resolution,
     local_intersection_table,
@@ -78,9 +79,6 @@ _CONFIG_DEFAULTS = {
     "output": "-",
     "digits": 6,
 }
-
-
-_PRESET_PARAMS = {"planes_p3": ("r",), "hypersurface_p4": ("d", "r")}
 
 
 def _csv_rats(row: dict) -> list[str]:
@@ -142,7 +140,7 @@ def _load_config(path: str) -> dict:
         raise ConfigError("n_min must not exceed n_max")
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError(f"unknown format {cfg['format']!r}")
-    if cfg["strategy"] not in ("minimal", "balanced"):
+    if cfg["strategy"] not in STRATEGIES:
         raise ConfigError(f"unknown strategy {cfg['strategy']!r}")
     _check_counts(cfg)
     return cfg
@@ -159,7 +157,7 @@ def _build_pair(cfg: dict):
     """The base pair and its CSV ``d`` column (0 for a pair file).
 
     ``cfg`` holds either ``pair_json``, or ``preset`` and its parameters by
-    name (see ``_PRESET_PARAMS``); both, or neither, is a ConfigError, as is
+    name (see ``PRESET_PARAMS``); both, or neither, is a ConfigError, as is
     a pair file that cannot be read or parsed.
     """
     if "pair_json" in cfg:
@@ -174,9 +172,9 @@ def _build_pair(cfg: dict):
     preset = cfg.get("preset")
     if preset is None:
         raise ConfigError("need a preset or pair_json")
-    if preset not in _PRESET_PARAMS:
+    if preset not in PRESET_PARAMS:
         raise ConfigError(f"unknown preset {preset!r}")
-    keys = _PRESET_PARAMS[preset]
+    keys = PRESET_PARAMS[preset]
     if any(key not in cfg for key in keys):
         raise ConfigError(f"{preset} needs {' and '.join(keys)}")
     pair = make_preset(preset, tuple(cfg[key] for key in keys))
@@ -320,7 +318,7 @@ def _cmd_invariants(args) -> int:
         cfg["pair_json"] = args.pair_json
     if args.preset is not None:
         cfg["preset"] = args.preset
-        keys = _PRESET_PARAMS[args.preset]
+        keys = PRESET_PARAMS[args.preset]
         params = args.params or []
         if "pair_json" not in cfg and len(params) != len(keys):
             got = f", got {','.join(map(str, params))}" if params else ""
@@ -386,19 +384,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
-    p.add_argument("--strategy", choices=("minimal", "balanced"), default="minimal")
+    p.add_argument("--strategy", choices=STRATEGIES, default="minimal")
     p.add_argument("--table", action="store_true", help="include the intersection table")
     p.set_defaults(func=_cmd_resolve)
 
     p = sub.add_parser("invariants", help="full invariant report of one cell")
-    p.add_argument("--preset", choices=("planes_p3", "hypersurface_p4"))
+    p.add_argument("--preset", choices=tuple(PRESET_PARAMS))
     p.add_argument(
         "--params", type=_int_list, help="r for planes_p3, d,r for hypersurface_p4"
     )
     p.add_argument("--pair-json", help="path to a base-pair JSON file")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--nu", required=True, help="comma-separated multiplicities")
-    p.add_argument("--strategy", choices=("minimal", "balanced"), default="minimal")
+    p.add_argument("--strategy", choices=STRATEGIES, default="minimal")
     p.set_defaults(func=_cmd_invariants)
 
     p = sub.add_parser("sweep", help="prime sweep from a config file")

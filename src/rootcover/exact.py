@@ -14,12 +14,6 @@ from fractions import Fraction
 
 from .errors import BadInput, NotCoprime
 
-def residue(a: int, n: int) -> int:
-    """Residue of ``a`` modulo ``n``, normalized to ``[0, n)``."""
-    if n < 1:
-        raise BadInput(f"modulus must be positive, got {n}")
-    return a % n
-
 
 def mod_inverse(a: int, n: int) -> int:
     """Inverse of ``a`` modulo ``n``, in ``[1, n)``.

@@ -47,7 +47,7 @@ from .errors import (
 from .exact import sqrt_upper
 from .hj import hj_expand
 from .logchern import BasePair, LogChernNumbers
-from .toric import LocalConeSpec, subdivision_point
+from .toric import subdivision_point
 
 # Reports read chain lengths from Partition.chain_records, log Chern numbers
 # from BasePair.log_chern and triple points from subdivision_point; these
@@ -193,22 +193,17 @@ def _triple_points(pair: BasePair, part: Partition, strategy: str) -> list:
     """The subdivision point (v1, v2, v3) of each nonzero triple, in integers.
 
     Aligned with ``pair.triple.items_nonzero()``.  The triple (a, b, c) has
-    the cone (n, q_ac, q_bc) of :func:`rootcover.toric.local_cone`; its
-    excluded shapes are tested on those q_matrix integers and the point is
-    :func:`rootcover.toric.subdivision_point`.  The partition has checked
-    that n is prime, so no :class:`LocalConeSpec` is built, except for the
-    message of a DegenerateCone.
+    the cone (n, q_ac, q_bc) of :func:`rootcover.toric.local_cone`, and its
+    point is :func:`rootcover.toric.subdivision_point` of those q_matrix
+    integers (the partition has checked that n is prime).  A cone of an
+    excluded shape raises DegenerateCone, naming the triple.
     """
     points = []
     n = part.n
     q = part.q_matrix
     for (a, b, c), _t in pair.triple.items_nonzero():
-        p_ac, q_bc = q[a][c], q[b][c]
-        if p_ac == q_bc or p_ac + q_bc == n or n - 1 in (p_ac, q_bc):
-            flags = LocalConeSpec(n, p_ac, q_bc).degenerate_flags
-            raise DegenerateCone(f"triple ({a},{b},{c}): excluded cone shape {flags}")
         try:
-            points.append(subdivision_point(n, p_ac, q_bc, strategy))
+            points.append(subdivision_point(n, q[a][c], q[b][c], strategy))
         except Degenerate as exc:
             raise DegenerateCone(f"triple ({a},{b},{c}): {exc}") from exc
     return points

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -29,6 +30,7 @@ from typing import Optional
 from .errors import BadParams, NotDisjoint
 
 __all__ = [
+    "PRESET_PARAMS",
     "TripleTable",
     "BasePair",
     "LogChernNumbers",
@@ -38,6 +40,20 @@ __all__ = [
     "base_pair_to_json",
     "base_pair_from_json",
 ]
+
+# The parameters of each preset of make_preset, by name and in order.
+PRESET_PARAMS = {"planes_p3": ("r",), "hypersurface_p4": ("d", "r")}
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _require_ints(what: str, values) -> None:
+    """BadParams unless every one of ``values`` is an int (bools are not)."""
+    for x in values:
+        if not _is_int(x):
+            raise BadParams(f"{what} must be ints, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -53,7 +69,12 @@ class TripleTable:
     entries: dict = field(default_factory=dict)  # {(j,k,l): value}, j<k<l
 
     def __post_init__(self):
+        _require_ints("triple r", (self.r,))
+        if self.constant is not None:
+            _require_ints("triple constant", (self.constant,))
+        _require_ints("triple values", self.entries.values())
         for key in self.entries:
+            _require_ints("triple keys", key)
             if not (len(key) == 3 and 0 <= key[0] < key[1] < key[2] < self.r):
                 raise BadParams(
                     f"triple key {key} must be (j, k, l) with 0 <= j < k < l < {self.r}"
@@ -129,20 +150,35 @@ class BasePair:
 
     def __post_init__(self):
         r = self.r
+        for name in ("r", "c1_cubed", "c1c2", "c3", "e_d", "e_sing_d"):
+            _require_ints(name, (getattr(self, name),))
+        if not isinstance(self.h_section, bool) or not isinstance(self.label, str):
+            raise BadParams(
+                f"h_section must be a bool and label a str, got {self.h_section!r}, {self.label!r}"
+            )
         for name in ("d3", "c1sq_d", "c2_d"):
-            if len(getattr(self, name)) != r:
+            table = getattr(self, name)
+            if len(table) != r:
                 raise BadParams(f"table {name} must have length {r}")
+            _require_ints(f"table {name}", table)
         for name in ("c1_dd", "dd2"):
             rows = getattr(self, name)
             if len(rows) != r or any(len(row) != r for row in rows):
                 raise BadParams(f"table {name} must be {r} x {r}")
+            for row in rows:
+                _require_ints(f"table {name}", row)
         if self.triple.r != r:
             raise BadParams(f"triple table has r = {self.triple.r}, pair has r = {r}")
-        for key in self.pair_curves:
+        for key, curves in self.pair_curves.items():
+            _require_ints("pair_curves keys", key)
             if not (len(key) == 2 and 0 <= key[0] < key[1] < r):
                 raise BadParams(
                     f"pair_curves key {key} must be (j, k) with 0 <= j < k < {r}"
                 )
+            for curve in curves:
+                if len(curve) != 2:
+                    raise BadParams(f"pair_curves[{key}] entries must be (genus, count)")
+                _require_ints(f"pair_curves[{key}]", curve)
         for j in range(r):
             for k in range(r):
                 if self.c1_dd[j][k] != self.c1_dd[k][j]:
@@ -383,21 +419,25 @@ def make_preset(kind: str, params) -> BasePair:
     ``planes_p3`` with params r: r planes in general position in P^3.
     ``hypersurface_p4`` with params (d, r): a smooth degree-d 3-fold in P^4
     with r general hyperplane sections (d = 1 recovers the planes preset).
+    ``params`` is a sequence of exactly the ints that ``PRESET_PARAMS``
+    names for ``kind``, or one int r for ``planes_p3``; anything else, or a
+    value below 1, is BadParams.
     """
+    keys = PRESET_PARAMS.get(kind)
+    if keys is None:
+        raise BadParams(f"unknown preset kind {kind!r}")
+    values = (params,) if kind == "planes_p3" and _is_int(params) else params
+    if not (
+        isinstance(values, Sequence)
+        and len(values) == len(keys)
+        and all(map(_is_int, values))
+    ):
+        raise BadParams(f"{kind} takes params ({', '.join(keys)}) as ints, got {params!r}")
+    if min(values) < 1:
+        raise BadParams(f"need {' >= 1 and '.join(keys)} >= 1, got {params!r}")
     if kind == "planes_p3":
-        r = params if isinstance(params, int) else params[0]
-        if r < 1:
-            raise BadParams(f"need r >= 1, got {r}")
-        return _hypersurface_tables(1, r)
-    if kind == "hypersurface_p4":
-        try:
-            d, r = params
-        except (TypeError, ValueError):
-            raise BadParams("hypersurface_p4 takes params (d, r)") from None
-        if d < 1 or r < 1:
-            raise BadParams(f"need d >= 1 and r >= 1, got ({d}, {r})")
-        return _hypersurface_tables(d, r)
-    raise BadParams(f"unknown preset kind {kind!r}")
+        return _hypersurface_tables(1, *values)
+    return _hypersurface_tables(*values)
 
 
 def base_pair_to_json(pair: BasePair) -> str:

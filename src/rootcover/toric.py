@@ -28,6 +28,7 @@ from .exact import is_prime, mod_inverse
 from .hj import HJExpansion, hj_expand
 
 __all__ = [
+    "STRATEGIES",
     "LocalConeSpec",
     "LatticePoint",
     "ConeRecord",
@@ -44,6 +45,24 @@ __all__ = [
 ]
 
 WALLS = ((1, 2), (1, 3), (2, 3))
+
+STRATEGIES = ("minimal", "balanced")
+
+
+def _excluded_shape(n: int, p: int, q: int) -> dict[str, bool] | None:
+    """Which excluded shapes the cone (n, p, q), 0 < p, q < n, has, or None.
+
+    The star subdivision excludes an edge-type wall (p or q = n - 1), equal
+    parameters (p = q) and the (1,1)-type third wall (p + q = n).  The flags
+    are keyed edge, equal, opposite; the dict is built only for an excluded
+    cone, as every triple point of a report passes through this test.
+    """
+    edge = p == n - 1 or q == n - 1
+    equal = p == q
+    opposite = p + q == n
+    if edge or equal or opposite:
+        return {"edge": edge, "equal": equal, "opposite": opposite}
+    return None
 
 
 @dataclass(frozen=True)
@@ -62,17 +81,13 @@ class LocalConeSpec:
 
     @property
     def degenerate_flags(self) -> dict[str, bool]:
-        """The excluded shapes: edge-type walls and the (1,1)-type third wall."""
-        n, p, q = self.n, self.p, self.q
-        return {
-            "edge": p == n - 1 or q == n - 1,
-            "equal": p == q,
-            "opposite": (p + q) % n == 0,
-        }
+        """The excluded shapes (edge, equal, opposite) and which of them hold."""
+        flags = _excluded_shape(self.n, self.p, self.q)
+        return flags or dict.fromkeys(("edge", "equal", "opposite"), False)
 
     @property
     def is_degenerate(self) -> bool:
-        return any(self.degenerate_flags.values())
+        return _excluded_shape(self.n, self.p, self.q) is not None
 
     @property
     def rays(self) -> tuple[tuple[int, int, int], ...]:
@@ -227,7 +242,8 @@ def select_v(spec: LocalConeSpec, strategy: str) -> LatticePoint:
 
     The point of :func:`subdivision_point` for (spec.n, spec.p, spec.q), as a
     :class:`LatticePoint`; the checks of ``spec`` (n prime, p and q nonzero
-    modulo n) have run when it was built.
+    modulo n) have run when it was built.  Degenerate when ``spec`` has an
+    excluded shape (``spec.is_degenerate``), under either strategy.
     """
     return LatticePoint(*subdivision_point(spec.n, spec.p, spec.q, strategy))
 
@@ -238,10 +254,12 @@ def subdivision_point(n: int, p: int, q: int, strategy: str) -> tuple[int, int, 
     The caller guarantees what :class:`LocalConeSpec` checks: n prime and
     0 < p, q < n.  The global invariants call this once per triple point
     with p, q read off ``Partition.q_matrix``; :func:`select_v` wraps it for
-    a validated spec.
+    a validated spec.  A cone of an excluded shape (p or q = n - 1, p = q,
+    p + q = n; see ``LocalConeSpec.degenerate_flags``) raises Degenerate
+    under either strategy, and BadInput names an unknown strategy.
 
     ``minimal`` takes (1, 1, {p+q}_n), the interior point over the corner of
-    the parallelepiped (Degenerate when {p+q}_n = 0).
+    the parallelepiped; {p+q}_n = 0 is the opposite shape.
 
     ``balanced`` solves v1 + v2 + v3 = n: those points are exactly
     (x, {cx}_n, n - x - {cx}_n) with c = {-(p+1)(q+1)'}_n and x + {cx}_n < n,
@@ -295,22 +313,14 @@ def subdivision_point(n: int, p: int, q: int, strategy: str) -> tuple[int, int, 
     found by comparisons and ranked by cross-multiplication, and only a
     line's best point becomes a tuple.
     """
+    if strategy not in STRATEGIES:
+        raise BadInput(f"unknown strategy {strategy!r}")
+    flags = _excluded_shape(n, p, q)
+    if flags is not None:
+        raise Degenerate(f"excluded cone shape {flags}")
     if strategy == "minimal":
-        h = (p + q) % n
-        if h == 0:
-            raise Degenerate("{p+q}_n = 0: the minimal point is not interior")
-        return (1, 1, h)
-    if strategy == "balanced":
-        if (q + 1) % n == 0:
-            raise Degenerate("q = n - 1: the slope parameter is not defined")
-        c = (-(p + 1) * pow(q + 1, -1, n)) % n
-        if c == 0:
-            raise Degenerate("p = n - 1: no interior point with coordinate sum n")
-        best = _balanced_point(n, c)
-        if best is None:
-            raise Degenerate("no interior point with coordinate sum n")
-        return best
-    raise BadInput(f"unknown strategy {strategy!r}")
+        return (1, 1, (p + q) % n)
+    return _balanced_point(n, (-(p + 1) * pow(q + 1, -1, n)) % n)
 
 
 def _reduced_basis(n: int, c: int) -> tuple[int, int, int, int]:
@@ -429,11 +439,12 @@ def _line_best(n: int, ux: int, uy: int, x0: int, y0: int, lo: int, hi: int):
     return best_big, best_small, (x, y, n - x - y)
 
 
-def _balanced_point(n: int, c: int) -> tuple[int, int, int] | None:
-    """The balanced point for the multiplier c (see subdivision_point), or
-    None for c = n - 1, the one multiplier without a point."""
-    if c == n - 1:
-        return None
+def _balanced_point(n: int, c: int) -> tuple[int, int, int]:
+    """The balanced point for a multiplier 0 < c < n - 1 (see subdivision_point).
+
+    c = 0 (p = n - 1) and c = n - 1 (p = q) are excluded shapes, and
+    q = n - 1 leaves c undefined, so every c that reaches here has a point.
+    """
     ux, uy, wx, wy = _reduced_basis(n, c)
     # the centroid is a*u + b*w with b = det(u, centroid)/n = (u_x - u_y)/3,
     # between the lines j0 and j1 (one line when 3 | u_x - u_y)
@@ -490,8 +501,9 @@ def cyclic_resolution(spec: LocalConeSpec, v: LatticePoint) -> CyclicResolution:
     type is the solution of the divisibility congruence.  A record that fails
     a check raises CertificationError.
     """
-    if spec.is_degenerate:
-        raise Degenerate(f"excluded cone shape: {spec.degenerate_flags}")
+    flags = _excluded_shape(spec.n, spec.p, spec.q)
+    if flags is not None:
+        raise Degenerate(f"excluded cone shape {flags}")
     if not v.is_interior():
         raise NotInterior(f"{v} has a zero coordinate")
     n = spec.n

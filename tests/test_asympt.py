@@ -345,20 +345,21 @@ def _brute_force_witnesses(n, r, member):
 
 
 def _tree_witnesses(n, r, member, memo):
-    """Run the tree to the end; check every candidate it tries on the way."""
-    distinct = not member(n - 1)
+    """Run the tree to the end; check every candidate it tries on the way.
+
+    ``member`` must leave n - 1 out of O_n, as the real set does for n >= 17,
+    so the tree runs over distinct parts only.
+    """
+    assert not member(n - 1)
     found = []
     for candidate, ok in asympt._composition_tree(n, r, memo):
         *prefix, v = candidate
         assert ok == all(member(q_of_pair(n, p, v)) for p in prefix)
-        # nonincreasing (decreasing when parts are distinct), below n
-        assert 0 < v < n and all(a - b >= distinct for a, b in itertools.pairwise(candidate))
+        # decreasing, below n
+        assert 0 < v < n and all(a > b for a, b in itertools.pairwise(candidate))
         left, rest = r - len(candidate), n - sum(candidate)
-        cap = v - distinct
-        if distinct:
-            assert left * (left + 1) // 2 <= rest <= left * cap - left * (left - 1) // 2
-        else:
-            assert left <= rest <= left * cap
+        cap = v - 1
+        assert left * (left + 1) // 2 <= rest <= left * cap - left * (left - 1) // 2
         if ok and len(candidate) == r:
             found.append(candidate)
     assert len(found) == len(set(found))
@@ -378,15 +379,19 @@ def test_composition_tree_matches_brute_force():
 
 
 def test_composition_tree_repeat_rule():
-    # With a memo that puts n - 1 (and so every residue) in O_n, equal parts
-    # are allowed and every partition of n into r parts qualifies.
+    # With a memo that puts every residue but n - 1 in O_n, every partition
+    # of n into r distinct parts qualifies, and equal parts never do.
     n = 17
-    every = dict.fromkeys(range(1, n), True)
-    but_last = {**every, n - 1: False}
-    for fake in [every, but_last]:
-        for r in range(2, 7):
-            assert _tree_witnesses(
-                n, r, fake.get, dict(fake)
-            ) == _brute_force_witnesses(n, r, fake.get)
-    assert _tree_witnesses(n, 16, every.get, dict(every)) == {(2,) + (1,) * 15}
+    but_last = {**dict.fromkeys(range(1, n), True), n - 1: False}
+    for r in range(2, 7):
+        assert _tree_witnesses(
+            n, r, but_last.get, dict(but_last)
+        ) == _brute_force_witnesses(n, r, but_last.get)
     assert _tree_witnesses(n, 16, but_last.get, dict(but_last)) == set()
+
+
+def test_n_minus_1_is_never_in_o_n():
+    # the composition tree relies on it: equal parts pair to q = n - 1,
+    # whose chain of n - 1 twos is over the length cap for every n >= 17
+    for n in primerange(17, 2000):
+        assert not girstmair_member(n, n - 1), n

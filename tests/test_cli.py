@@ -59,6 +59,13 @@ def test_resolve_command(capsys):
 def test_resolve_degenerate_exits_nonzero(capsys):
     assert main(["resolve", "7", "3", "3"]) == 1
     assert "Degenerate" in capsys.readouterr().err
+    # one cone of each excluded shape: edge, equal, opposite
+    for cone in (("7", "6", "2"), ("7", "3", "3"), ("7", "2", "5")):
+        for strategy in ("minimal", "balanced"):
+            assert main(["resolve", *cone, "--strategy", strategy]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: Degenerate: excluded cone shape {")
+            assert captured.out == ""
 
 
 def test_invariants_command(capsys):
@@ -219,6 +226,30 @@ def test_pair_json_table_shape_is_config_error(tmp_path, capsys):
     assert "table dd2 must be 3 x 3" in err
     assert main(["invariants", "--pair-json", str(pair), "--n", "7", "--nu", "1,2,4"]) == 1
     assert capsys.readouterr().err.startswith("config error: cannot load base pair")
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("d3", ["a", 1, 1]),
+    ("c1_dd", [[1, 1, 1], [1, 1, "b"], [1, "b", 1]]),
+    ("e_d", 4.5),
+])
+def test_pair_json_non_int_is_config_error(tmp_path, capsys, field, bad):
+    from rootcover.logchern import base_pair_to_json, make_preset
+
+    doc = json.loads(base_pair_to_json(make_preset("planes_p3", 3)))
+    doc[field] = bad
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps(doc))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pair_json": str(pair), "n_min": 7, "n_max": 7}))
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot load base pair") and "must be ints" in err
+    assert "Traceback" not in err
+    assert main(["invariants", "--pair-json", str(pair), "--n", "7", "--nu", "1,2,4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: cannot load base pair")
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_invariants_preset_params(capsys):

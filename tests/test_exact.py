@@ -12,7 +12,6 @@ from rootcover.exact import (
     is_prime,
     log_enclosure,
     mod_inverse,
-    residue,
     sawtooth,
     sqrt_upper,
 )
@@ -41,14 +40,6 @@ rationals = st.fractions(
 )
 
 
-def test_residue_examples():
-    assert residue(-12, 7) == 2
-    assert residue(16, 7) == 2
-    assert residue(0, 5) == 0
-    with pytest.raises(BadInput):
-        residue(3, 0)
-
-
 def test_mod_inverse_examples():
     assert mod_inverse(5, 7) == 3
     assert mod_inverse(1, 11) == 1
@@ -62,7 +53,7 @@ def test_mod_inverse_involution():
         for a in range(1, n):
             if math.gcd(a, n) != 1:
                 continue
-            assert mod_inverse(mod_inverse(a, n), n) == residue(a, n)
+            assert mod_inverse(mod_inverse(a, n), n) == a % n
 
 
 def test_sawtooth_examples():

@@ -281,6 +281,71 @@ def test_base_pair_rejects_unordered_keys():
         TripleTable(r=3, entries={(1, 0, 2): 1})
 
 
+# every integer field of the JSON document, as a path into it; the triple
+# entries are a sparse table [[j, k, l, value]], a pair curve is
+# [j, k, [[genus, count], ...]]
+INT_FIELDS = [
+    ("r",), ("c1_cubed",), ("c1c2",), ("c3",), ("e_d",), ("e_sing_d",),
+    ("d3", 0), ("c1sq_d", 1), ("c2_d", 2), ("c1_dd", 0, 1), ("dd2", 2, 2),
+    ("triple", "constant"), ("triple", "entries", 0, 1), ("triple", "entries", 0, 3),
+    ("pair_curves", 0, 0), ("pair_curves", 1, 2, 0, 0), ("pair_curves", 2, 2, 0, 1),
+]
+
+
+@pytest.mark.parametrize("bad", ["a", 4.5, 3.0, True, [1]])
+@pytest.mark.parametrize("path", INT_FIELDS, ids=lambda path: "/".join(map(str, path)))
+def test_base_pair_fields_must_be_ints(path, bad):
+    # a non-int would crash a report with a TypeError, or give a non-exact
+    # "exact" result (a float e_d), so the pair refuses it when it is built
+    doc = json.loads(base_pair_to_json(make_preset("planes_p3", 3)))
+    if "entries" in path:
+        doc["triple"] = {"entries": [[0, 1, 2, 1]]}
+    base_pair_from_json(json.dumps(doc))  # the document is valid before the edit
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = bad
+    with pytest.raises(BadParams):
+        base_pair_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field, bad", [("h_section", "no"), ("h_section", 1), ("label", 5)])
+def test_base_pair_flag_and_label_are_typed(field, bad):
+    # a string h_section such as "no" is truthy and would demand
+    # sum(nu) ~ 0 mod n of every partition
+    doc = json.loads(base_pair_to_json(make_preset("planes_p3", 3)))
+    doc[field] = bad
+    with pytest.raises(BadParams, match="h_section must be a bool and label a str"):
+        base_pair_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("planes_p3", (3, 4)),
+    ("planes_p3", ()),
+    ("planes_p3", 3.0),
+    ("planes_p3", True),
+    ("planes_p3", "3"),
+    ("planes_p3", None),
+    ("hypersurface_p4", ("6", "3")),
+    ("hypersurface_p4", (6.0, 3)),
+    ("hypersurface_p4", (6, 3, 1)),
+    ("hypersurface_p4", 6),
+    ("hypersurface_p4", {6, 3}),
+])
+def test_preset_params_must_be_the_named_ints(kind, params):
+    with pytest.raises(BadParams, match=f"{kind} takes params"):
+        make_preset(kind, params)
+
+
+def test_preset_params_forms():
+    assert make_preset("planes_p3", (3,)) == make_preset("planes_p3", [3])
+    assert make_preset("planes_p3", (3,)) == make_preset("planes_p3", 3)
+    assert make_preset("hypersurface_p4", [6, 3]) == make_preset("hypersurface_p4", (6, 3))
+    with pytest.raises(BadParams, match="need d >= 1 and r >= 1"):
+        make_preset("hypersurface_p4", (6, 0))
+
+
 def test_triple_table():
     t = TripleTable(r=4, constant=2)
     assert t.total() == 2 * math.comb(4, 3)

@@ -20,6 +20,7 @@ from rootcover.toric import (
     parallelepiped_points,
     resolution_to_json,
     select_v,
+    subdivision_point,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -119,13 +120,39 @@ def assert_matches_scan(spec, want):
 
 
 def test_balanced_matches_scan_every_small_cone():
+    # the excluded cones raise; every other cone has a balanced point
     for n in primerange(5, 62):
         scans = {c: balanced_scan(n, c) for c in range(1, n)}
         for p in range(1, n):
             for q in range(1, n):
                 spec = LocalConeSpec(n, p, q)
-                want = None if q == n - 1 else scans.get(multiplier(spec))
-                assert_matches_scan(spec, want)
+                if spec.is_degenerate:
+                    assert_matches_scan(spec, None)
+                else:
+                    want = scans[multiplier(spec)]
+                    assert want is not None, spec
+                    assert_matches_scan(spec, want)
+
+
+def test_one_shape_check_for_both_strategies():
+    # the excluded shapes, stated apart from toric: p or q = n - 1, p = q,
+    # p + q = n
+    for n in primerange(5, 62):
+        for p in range(1, n):
+            for q in range(1, n):
+                flags = {"edge": n - 1 in (p, q), "equal": p == q, "opposite": p + q == n}
+                spec = LocalConeSpec(n, p, q)
+                assert spec.degenerate_flags == flags
+                assert spec.is_degenerate == any(flags.values())
+                for strategy in toric.STRATEGIES:
+                    if spec.is_degenerate:
+                        with pytest.raises(Degenerate) as info:
+                            subdivision_point(n, p, q, strategy)
+                        assert str(info.value) == f"excluded cone shape {flags}"
+                    elif strategy == "minimal":
+                        assert subdivision_point(n, p, q, strategy) == (1, 1, (p + q) % n)
+                    else:
+                        assert sum(subdivision_point(n, p, q, strategy)) == n
 
 
 def test_balanced_matches_scan_random_large_cones():
@@ -308,6 +335,8 @@ def test_balanced_point_matches_bisection_at_large_n():
     for _ in range(2000):
         n = nextprime(int(10 ** rng.uniform(1, 12)))
         c = rng.randrange(1, n)
+        if c == n - 1:  # p = q, an excluded shape
+            continue
         assert toric._balanced_point(n, c) == balanced_point_bisect(n, c), (n, c)
 
 
@@ -317,7 +346,8 @@ def test_centroid_lines_hold_a_point_for_every_multiplier_but_n_minus_1():
     # 15 every c of every prime is checked against the scan, and the claim
     # itself at every prime below 400
     for n in primerange(2, 15):
-        for c in range(1, n):
+        assert balanced_scan(n, n - 1) is None
+        for c in range(1, n - 1):
             want = balanced_scan(n, c)
             assert toric._balanced_point(n, c) == (want and want.coords), (n, c)
     for n in primerange(3, 400):
@@ -359,7 +389,7 @@ def test_balanced_degenerate_when_p_equals_q():
     # p = q gives c = n - 1, so x + {cx}_n = n for every x
     spec = LocalConeSpec(11, 4, 4)
     assert multiplier(spec) == 10
-    with pytest.raises(Degenerate, match="no interior point with coordinate sum n"):
+    with pytest.raises(Degenerate, match="excluded cone shape .*'equal': True"):
         select_v(spec, "balanced")
 
 
