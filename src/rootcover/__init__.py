@@ -63,7 +63,6 @@ from .logchern import (
     base_pair_to_json,
     log_chern_numbers,
     make_preset,
-    nonsingular_cover_chern,
 )
 from .toric import (
     CyclicResolution,

@@ -67,9 +67,15 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound), unbiased via rejection."""
+        """Uniform integer in [0, bound), unbiased via rejection.
+
+        One 64-bit word per draw: a bound above 2^64 is BadInput (its
+        rejection limit would be 0, so no word would ever be accepted).
+        """
         if bound <= 0:
             raise BadInput(f"bound must be positive, got {bound}")
+        if bound > 1 << 64:
+            raise BadInput(f"bound must be at most 2^64, got {bound}")
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             z = self.next64()
@@ -342,8 +348,11 @@ def find_asymptotic_partition(
     shows that no composition qualifies, ``Exhausted(max_trials)`` is raised
     at once, the error the samples would have ended in.  The partition
     returned carries the chain records its search computed
-    (``Partition.chain_records``).  BadInput for a negative ``max_trials``.
+    (``Partition.chain_records``).  BadInput for a negative ``max_trials``,
+    and for n > 2^64: :class:`SplitMix64` draws below n - 1 from one word.
     """
+    if n > 1 << 64:
+        raise BadInput(f"need n <= 2^64 (one 64-bit word per draw), got {n}")
     if not is_prime(n) or n < 17:
         raise BadInput(f"need a prime n >= 17, got {n}")
     if r < 2:
@@ -394,8 +403,11 @@ def partition_density(
 
     ``samples=None`` enumerates all C(n-1, r-1) compositions exactly; otherwise
     a seeded uniform sample of the given size is used.  r = 1 is vacuously
-    asymptotic (no pairs).
+    asymptotic (no pairs).  BadInput for n > 2^64, as in
+    :func:`find_asymptotic_partition`, whether sampled or enumerated.
     """
+    if n > 1 << 64:
+        raise BadInput(f"need n <= 2^64 (one 64-bit word per draw), got {n}")
     if not is_prime(n) or n < 17:
         raise BadInput(f"need a prime n >= 17, got {n}")
     if r < 1:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -153,12 +154,25 @@ def _check_counts(cfg: dict) -> None:
             raise ConfigError(f"{key} must be >= 0, got {cfg[key]}")
 
 
+# make_preset once per process for each (preset, params); see _build_pair
+_preset_pair = functools.cache(make_preset)
+
+
 def _build_pair(cfg: dict):
     """The base pair and its CSV ``d`` column (0 for a pair file).
 
     ``cfg`` holds either ``pair_json``, or ``preset`` and its parameters by
     name (see ``PRESET_PARAMS``); both, or neither, is a ConfigError, as is
-    a pair file that cannot be read or parsed.
+    a pair file that cannot be read or parsed, or a parameter that another
+    preset names and this one does not (``d`` next to ``planes_p3``).
+
+    A preset's pair is built once per process and shared by every later
+    call with the same parameters, so the sweeps of a driver that calls
+    :func:`main` many times reuse the pair's cached tables (``log_chern``,
+    ``pair_weights``, ...).  Only plain ints are looked up: ``True == 1``
+    and ``3.0 == 3`` hash alike, so any other value goes straight to
+    ``make_preset``, which refuses it.  A pair file is read again on every
+    call, since it may change between calls.
     """
     if "pair_json" in cfg:
         if "preset" in cfg or "d" in cfg or "r" in cfg:
@@ -175,10 +189,17 @@ def _build_pair(cfg: dict):
     if preset not in PRESET_PARAMS:
         raise ConfigError(f"unknown preset {preset!r}")
     keys = PRESET_PARAMS[preset]
+    for other in PRESET_PARAMS.values():
+        for key in other:
+            if key in cfg and key not in keys:
+                raise ConfigError(f"{preset} takes {' and '.join(keys)}, not {key}")
     if any(key not in cfg for key in keys):
         raise ConfigError(f"{preset} needs {' and '.join(keys)}")
-    pair = make_preset(preset, tuple(cfg[key] for key in keys))
-    return pair, cfg["d"] if preset == "hypersurface_p4" else 1
+    params = tuple(cfg[key] for key in keys)
+    d = cfg["d"] if preset == "hypersurface_p4" else 1
+    if all(type(value) is int for value in params):
+        return _preset_pair(preset, params), d
+    return make_preset(preset, params), d  # BadParams for a bool, a float, ...
 
 
 def _sweep_cell(args):
@@ -349,7 +370,13 @@ def _cmd_sweep(args) -> int:
     return code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``rootcover`` argument parser.
+
+    It is built once per process and every :func:`main` call parses with
+    it, so callers must not change the parser it returns.
+    """
     parser = argparse.ArgumentParser(
         prog="rootcover",
         description="Exact invariants of cyclic resolutions of n-th root covers",

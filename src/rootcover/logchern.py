@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .errors import BadParams, NotDisjoint
+from .errors import BadParams
 
 __all__ = [
     "PRESET_PARAMS",
@@ -35,7 +35,6 @@ __all__ = [
     "BasePair",
     "LogChernNumbers",
     "log_chern_numbers",
-    "nonsingular_cover_chern",
     "make_preset",
     "base_pair_to_json",
     "base_pair_from_json",
@@ -346,44 +345,6 @@ def log_chern_numbers(pair: BasePair) -> LogChernNumbers:
     )
     c3_bar = pair.c3 - c2_d + (c1_d2 + c1_d11) - (s3 + s12 + s21 + s111)
     return LogChernNumbers(Fraction(c1_cubed_bar), Fraction(c1c2_bar), Fraction(c3_bar))
-
-
-def nonsingular_cover_chern(pair: BasePair, n: int) -> tuple[Fraction, Fraction, Fraction]:
-    """Chern numbers (c1^3, c1c2, c3) of the smooth degree-n cover of (Z, D).
-
-    Requires pairwise-disjoint non-singular branch divisors (all cross
-    products zero).  Each Chern class of the cover pulls back as
-    c_e = c_e_bar + D^[1] c_{e-1}_bar / n, so the degree-3 numbers are exact
-    polynomials in 1/n times the covering degree.
-    """
-    for j in range(pair.r):
-        for k in range(pair.r):
-            if j != k and (pair.c1_dd[j][k] or pair.dd2[j][k]):
-                raise NotDisjoint(f"divisors {j}, {k} have nonzero products")
-    if pair.triple.items_nonzero():
-        raise NotDisjoint("triple products present")
-
-    d3 = Fraction(pair.sum_d3())
-    c1_d2 = Fraction(pair.c1_d2())
-    c1sq_d = Fraction(pair.c1sq_dred())
-    c2_d = Fraction(pair.c2_dred())
-
-    bars = log_chern_numbers(pair)
-    c1b_sq_d = c1sq_d - 2 * c1_d2 + d3       # (c1 - D)^2 . D
-    c1b_d2 = c1_d2 - d3                      # (c1 - D) . D^2
-    c2b_d = c2_d - c1_d2 + d3                # c2_bar . D
-
-    c1_cubed = n * (
-        bars.c1_cubed_bar
-        + 3 * c1b_sq_d / n
-        + 3 * c1b_d2 / (n * n)
-        + d3 / (n**3)
-    )
-    c1c2 = n * (
-        bars.c1c2_bar + (c1b_sq_d + c2b_d) / n + c1b_d2 / (n * n)
-    )
-    c3 = n * (bars.c3_bar + c2b_d / n)
-    return c1_cubed, c1c2, c3
 
 
 def _hypersurface_tables(d: int, r: int) -> BasePair:

@@ -33,7 +33,6 @@ from rootcover.logchern import (
     TripleTable,
     log_chern_numbers,
     make_preset,
-    nonsingular_cover_chern,
 )
 from rootcover.toric import (
     LocalConeSpec,
@@ -44,6 +43,7 @@ from rootcover.toric import (
 )
 import rootcover.toric as toric
 from test_exact import leq_sqrt_bound
+from test_logchern import nonsingular_cover_chern
 
 
 def _passed(num, text):

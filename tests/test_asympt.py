@@ -94,6 +94,10 @@ def test_splitmix64_below():
     assert draws == [rng2.below(10) for _ in range(1000)]
     with pytest.raises(BadInput):
         rng.below(0)
+    # one word per draw: 2^64 accepts every word, a larger bound none
+    assert SplitMix64(99).below(1 << 64) == SplitMix64(99).next64()
+    with pytest.raises(BadInput, match="at most 2\\^64"):
+        rng.below((1 << 64) + 1)
 
 
 def test_q_of_pair_examples():
@@ -249,6 +253,16 @@ def test_negative_trial_budget_is_bad_input():
         find_asymptotic_partition(1009, 8, 0, -1)
     with pytest.raises(Exhausted):  # a zero budget stays valid
         find_asymptotic_partition(1009, 8, 0, 0)
+
+
+def test_n_past_two_to_the_64_is_bad_input():
+    # a prime the sampler cannot draw cuts for: BadInput at once, not a hang
+    n = 10**21 + 117
+    with pytest.raises(BadInput, match="need n <= 2\\^64"):
+        find_asymptotic_partition(n, 3, 0, 10)
+    for samples in (None, 10):
+        with pytest.raises(BadInput, match="need n <= 2\\^64"):
+            partition_density(n, 3, samples)
 
 
 def test_search_memo_holds_chain_records_of_members():

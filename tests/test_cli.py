@@ -8,7 +8,9 @@ import pytest
 
 import rootcover.cli as cli
 from rootcover.cli import _CSV_COLUMNS, _load_config, build_parser, main, run_sweep
-from rootcover.errors import CertificationError, ConfigError
+from rootcover.errors import BadParams, CertificationError, ConfigError
+
+DATA = Path(__file__).parent / "data"
 
 
 def write_config(tmp_path, **overrides):
@@ -385,6 +387,108 @@ def test_parser_builds():
     parser = build_parser()
     args = parser.parse_args(["hj", "7", "5"])
     assert args.n == 7 and args.q == 5
+    assert build_parser() is parser  # built once per process
+
+
+def test_main_calls_in_one_process_match_runs_on_their_own(capsys):
+    # one parser and one pair per preset serve every call: no flag, default
+    # or pair cache may leak from one call into the next
+    r8 = ["sweep", "--config", str(DATA / "sweep_p4d6_r8_17_211.cfg.json")]
+    balanced = ["sweep", "--config", str(DATA / "sweep_p4d6_r4_balanced_2003_2129.cfg.json")]
+    invariants = [
+        "invariants", "--preset", "hypersurface_p4", "--params", "6,4",
+        "--n", "2003", "--nu", "1,2,3,1997",
+    ]
+    resolve_table = ["resolve", "7", "2", "3", "--strategy", "balanced", "--table"]
+    commands = [["hj", "7", "5"], invariants, resolve_table, ["resolve", "7", "2", "3"]]
+    alone = {}
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rootcover.cli", *argv],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        alone[tuple(argv)] = proc.stdout
+    goldens = {
+        tuple(r8): (2, (DATA / "sweep_p4d6_r8_17_211.csv").read_text()),
+        tuple(balanced): (0, (DATA / "sweep_p4d6_r4_balanced_2003_2129.json").read_text()),
+    }
+    sequence = [
+        r8 + ["--digits", "3", "--workers", "1"], resolve_table, r8, invariants,
+        ["hj", "7", "5"], balanced, ["resolve", "7", "2", "3"], r8, invariants, balanced,
+    ]
+    for argv in sequence:
+        code = main(argv)
+        out = capsys.readouterr().out
+        if tuple(argv) in goldens:
+            assert (code, out) == goldens[tuple(argv)], argv
+        elif tuple(argv) in alone:
+            assert (code, out) == (0, alone[tuple(argv)]), argv
+        else:  # the r8 sweep with flags: other decimals, the same exact columns
+            assert code == 2
+            assert out != goldens[tuple(r8)][1]
+            rats = [line.split(",")[-8:] for line in out.splitlines()]
+            golden_lines = goldens[tuple(r8)][1].splitlines()
+            assert rats == [line.split(",")[-8:] for line in golden_lines]
+
+
+def test_build_pair_shares_a_preset_pair_and_rereads_pair_files(tmp_path):
+    from rootcover.logchern import base_pair_to_json, make_preset
+
+    pair, d = cli._build_pair({"preset": "hypersurface_p4", "d": 6, "r": 8})
+    assert d == 6 and pair.label == "hypersurface_p4(d=6, r=8)"
+    assert cli._build_pair({"preset": "hypersurface_p4", "d": 6, "r": 8})[0] is pair
+    assert cli._build_pair({"preset": "hypersurface_p4", "d": 6, "r": 4})[0].r == 4
+    assert cli._build_pair({"preset": "planes_p3", "r": 8})[0] is not pair
+    # the library still builds a fresh pair on every call
+    assert make_preset("hypersurface_p4", (6, 8)) is not pair
+    path = tmp_path / "pair.json"
+    path.write_text(base_pair_to_json(make_preset("planes_p3", 3)))
+    first, d = cli._build_pair({"pair_json": str(path)})
+    assert d == 0 and first.r == 3
+    path.write_text(base_pair_to_json(make_preset("planes_p3", 4)))
+    assert cli._build_pair({"pair_json": str(path)})[0].r == 4
+
+
+@pytest.mark.parametrize("preset, good, bad", [
+    ("planes_p3", {"r": 1}, {"r": True}),
+    ("planes_p3", {"r": 3}, {"r": 3.0}),
+    ("hypersurface_p4", {"d": 1, "r": 3}, {"d": True, "r": 3}),
+    ("hypersurface_p4", {"d": 6, "r": 3}, {"d": 6, "r": 3.0}),
+])
+def test_build_pair_memo_keeps_refusing_bools_and_floats(preset, good, bad):
+    # True == 1 and 3.0 == 3 with equal hashes: a memo keyed on the values
+    # alone would hand these the pair memoised for the ints
+    pair, _ = cli._build_pair({"preset": preset, **good})
+    assert cli._build_pair({"preset": preset, **good})[0] is pair
+    with pytest.raises(BadParams):
+        cli._build_pair({"preset": preset, **bad})
+    with pytest.raises(BadParams):  # a hand-built sweep config, as in demo 05
+        run_sweep({"preset": preset, **bad, "n_min": 7, "n_max": 7, "partition": "1,2,4"})
+
+
+def test_preset_refuses_another_presets_parameter(tmp_path, capsys):
+    path = write_config(tmp_path, d=6)
+    assert main(["sweep", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: planes_p3 takes r, not d\n"
+    with pytest.raises(ConfigError, match="planes_p3 takes r, not d"):
+        cli._build_pair({"preset": "planes_p3", "r": 3, "d": 1})
+
+
+def test_partition_past_two_to_the_64_exits_with_message(tmp_path, capsys):
+    # the sampler draws one 64-bit word per cut; a larger n used to hang
+    assert main(["partition", "1000000000000000000117", "3", "--trials", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: BadInput: need n <= 2^64")
+    assert "Traceback" not in captured.err
+    # a sweep records it in the cell's row
+    n = 10**21 + 117
+    path = write_config(tmp_path, n_min=n, n_max=n, partition="asymptotic", trials=5)
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert capsys.readouterr().out.splitlines()[1].startswith(f"{n},1,3,,error:BadInput,")
 
 
 def test_cli_import_leaves_out_sympy():
