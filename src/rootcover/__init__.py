@@ -29,7 +29,6 @@ from .errors import (
     Exhausted,
     IncompatiblePartition,
     NotCoprime,
-    NotDisjoint,
     NotInterior,
     RootcoverError,
 )

@@ -14,7 +14,9 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
+from typing import NoReturn
 
 from . import __version__
 from .asympt import Partition, find_asymptotic_partition, girstmair_set
@@ -226,21 +228,92 @@ def _sweep_cell(args):
     return row
 
 
+def _sweep_child(cells: list, write_end: int) -> NoReturn:
+    """A forked sweep worker: pickle the rows of ``cells`` into ``write_end``.
+
+    It never returns: it ends with ``os._exit``, status 0 once the rows are
+    written, 1 (after writing the traceback to fd 2) on any exception, so no
+    code of the parent's stack runs again in the child.
+    """
+    status = 1
+    try:
+        import pickle
+
+        rows = [_sweep_cell(cell) for cell in cells]
+        with open(write_end, "wb") as pipe:
+            pipe.write(pickle.dumps(rows))
+        status = 0
+    except BaseException:  # KeyboardInterrupt too: the child must not return
+        import traceback
+
+        # straight to fd 2: sys.stderr may hold the parent's unwritten text
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(status)
+
+
+def _forked_rows(cells: list, workers: int) -> list[dict]:
+    """The rows of ``cells`` on ``workers`` processes: this one and forks.
+
+    Process ``w`` computes ``cells[w::workers]``; this one is ``w = 0``.
+    Each child pickles its rows into its own pipe, read here to EOF after
+    this process's share.  A child that ends with a nonzero status raises
+    RuntimeError.  Whichever side fails, every pipe is closed and every
+    child reaped (killed first if still running) before this returns.
+    """
+    # only here: the 1-worker path and CLI start-up go without them
+    import pickle
+    import signal
+
+    children = []  # (pid, read end of its pipe)
+    reaped = set()
+    try:
+        for w in range(1, workers):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                os.close(read_end)
+                _sweep_child(cells[w::workers], write_end)
+            os.close(write_end)  # so that the next child does not hold it
+            children.append((pid, read_end))
+        rows = [_sweep_cell(cell) for cell in cells[::workers]]
+        for w, (pid, read_end) in enumerate(children, 1):
+            with open(read_end, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped.add(pid)
+            if code:
+                raise RuntimeError(f"sweep worker {w} (pid {pid}) ended with status {code}")
+            rows += pickle.loads(data)
+        return rows
+    finally:
+        for pid, read_end in children:
+            os.close(read_end)
+            if pid not in reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def run_sweep(cfg: dict) -> tuple[str, int]:
-    """Execute a sweep; returns (rendered output, exit code)."""
+    """Execute a sweep; returns (rendered output, exit code).
+
+    ``workers`` (default 1, capped at the number of cells) counts this
+    process: with ``workers = k`` it forks ``k - 1`` children, and process
+    ``w`` computes every ``k``-th cell from the ``w``-th on.  Without
+    ``os.fork`` (Windows) the sweep runs in this one process.  Rows are
+    sorted by ``n``, so the output does not depend on ``workers``.
+    """
     pair, d = _build_pair(cfg)
     primes = [n for n in range(cfg["n_min"], cfg["n_max"] + 1) if is_prime(n)]
     cells = [(pair, d, n, cfg) for n in primes]
-    workers = cfg.get("workers") or 1
-    if workers > 1 and len(cells) > 1:
-        # imported here: the pool machinery would add to every CLI start
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # about four chunks per worker: one task per cell costs more in
-            # pickling and dispatch than a cheap cell takes to compute
-            chunk = max(1, len(cells) // (4 * workers))
-            rows = list(pool.map(_sweep_cell, cells, chunksize=chunk))
+    workers = min(cfg.get("workers") or 1, len(cells))
+    if workers > 1 and hasattr(os, "fork"):
+        rows = _forked_rows(cells, workers)
     else:
         rows = [_sweep_cell(cell) for cell in cells]
     rows.sort(key=lambda row: row["n"])
@@ -365,8 +438,11 @@ def _cmd_sweep(args) -> int:
     if cfg["output"] == "-":
         sys.stdout.write(text)
     else:
-        with open(cfg["output"], "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg["output"], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {cfg['output']}: {exc}") from exc
     return code
 
 
@@ -431,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", type=int, help="decimal places for CSV floats")
     p.add_argument(
         "--workers", type=int,
-        help="worker pool size (default: the config's workers key, or 1)",
+        help="processes to sweep on, this one included (default: the config's workers key, or 1)",
     )
     p.set_defaults(func=_cmd_sweep)
 

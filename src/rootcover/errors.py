@@ -17,10 +17,6 @@ class BadParams(BadInput):
     """Invalid preset or closed-form parameters."""
 
 
-class NotDisjoint(RootcoverError):
-    """The branch divisors have nonzero pairwise products."""
-
-
 class Degenerate(RootcoverError):
     """The local cone is one of the excluded degenerate shapes."""
 

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -372,15 +374,88 @@ def test_sweep_worker_pool(tmp_path):
 
 
 def test_sweep_worker_pool_chunked(tmp_path):
-    # 41 primes on 2 workers: chunks of 5 cells, the last one short
+    # 41 primes in strided shares: 21 and 20 cells on 2 workers, 14, 14 and
+    # 13 on 3, so the rows come back interleaved and must be sorted by n
     path = write_config(
-        tmp_path, n_min=17, n_max=211, partition="asymptotic", seed=3, workers=2
+        tmp_path, n_min=17, n_max=211, partition="asymptotic", seed=3, workers=1
     )
     cfg = _load_config(str(path))
-    parallel = run_sweep(cfg)
-    assert parallel[0].count("\n") == 42
-    cfg["workers"] = 1
-    assert run_sweep(cfg) == parallel
+    serial = run_sweep(cfg)
+    assert serial[0].count("\n") == 42
+    for workers in (2, 3):
+        cfg["workers"] = workers
+        assert run_sweep(cfg) == serial
+
+
+def test_sweep_workers_capped_at_the_cells(tmp_path, monkeypatch):
+    # 3 primes (7, 11, 13) on 8 workers: this process and 2 children
+    path = write_config(tmp_path, n_min=7, n_max=13, partition="asymptotic", seed=5)
+    cfg = _load_config(str(path))
+    serial = run_sweep(cfg)
+    forks = []  # appended to in this process only: a child has its own copy
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    cfg["workers"] = 8
+    assert run_sweep(cfg) == serial
+    assert len(forks) == 2
+
+
+def test_sweep_without_fork_runs_in_one_process(tmp_path, monkeypatch):
+    path = write_config(tmp_path, n_min=7, n_max=31, partition="asymptotic", seed=5)
+    cfg = _load_config(str(path))
+    serial = run_sweep(cfg)
+    monkeypatch.delattr(os, "fork")
+    seen = []
+    cell = cli._sweep_cell
+
+    def recorded(args):
+        seen.append(args[2])
+        return cell(args)
+
+    monkeypatch.setattr(cli, "_sweep_cell", recorded)
+    cfg["workers"] = 2
+    assert run_sweep(cfg) == serial
+    assert seen == [7, 11, 13, 17, 19, 23, 29, 31]  # every cell, here
+
+
+@pytest.mark.parametrize("fails_in_parent", [False, True])
+def test_failed_sweep_leaves_no_process(tmp_path, monkeypatch, fails_in_parent):
+    # one side of the fork raises; the other side's cells sleep, so that a
+    # sweep that waited for them instead of killing them would take minutes
+    path = write_config(tmp_path, n_min=7, n_max=31, partition="asymptotic", workers=3)
+    cfg = _load_config(str(path))
+    parent = os.getpid()
+    cell = cli._sweep_cell
+
+    def cell_or_fail(args):
+        if (os.getpid() == parent) == fails_in_parent:
+            raise RuntimeError("cell failed")
+        if os.getpid() != parent:
+            time.sleep(60)
+        return cell(args)
+
+    monkeypatch.setattr(cli, "_sweep_cell", cell_or_fail)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError):
+        run_sweep(cfg)
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_unwritable_sweep_output_is_a_config_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.csv"
+    path = write_config(tmp_path, output=str(target))
+    assert main(["sweep", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: cannot write output {target}: ")
+    assert "Traceback" not in captured.err
 
 
 def test_parser_builds():
@@ -501,14 +576,25 @@ def test_cli_import_leaves_out_sympy():
     assert proc.stdout.strip() == "False"
 
 
-def test_cli_import_leaves_out_the_process_pool():
-    # only a sweep with more than one worker imports the pool machinery
-    code = "import sys, rootcover.cli; print('concurrent.futures.process' in sys.modules)"
+def test_cli_import_leaves_out_the_process_pool(tmp_path):
+    # a sweep forks its extra workers itself: neither CLI start-up nor a
+    # 2-worker sweep imports the pool machinery, and only the latter pickle
+    out = tmp_path / "out.csv"
+    path = write_config(tmp_path, n_min=17, n_max=31, partition="asymptotic", output=str(out))
+    code = (
+        "import sys\n"
+        "from rootcover.cli import main\n"
+        "pool = ('concurrent.futures', 'multiprocessing', 'pickle')\n"
+        "print(*[m for m in pool if m in sys.modules])\n"
+        f"assert main(['sweep', '--config', {str(path)!r}, '--workers', '2']) == 0\n"
+        "print(*[m for m in pool if m in sys.modules])\n"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split("\n") == ["", "pickle", ""]
+    assert out.read_text().count("\n") == 6
 
 
 def test_csv_decimal_matches_fraction_float():

@@ -622,7 +622,8 @@ def test_base_pair_derived_tables_match_direct_sums():
 
 
 def test_pickled_pair_keeps_its_tables_and_reports():
-    # the sweep pool ships the pair to its workers by pickling
+    # a pair and its cached tables survive pickling, as when a caller ships
+    # it to a spawned process (the sweep's forked workers inherit it instead)
     pair = base_pair_from_json(json.dumps(SPARSE_PAIR_DOC))
     fresh = base_pair_from_json(json.dumps(SPARSE_PAIR_DOC))
     p4 = make_preset("hypersurface_p4", (6, 8))

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from rootcover.errors import BadParams, NotDisjoint
+from rootcover.errors import BadParams, RootcoverError
 from rootcover.logchern import (
     BasePair,
     TripleTable,
@@ -14,6 +14,10 @@ from rootcover.logchern import (
     log_chern_numbers,
     make_preset,
 )
+
+
+class NotDisjoint(RootcoverError):
+    """The branch divisors have nonzero pairwise products."""
 
 
 def nonsingular_cover_chern(pair: BasePair, n: int) -> tuple[Fraction, Fraction, Fraction]:
