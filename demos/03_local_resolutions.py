@@ -24,7 +24,7 @@ spec = local_cone(7, 1, 2, 4)
 print(f"n={spec.n}  p={spec.p}  q={spec.q}  degenerate: {spec.is_degenerate}")
 print("parallelepiped has", len(list(parallelepiped_points(spec))), "lattice points")
 v = select_v(spec, "minimal")
-print("minimal v =", v.coords, " ({p+q}_n = 1, so the resolution is smooth)")
+print("minimal v =", v, " ({p+q}_n = 1, so the resolution is smooth)")
 res = cyclic_resolution(spec, v)
 for wall, e in sorted(res.walls.items()):
     print(f"  wall {wall}: n/{e.q} = {list(e.ks)}")
@@ -41,7 +41,7 @@ for strategy in ("minimal", "balanced"):
     v = select_v(spec, strategy)
     res = cyclic_resolution(spec, v)
     orders = sorted({c.mult for c in res.cones})
-    print(f"{strategy:>8}: v = {v.coords}  sum = {v.total}  max slope = "
+    print(f"{strategy:>8}: v = {v}  sum = {sum(v)}  max slope = "
           f"{max_slope(v)}  cone orders = {orders}  V = {res.V}")
     for c in res.cones:
         if c.mult > 1:

@@ -65,7 +65,6 @@ from .logchern import (
 )
 from .toric import (
     CyclicResolution,
-    LatticePoint,
     LocalConeSpec,
     LocalIntersections,
     cyclic_resolution,

@@ -99,7 +99,7 @@ class Partition:
     q_matrix[j][k] is the unique q in (0, n) with nu_j + q nu_k ~ 0 (mod n);
     the diagonal is None.  Rows/columns pair into inverses: q_kj = (q_jk)'.
     chain_records[j, k] (j < k) is the :func:`chain_record` of the wall
-    chain n / wall_seed(j, k); a partition returned by
+    chain n / q_kj in direction j -> k; a partition returned by
     :func:`find_asymptotic_partition` arrives with it filled from the
     records of its search.
     """
@@ -138,13 +138,6 @@ class Partition:
             for j in range(r)
             for k in range(j + 1, r)
         }
-
-    def wall_seed(self, j: int, k: int) -> int:
-        """First numerator of the exceptional chain in direction j -> k.
-
-        This is q_kj; the opposite direction uses its inverse q_jk.
-        """
-        return self.q_matrix[k][j]
 
 
 def q_of_pair(n: int, nu_j: int, nu_k: int) -> int:

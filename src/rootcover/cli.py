@@ -121,7 +121,13 @@ def _int_list(text: str) -> list[int]:
         ) from None
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, *, digits: int | None = None,
+                 workers: int | None = None) -> dict:
+    """The sweep config in ``path`` over the defaults, checked.
+
+    ``digits`` and ``workers``, when given, replace the file's values (the
+    sweep's ``--digits`` and ``--workers``) before anything is checked.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -136,6 +142,10 @@ def _load_config(path: str) -> dict:
         if not isinstance(value, _CONFIG_KEYS[key]) or isinstance(value, bool):
             raise ConfigError(f"config key {key!r} must be {_CONFIG_KEYS[key].__name__}")
         cfg[key] = value
+    if digits is not None:
+        cfg["digits"] = digits
+    if workers is not None:
+        cfg["workers"] = workers
     for key in ("n_min", "n_max"):
         if key not in cfg:
             raise ConfigError(f"config needs {key}")
@@ -145,15 +155,10 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"unknown format {cfg['format']!r}")
     if cfg["strategy"] not in STRATEGIES:
         raise ConfigError(f"unknown strategy {cfg['strategy']!r}")
-    _check_counts(cfg)
-    return cfg
-
-
-def _check_counts(cfg: dict) -> None:
-    """ConfigError unless trials, digits and workers are nonnegative."""
     for key in ("trials", "digits", "workers"):
         if cfg.get(key, 0) < 0:
             raise ConfigError(f"{key} must be >= 0, got {cfg[key]}")
+    return cfg
 
 
 # make_preset once per process for each (preset, params); see _build_pair
@@ -428,12 +433,7 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    if args.digits is not None:
-        cfg["digits"] = args.digits
-    if args.workers is not None:
-        cfg["workers"] = args.workers
-    _check_counts(cfg)
+    cfg = _load_config(args.config, digits=args.digits, workers=args.workers)
     text, code = run_sweep(cfg)
     if cfg["output"] == "-":
         sys.stdout.write(text)

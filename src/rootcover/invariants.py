@@ -251,7 +251,7 @@ def k3_root_cover(pair: BasePair, part: Partition, strategy: str = "minimal") ->
     local K.C_l intersections do, so the result is certified exact only for
     the minimal point over triples whose parts sum to n (checked against the
     closed form).  Elsewhere a correction can be O(n) (the minimal point at
-    r >= 4) and the result is not exact; see ROADMAP item 1.
+    r >= 4) and the result is not exact; see ROADMAP item 2.
     """
     _check_compatible(pair, part)
     n = part.n

@@ -30,7 +30,6 @@ from .hj import HJExpansion, hj_expand
 __all__ = [
     "STRATEGIES",
     "LocalConeSpec",
-    "LatticePoint",
     "ConeRecord",
     "CyclicResolution",
     "LocalIntersections",
@@ -95,34 +94,14 @@ class LocalConeSpec:
         return ((n, 0, -p), (0, n, -q), (0, 0, 1))
 
 
-@dataclass(frozen=True)
-class LatticePoint:
-    """A point of the fundamental parallelepiped, v = (v1 d1 + v2 d2 + v3 d3)/n."""
-
-    v1: int
-    v2: int
-    v3: int
-
-    @property
-    def coords(self) -> tuple[int, int, int]:
-        return (self.v1, self.v2, self.v3)
-
-    @property
-    def total(self) -> int:
-        return self.v1 + self.v2 + self.v3
-
-    def is_interior(self) -> bool:
-        return min(self.coords) > 0
-
-
-def max_slope(v: LatticePoint) -> Fraction:
+def max_slope(v: tuple[int, int, int]) -> Fraction:
     """max v_j / v_k over all coordinate pairs (the balance figure of merit).
 
     Raises :class:`NotInterior` for a point with a zero coordinate.
     """
-    if not v.is_interior():
+    if min(v) <= 0:
         raise NotInterior(f"{v} has a zero coordinate")
-    return Fraction(max(v.coords), min(v.coords))
+    return Fraction(max(v), min(v))
 
 
 @dataclass(frozen=True)
@@ -144,10 +123,14 @@ class ConeRecord:
 
 @dataclass(frozen=True)
 class CyclicResolution:
-    """Star subdivision at v plus Hirzebruch-Jung refinement of each wall."""
+    """Star subdivision at v plus Hirzebruch-Jung refinement of each wall.
+
+    ``v`` is the point (v1, v2, v3) of the fundamental parallelepiped,
+    v = (v1 d1 + v2 d2 + v3 d3)/n.
+    """
 
     spec: LocalConeSpec
-    v: LatticePoint
+    v: tuple[int, int, int]
     walls: dict[tuple[int, int], HJExpansion]
     cones: tuple[ConeRecord, ...]
     inner_wall_mults: dict[tuple[tuple[int, int], int], int]
@@ -155,12 +138,7 @@ class CyclicResolution:
     @cached_property
     def V(self) -> Fraction:
         """Discrepancy coefficient of the central divisor F."""
-        return Fraction(self.v.total - self.spec.n, self.spec.n)
-
-    def N(self, wall: tuple[int, int], alpha: int) -> Fraction:
-        """Discrepancy N_{jk,a} = (m_a + n_a)/n - 1 of the a-th wall divisor."""
-        e = self.walls[wall]
-        return Fraction(e.m_seq[alpha] + e.n_seq[alpha] - e.n, e.n)
+        return Fraction(sum(self.v) - self.spec.n, self.spec.n)
 
     def first_m(self, frm: int, to: int) -> int:
         """m_{jk,1} for the wall expanded in direction d_frm -> d_to."""
@@ -229,23 +207,23 @@ def local_cone(n: int, nu_j: int, nu_k: int, nu_l: int) -> LocalConeSpec:
     return LocalConeSpec(n, q_of_pair(n, nu_j, nu_l), q_of_pair(n, nu_k, nu_l))
 
 
-def parallelepiped_points(spec: LocalConeSpec) -> Iterator[LatticePoint]:
+def parallelepiped_points(spec: LocalConeSpec) -> Iterator[tuple[int, int, int]]:
     """All n^2 lattice points (v1, v2, {p v1 + q v2}_n) of the parallelepiped."""
     n, p, q = spec.n, spec.p, spec.q
     for v1 in range(n):
         for v2 in range(n):
-            yield LatticePoint(v1, v2, (p * v1 + q * v2) % n)
+            yield (v1, v2, (p * v1 + q * v2) % n)
 
 
-def select_v(spec: LocalConeSpec, strategy: str) -> LatticePoint:
-    """Choose the star-subdivision point of the cone ``spec``.
+def select_v(spec: LocalConeSpec, strategy: str) -> tuple[int, int, int]:
+    """Choose the star-subdivision point (v1, v2, v3) of the cone ``spec``.
 
-    The point of :func:`subdivision_point` for (spec.n, spec.p, spec.q), as a
-    :class:`LatticePoint`; the checks of ``spec`` (n prime, p and q nonzero
-    modulo n) have run when it was built.  Degenerate when ``spec`` has an
-    excluded shape (``spec.is_degenerate``), under either strategy.
+    The point of :func:`subdivision_point` for (spec.n, spec.p, spec.q); the
+    checks of ``spec`` (n prime, p and q nonzero modulo n) have run when it
+    was built.  Degenerate when ``spec`` has an excluded shape
+    (``spec.is_degenerate``), under either strategy.
     """
-    return LatticePoint(*subdivision_point(spec.n, spec.p, spec.q, strategy))
+    return subdivision_point(spec.n, spec.p, spec.q, strategy)
 
 
 def subdivision_point(n: int, p: int, q: int, strategy: str) -> tuple[int, int, int]:
@@ -493,34 +471,41 @@ def _wall_seeds(spec: LocalConeSpec) -> dict[tuple[int, int], int]:
     return {(1, 2): (-pp * q) % n, (1, 3): pp, (2, 3): mod_inverse(q, n)}
 
 
-def cyclic_resolution(spec: LocalConeSpec, v: LatticePoint) -> CyclicResolution:
+def cyclic_resolution(spec: LocalConeSpec, v: tuple[int, int, int]) -> CyclicResolution:
     """Star subdivision at v, walls refined; every record certified exactly.
 
-    For each 3-cone the lattice determinant is compared with the predicted
-    multiplicity v_l, exterior walls are checked unimodular, and the cyclic
-    type is the solution of the divisibility congruence.  A record that fails
-    a check raises CertificationError.
+    ``v`` is a point (v1, v2, v3) of three ints, as :func:`select_v`
+    returns; anything else raises BadInput.  For each 3-cone the lattice
+    determinant is compared with the predicted multiplicity v_l, exterior
+    walls are checked unimodular, and the cyclic type is the solution of the
+    divisibility congruence.  A record that fails a check raises
+    CertificationError.
     """
     flags = _excluded_shape(spec.n, spec.p, spec.q)
     if flags is not None:
         raise Degenerate(f"excluded cone shape {flags}")
-    if not v.is_interior():
+    try:
+        v = tuple(v)
+    except TypeError:
+        raise BadInput(f"{v!r} is not a point (v1, v2, v3)") from None
+    if len(v) != 3 or any(type(c) is not int for c in v):  # bool is no coordinate
+        raise BadInput(f"{v!r} is not a point (v1, v2, v3) of three ints")
+    if min(v) <= 0:
         raise NotInterior(f"{v} has a zero coordinate")
     n = spec.n
-    if v.v3 != (spec.p * v.v1 + spec.q * v.v2) % n or not all(
-        0 < c < n for c in v.coords
-    ):
+    v1, v2, v3 = v
+    if v3 != (spec.p * v1 + spec.q * v2) % n or max(v) >= n:
         raise BadInput(f"{v} is not in the open parallelepiped")
 
     d = spec.rays
-    v_vec = _lattice_comb(d, v.coords, n)
+    v_vec = _lattice_comb(d, v, n)
     walls = {(j, k): hj_expand(n, seed) for (j, k), seed in _wall_seeds(spec).items()}
 
     cones = []
     inner_mults = {}
     for (j, k), e in walls.items():
         l = 6 - j - k
-        vj, vk, vl = v.coords[j - 1], v.coords[k - 1], v.coords[l - 1]
+        vj, vk, vl = v[j - 1], v[k - 1], v[l - 1]
         n_inv = mod_inverse(n % vl, vl) if vl > 1 else 0
         rays = [
             _lattice_comb((d[j - 1], d[k - 1]), (e.m_seq[a], e.n_seq[a]), n)
@@ -549,7 +534,7 @@ def cyclic_resolution(spec: LocalConeSpec, v: LatticePoint) -> CyclicResolution:
             inner_mults[((j, k), a)] = math.gcd(
                 vj * e.n_seq[a] - vk * e.m_seq[a], vl
             )
-    if v.total - 1 < 0:
+    if sum(v) - 1 < 0:
         raise CertificationError(f"central divisor of {v} has a non-effective discrepancy")
     return CyclicResolution(spec, v, walls, tuple(cones), inner_mults)
 
@@ -567,14 +552,14 @@ def local_intersection_table(res: CyclicResolution) -> LocalIntersections:
     """
     spec, v = res.spec, res.v
     n = spec.n
-    v1, v2, v3 = v.coords
+    v1, v2, v3 = v
     f3 = Fraction(n, v1 * v2 * v3)
-    kf2 = Fraction(v.total - n, v1 * v2 * v3)
+    kf2 = Fraction(v1 + v2 + v3 - n, v1 * v2 * v3)
 
     k_cl = {}
     for l in (1, 2, 3):
         j, k = sorted({1, 2, 3} - {l})
-        vj, vk, vl = v.coords[j - 1], v.coords[k - 1], v.coords[l - 1]
+        vj, vk, vl = v[j - 1], v[k - 1], v[l - 1]
         g = math.gcd(vj, vk)
         inner = vj + vk - 1 + Fraction(
             vl - res.first_m(l, j) * vj - res.first_m(l, k) * vk, n
@@ -585,7 +570,7 @@ def local_intersection_table(res: CyclicResolution) -> LocalIntersections:
     e_c = {}
     for (jk, a), mult_rho in res.inner_wall_mults.items():
         l = 6 - jk[0] - jk[1]
-        vl = v.coords[l - 1]
+        vl = v[l - 1]
         ka = res.walls[jk].ks[a - 1]
         k_cjk[(jk, a)] = Fraction(mult_rho * (ka - 2), vl)
         e_c[(jk, a, a)] = Fraction(-ka * mult_rho, vl)
@@ -596,7 +581,7 @@ def local_intersection_table(res: CyclicResolution) -> LocalIntersections:
     k2f = -kf2
     for l, val in k_cl.items():
         j, k = sorted({1, 2, 3} - {l})
-        g = math.gcd(v.coords[j - 1], v.coords[k - 1])
+        g = math.gcd(v[j - 1], v[k - 1])
         k2f -= val / g
     for key, val in k_cjk.items():
         k2f -= val / res.inner_wall_mults[key]
@@ -609,7 +594,7 @@ def resolution_to_json(res: CyclicResolution) -> str:
     doc = {
         "schema": "rootcover-resolution/1",
         "spec": {"n": res.spec.n, "p": res.spec.p, "q": res.spec.q},
-        "v": list(res.v.coords),
+        "v": list(res.v),
         "V": str(res.V),
         "walls": {
             f"{j}{k}": {

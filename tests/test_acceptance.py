@@ -208,7 +208,7 @@ def test_criterion_05_toric_suite():
         for strategy in ("minimal", "balanced"):
             v = select_v(spec, strategy)
             res = cyclic_resolution(spec, v)  # certifies det = mult and walls
-            v_vec = toric._lattice_comb(spec.rays, v.coords, n)
+            v_vec = toric._lattice_comb(spec.rays, v, n)
             for c in res.cones:
                 e0 = res.ray_vector(c.wall, c.alpha)
                 e1 = res.ray_vector(c.wall, c.alpha + 1)
@@ -221,13 +221,13 @@ def test_criterion_05_toric_suite():
                         ) % c.mult == 0
             for ((j, k), a), mult in res.inner_wall_mults.items():
                 e = res.walls[(j, k)]
-                vj, vk = v.coords[j - 1], v.coords[k - 1]
-                vl = v.coords[6 - j - k - 1]
+                vj, vk = v[j - 1], v[k - 1]
+                vl = v[6 - j - k - 1]
                 assert mult == math.gcd(vj * e.n_seq[a] - vk * e.m_seq[a], vl)
                 assert e.m_seq[a] + e.n_seq[a] - 1 >= 0  # effectivity
-            assert v.total - 1 >= 0
+            assert sum(v) - 1 >= 0
             if strategy == "balanced":
-                assert v.total == n
+                assert sum(v) == n
     # {p+q}_n = 1 with the minimal point: smooth and K-nonnegative
     smooth = 0
     while smooth < 40:
@@ -251,7 +251,7 @@ def test_criterion_05_toric_suite():
             if spec.is_degenerate:
                 continue
             v = select_v(spec, "balanced")
-            assert v.total == n
+            assert sum(v) == n
             assert max_slope(v) <= Fraction(31, 10)
             done += 1
     _passed(5, "500 random cones x 2 strategies fully certified; smooth nef "

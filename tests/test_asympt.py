@@ -117,7 +117,6 @@ def test_partition_q_matrix():
     for j, k in itertools.permutations(range(3), 2):
         qjk, qkj = part.q_matrix[j][k], part.q_matrix[k][j]
         assert (qjk * qkj) % 7 == 1  # q_kj = (q_jk)'
-    assert part.wall_seed(0, 1) == part.q_matrix[1][0]
     with pytest.raises(BadInput):
         Partition(7, (1, 2, 7))
 

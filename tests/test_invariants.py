@@ -137,7 +137,7 @@ def public_triple_point(part, key, strategy):
             f"triple ({a},{b},{c}): excluded cone shape {spec.degenerate_flags}"
         )
     try:
-        return select_v(spec, strategy).coords
+        return select_v(spec, strategy)
     except Degenerate as exc:
         raise DegenerateCone(f"triple ({a},{b},{c}): {exc}") from exc
 
@@ -175,7 +175,7 @@ def k3_wall_recursion(pair, part, strategy="minimal"):
 
     def n_first(j, l):
         # N_{jl,1} = (m_{jl,1} + 1 - n)/n with m_{jl,1} the wall seed j -> l
-        return Fraction(part.wall_seed(j, l) + 1 - n, n)
+        return Fraction(part.q_matrix[l][j] + 1 - n, n)
 
     def slope_sum(j, k):
         # |D_j|_k = sum_l v_{pos(j)}/v_{pos(l)} D_jkl
@@ -195,7 +195,7 @@ def k3_wall_recursion(pair, part, strategy="minimal"):
         for k in range(j + 1, r):
             if not pair.pair_meets(j, k):
                 continue
-            wall = hj_expand(n, part.wall_seed(j, k))
+            wall = hj_expand(n, part.q_matrix[k][j])
             s = wall.s
             m_seq, n_seq, ks = wall.m_seq, wall.n_seq, wall.ks
             N = [Fraction(m_seq[a] + n_seq[a] - n, n) for a in range(s + 2)]
@@ -421,12 +421,12 @@ def test_k3_wall_recursion_chain_end_consistency():
                 l = 3 - j - k
                 from rootcover.hj import hj_expand
 
-                wall = hj_expand(n, part.wall_seed(j, k))
+                wall = hj_expand(n, part.q_matrix[k][j])
                 s = wall.s
                 m_seq, n_seq = wall.m_seq, wall.n_seq
 
                 def n1(a, b):
-                    return Fraction(part.wall_seed(a, b) + 1 - n, n)
+                    return Fraction(part.q_matrix[b][a] + 1 - n, n)
 
                 djk_k = Fraction(pair.kz_dd(j, k)) + Fraction(n - 1, n) * (
                     pair.dd2[k][j] + pair.dd2[j][k] + pair.triple.get(j, k, l)
@@ -653,7 +653,7 @@ def test_minimal_triple_points_are_smooth_for_triple_partitions():
         part = random_h_partition(rng, n, 3, distinct=True)
         spec = local_cone(n, *part.nu)
         assert (spec.p + spec.q) % n == 1
-        assert select_v(spec, "minimal").coords == (1, 1, 1)
+        assert select_v(spec, "minimal") == (1, 1, 1)
 
 
 def test_euler_fixture():

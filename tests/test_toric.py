@@ -11,7 +11,6 @@ from sympy import nextprime, primerange
 import rootcover.toric as toric
 from rootcover.errors import BadInput, CertificationError, Degenerate, NotInterior
 from rootcover.toric import (
-    LatticePoint,
     LocalConeSpec,
     cyclic_resolution,
     local_cone,
@@ -57,14 +56,14 @@ def test_parallelepiped_points():
     spec = LocalConeSpec(7, 5, 3)
     pts = list(parallelepiped_points(spec))
     assert len(pts) == 49
-    assert LatticePoint(1, 1, 1) in pts
-    assert LatticePoint(2, 2, 3) in list(parallelepiped_points(LocalConeSpec(7, 2, 3)))
-    for pt in pts:
-        assert pt.v3 == (5 * pt.v1 + 3 * pt.v2) % 7
+    assert (1, 1, 1) in pts
+    assert (2, 2, 3) in list(parallelepiped_points(LocalConeSpec(7, 2, 3)))
+    for v1, v2, v3 in pts:
+        assert v3 == (5 * v1 + 3 * v2) % 7
 
 
 def test_select_v_minimal():
-    assert select_v(LocalConeSpec(7, 5, 3), "minimal") == LatticePoint(1, 1, 1)
+    assert select_v(LocalConeSpec(7, 5, 3), "minimal") == (1, 1, 1)
     # {p+q}_n = 0 has no interior minimal point
     with pytest.raises(Degenerate):
         select_v(LocalConeSpec(7, 3, 4), "minimal")
@@ -74,8 +73,8 @@ def test_select_v_minimal():
 
 def test_select_v_balanced():
     v = select_v(LocalConeSpec(7, 2, 3), "balanced")
-    assert v == LatticePoint(2, 2, 3)
-    assert v.total == 7
+    assert v == (2, 2, 3)
+    assert sum(v) == 7
     assert max_slope(v) == Fraction(3, 2)
     with pytest.raises(Degenerate):
         select_v(LocalConeSpec(11, 3, 10), "balanced")
@@ -96,7 +95,7 @@ def balanced_scan(n, c):
         big, small = max(v), min(v)
         if best is None or (big * best[1], v) < (best[0] * small, best[2]):
             best = (big, small, v)
-    return None if best is None else LatticePoint(*best[2])
+    return None if best is None else best[2]
 
 
 def multiplier(spec):
@@ -178,12 +177,12 @@ def test_balanced_tie_break_is_lexicographic():
     # c = 2 at n = 29: (6, 12, 11) and (7, 14, 8) share the max slope 2,
     # on one lattice line; c = 9 at n = 13: three points share slope 3
     for spec, want, other in (
-        (LocalConeSpec(29, 24, 1), LatticePoint(6, 12, 11), LatticePoint(7, 14, 8)),
-        (LocalConeSpec(13, 7, 1), LatticePoint(2, 5, 6), LatticePoint(5, 6, 2)),
+        (LocalConeSpec(29, 24, 1), (6, 12, 11), (7, 14, 8)),
+        (LocalConeSpec(13, 7, 1), (2, 5, 6), (5, 6, 2)),
     ):
         v = select_v(spec, "balanced")
         assert v == want
-        assert max_slope(v) == max_slope(other) and v.coords < other.coords
+        assert max_slope(v) == max_slope(other) and v < other
 
 
 def step_range(c0, c1, lo, hi):
@@ -303,7 +302,7 @@ def test_line_kernel_matches_bisection_and_scan_on_every_line():
             scan = balanced_scan(n, c)
             boxes = [(1, n - 2)]
             if scan is not None:
-                big, small = max(scan.coords), min(scan.coords)
+                big, small = max(scan), min(scan)
                 boxes.append((-((-n * small) // (small + 2 * big)),
                               (n * big) // (big + 2 * small)))
             corners = ((1, 1), (n - 2, 1), (1, n - 2))
@@ -349,7 +348,7 @@ def test_centroid_lines_hold_a_point_for_every_multiplier_but_n_minus_1():
         assert balanced_scan(n, n - 1) is None
         for c in range(1, n - 1):
             want = balanced_scan(n, c)
-            assert toric._balanced_point(n, c) == (want and want.coords), (n, c)
+            assert toric._balanced_point(n, c) == want, (n, c)
     for n in primerange(3, 400):
         for c in range(1, n):
             ux, uy, wx, wy = toric._reduced_basis(n, c)
@@ -379,8 +378,8 @@ def test_balanced_point_solves_each_line_once(monkeypatch):
 
 
 def test_max_slope_of_a_boundary_point_is_typed():
-    assert max_slope(LatticePoint(2, 3, 4)) == 2
-    for v in (LatticePoint(0, 3, 4), LatticePoint(3, 0, 4), LatticePoint(3, 4, 0)):
+    assert max_slope((2, 3, 4)) == 2
+    for v in ((0, 3, 4), (3, 0, 4), (3, 4, 0)):
         with pytest.raises(NotInterior):
             max_slope(v)
 
@@ -398,13 +397,14 @@ def test_balanced_sum_is_n():
     for _ in range(60):
         spec = random_nondegenerate(rng)
         v = select_v(spec, "balanced")
-        assert v.total == spec.n
-        assert v.v3 == (spec.p * v.v1 + spec.q * v.v2) % spec.n
+        assert sum(v) == spec.n
+        assert v[2] == (spec.p * v[0] + spec.q * v[1]) % spec.n
 
 
 def test_resolution_fixture_7_5_3():
     spec = LocalConeSpec(7, 5, 3)
-    res = cyclic_resolution(spec, LatticePoint(1, 1, 1))
+    res = cyclic_resolution(spec, (1, 1, 1))
+    assert cyclic_resolution(spec, [1, 1, 1]).v == (1, 1, 1)  # any sequence of ints
     assert all(c.mult == 1 for c in res.cones)
     # seeds p' = 3, q' = 5, {-p'q}_7 = 5
     assert res.walls[(1, 3)].q == 3 and res.walls[(1, 3)].ks == (3, 2, 2)
@@ -416,7 +416,7 @@ def test_resolution_fixture_7_5_3():
 
 
 def test_resolution_type_fixture_7_2_3():
-    res = cyclic_resolution(LocalConeSpec(7, 2, 3), LatticePoint(1, 1, 5))
+    res = cyclic_resolution(LocalConeSpec(7, 2, 3), (1, 1, 5))
     rec = next(c for c in res.cones if c.wall == (1, 2) and c.alpha == 0)
     assert rec.mult == 5
     # the congruence solution; the closed form {m_1 v_k - n_1 v_j}_{v_l} = 1,
@@ -428,23 +428,27 @@ def test_resolution_type_fixture_7_2_3():
 
 def test_resolution_rejects_degenerate_and_boundary():
     with pytest.raises(Degenerate):
-        cyclic_resolution(LocalConeSpec(7, 3, 3), LatticePoint(1, 1, 1))
+        cyclic_resolution(LocalConeSpec(7, 3, 3), (1, 1, 1))
     spec = LocalConeSpec(7, 5, 3)
     with pytest.raises(NotInterior):
-        cyclic_resolution(spec, LatticePoint(1, 4, 0))
+        cyclic_resolution(spec, (1, 4, 0))
     with pytest.raises(BadInput):
-        cyclic_resolution(spec, LatticePoint(1, 1, 2))  # not in the parallelepiped
+        cyclic_resolution(spec, (1, 1, 2))  # not in the parallelepiped
+    # a point is three ints: a pair, a float or a bool coordinate is no point
+    for v in ((1, 1), (1.0, 1, 1), (True, 1, 1), 7):
+        with pytest.raises(BadInput):
+            cyclic_resolution(spec, v)
 
 
 def _verify_records(res):
     """Re-derive every certified quantity from raw lattice vectors."""
     spec, v = res.spec, res.v
     n = spec.n
-    v_vec = toric._lattice_comb(spec.rays, v.coords, n)
+    v_vec = toric._lattice_comb(spec.rays, v, n)
     for c in res.cones:
         j, k = c.wall
         l = 6 - j - k
-        vl = v.coords[l - 1]
+        vl = v[l - 1]
         e0 = res.ray_vector(c.wall, c.alpha)
         e1 = res.ray_vector(c.wall, c.alpha + 1)
         assert abs(toric._det3(v_vec, e0, e1)) == vl == c.mult
@@ -463,16 +467,16 @@ def _verify_records(res):
     for ((j, k), a), m in res.inner_wall_mults.items():
         e = res.walls[(j, k)]
         l = 6 - j - k
-        vj, vk, vl = v.coords[j - 1], v.coords[k - 1], v.coords[l - 1]
+        vj, vk, vl = v[j - 1], v[k - 1], v[l - 1]
         assert m == math.gcd(vj * e.n_seq[a] - vk * e.m_seq[a], vl)
         # multiplicity of the 2-cone C(v, e_a) from its minors
         assert m == toric._minor_gcd(v_vec, res.ray_vector((j, k), a))
         assert e.m_seq[a] + e.n_seq[a] - 1 >= 0
-    assert v.total - 1 >= 0
+    assert sum(v) - 1 >= 0
 
 
 def test_certification_failure_is_typed(monkeypatch):
-    spec, v = LocalConeSpec(7, 5, 3), LatticePoint(1, 1, 1)
+    spec, v = LocalConeSpec(7, 5, 3), (1, 1, 1)
     monkeypatch.setattr(toric, "_minor_gcd", lambda a, b: 2)
     with pytest.raises(CertificationError, match="not unimodular"):
         cyclic_resolution(spec, v)
@@ -524,17 +528,17 @@ def test_order_two_case():
 
 
 def test_intersection_table_values():
-    res = cyclic_resolution(LocalConeSpec(7, 5, 3), LatticePoint(1, 1, 1))
+    res = cyclic_resolution(LocalConeSpec(7, 5, 3), (1, 1, 1))
     tab = local_intersection_table(res)
     assert tab.f3 == 7 and tab.kf2 == 3 - 7
-    res2 = cyclic_resolution(LocalConeSpec(7, 2, 3), LatticePoint(1, 1, 5))
+    res2 = cyclic_resolution(LocalConeSpec(7, 2, 3), (1, 1, 5))
     tab2 = local_intersection_table(res2)
     assert tab2.f3 == Fraction(7, 5)
     assert tab2.kf2 == Fraction(1 + 1 + 5 - 7, 5)
     # E.C adjacency entries carry mult(rho)/v_l
     for (jk, a, b), val in tab2.e_c.items():
         l = 6 - jk[0] - jk[1]
-        vl = res2.v.coords[l - 1]
+        vl = res2.v[l - 1]
         if a == b:
             assert val == Fraction(-res2.walls[jk].ks[a - 1] * res2.inner_wall_mults[(jk, a)], vl)
         else:
@@ -550,12 +554,12 @@ def test_balanced_slopes_at_large_primes():
             if spec.is_degenerate:
                 continue
             v = select_v(spec, "balanced")
-            assert v.total == n
+            assert sum(v) == n
             assert max_slope(v) <= Fraction(31, 10)
 
 
 def test_resolution_json_golden():
-    res = cyclic_resolution(LocalConeSpec(7, 5, 3), LatticePoint(1, 1, 1))
+    res = cyclic_resolution(LocalConeSpec(7, 5, 3), (1, 1, 1))
     text = resolution_to_json(res)
     json.loads(text)  # well-formed
     golden = (DATA / "resolution_7_5_3.json").read_text()

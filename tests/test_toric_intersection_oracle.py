@@ -60,7 +60,7 @@ def _oracle_tables(res):
     spec, v = res.spec, res.v
     n = spec.n
     d = spec.rays
-    v_vec = toric._lattice_comb(d, v.coords, n)
+    v_vec = toric._lattice_comb(d, v, n)
 
     rays = {}  # symbolic name -> vector
     for idx, vec in enumerate(d, start=1):
@@ -161,8 +161,8 @@ def test_oracle_axis_curve_multiplicities():
             continue
         v = select_v(spec, "balanced")
         res = cyclic_resolution(spec, v)
-        v_vec = toric._lattice_comb(spec.rays, v.coords, n)
+        v_vec = toric._lattice_comb(spec.rays, v, n)
         for l in (1, 2, 3):
             j, k = sorted({1, 2, 3} - {l})
             got = toric._minor_gcd(spec.rays[l - 1], v_vec)
-            assert got == math.gcd(v.coords[j - 1], v.coords[k - 1])
+            assert got == math.gcd(v[j - 1], v[k - 1])
