@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import BadInput, CertificationError, Exhausted
-from .exact import is_prime, log_enclosure, mod_inverse
+from .exact import _is_int, is_prime, log_enclosure, mod_inverse
 from .hj import _chain, chain_record
 
 # The membership test runs the chain kernel itself; these two names stay
@@ -96,6 +96,10 @@ class ONSet:
 class Partition:
     """Branch multiplicities nu_1..nu_r modulo a prime n, with pair residues.
 
+    n and every nu_j are ints (BadInput otherwise; a bool is refused), and
+    ``nu`` is kept as a tuple, so a list of multiplicities gives the same
+    hashable partition.
+
     q_matrix[j][k] is the unique q in (0, n) with nu_j + q nu_k ~ 0 (mod n);
     the diagonal is None.  Rows/columns pair into inverses: q_kj = (q_jk)'.
     chain_records[j, k] (j < k) is the :func:`chain_record` of the wall
@@ -108,6 +112,13 @@ class Partition:
     nu: tuple[int, ...]
 
     def __post_init__(self):
+        try:
+            nu = tuple(self.nu)
+        except TypeError:
+            raise BadInput(f"multiplicities must be a sequence, got {self.nu!r}") from None
+        if not all(map(_is_int, (self.n, *nu))):
+            raise BadInput(f"modulus and multiplicities must be ints, got {self.n!r}, {nu!r}")
+        object.__setattr__(self, "nu", nu)
         if not is_prime(self.n):
             raise BadInput(f"modulus must be prime, got {self.n}")
         if any(not 0 < v < self.n for v in self.nu):
@@ -341,9 +352,12 @@ def find_asymptotic_partition(
     shows that no composition qualifies, ``Exhausted(max_trials)`` is raised
     at once, the error the samples would have ended in.  The partition
     returned carries the chain records its search computed
-    (``Partition.chain_records``).  BadInput for a negative ``max_trials``,
-    and for n > 2^64: :class:`SplitMix64` draws below n - 1 from one word.
+    (``Partition.chain_records``).  BadInput unless all four arguments are
+    ints, for a negative ``max_trials``, and for n > 2^64: :class:`SplitMix64`
+    draws below n - 1 from one word.
     """
+    if not all(map(_is_int, (n, r, seed, max_trials))):
+        raise BadInput(f"need int arguments, got {(n, r, seed, max_trials)!r}")
     if n > 1 << 64:
         raise BadInput(f"need n <= 2^64 (one 64-bit word per draw), got {n}")
     if not is_prime(n) or n < 17:

@@ -260,20 +260,21 @@ def _sweep_child(cells: list, write_end: int) -> NoReturn:
 def _forked_rows(cells: list, workers: int) -> list[dict]:
     """The rows of ``cells`` on ``workers`` processes: this one and forks.
 
-    Process ``w`` computes ``cells[w::workers]``; this one is ``w = 0``.
-    Each child pickles its rows into its own pipe, read here to EOF after
-    this process's share.  A child that ends with a nonzero status raises
-    RuntimeError.  Whichever side fails, every pipe is closed and every
-    child reaped (killed first if still running) before this returns.
+    Process ``w`` computes ``cells[w::workers]``; this one is ``w = 0``, so
+    ``workers = 1`` forks nothing.  Each child pickles its rows into its own
+    pipe, read here to EOF after this process's share.  A child that ends
+    with a nonzero status raises RuntimeError.  Whichever side fails, every
+    pipe is closed and every child reaped (killed first if still running)
+    before this returns.
     """
-    # only here: the 1-worker path and CLI start-up go without them
-    import pickle
-    import signal
-
     children = []  # (pid, read end of its pipe)
     reaped = set()
     try:
         for w in range(1, workers):
+            # only with a child: the 1-worker path and CLI start-up go without them
+            import pickle
+            import signal
+
             read_end, write_end = os.pipe()
             try:
                 pid = os.fork()
@@ -316,11 +317,9 @@ def run_sweep(cfg: dict) -> tuple[str, int]:
     pair, d = _build_pair(cfg)
     primes = [n for n in range(cfg["n_min"], cfg["n_max"] + 1) if is_prime(n)]
     cells = [(pair, d, n, cfg) for n in primes]
-    workers = min(cfg.get("workers") or 1, len(cells))
-    if workers > 1 and hasattr(os, "fork"):
-        rows = _forked_rows(cells, workers)
-    else:
-        rows = [_sweep_cell(cell) for cell in cells]
+    # 1 worker without os.fork, and for an empty range too: cells[::0] raises
+    workers = max(1, min(cfg.get("workers") or 1, len(cells))) if hasattr(os, "fork") else 1
+    rows = _forked_rows(cells, workers)
     rows.sort(key=lambda row: row["n"])
     failures = sum(row["status"] != "ok" for row in rows)
 

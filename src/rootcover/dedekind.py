@@ -5,8 +5,10 @@ The dimension-d sum for a modulus n >= 3 is
     d(a_1, ..., a_d, n) = sum_{i=1}^{n-1} ((i a_1 / n)) ... ((i a_d / n))
 
 with ((.)) the sawtooth function.  Sums of odd dimension vanish; the
-two-dimensional ones reduce to the classical sum s(q, n), which the fast
-evaluator computes in O(log n) by reciprocity descent.
+two-dimensional ones reduce to the classical sum s(q, n) = d(1, q, n), which
+the fast evaluator reads in O(log n) from the chain record of n/q: the
+length/excess relation makes 12 n d(1, q, n) the integer
+D = n (excess - s) + q + q' of :func:`~rootcover.hj.chain_record`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 
 from .errors import BadInput, NotCoprime
 from .exact import is_prime
-from .hj import hj_expand
+from .hj import chain_record, hj_expand
 
 __all__ = ["dedekind_sum", "dedekind_fast", "power_sums", "barkan_residual"]
 
@@ -49,37 +51,18 @@ def dedekind_sum(a_list, n: int) -> Fraction:
     return Fraction(total, (2 * n) ** d)
 
 
-def _classical(q: int, n: int) -> Fraction:
-    """s(q, n) = sum ((i/n))((iq/n)) by the reciprocity descent.
-
-    s(h, k) + s(k, h) = -1/4 + (h^2 + k^2 + 1)/(12 h k), applied along the
-    Euclidean remainder chain; s(0, 1) = 0 closes the recursion.
-    """
-    h, k = q % n, n
-    num, den = 0, 1  # running sum as num/den
-    sign = 1
-    while h > 0:
-        # add sign * ((h^2 + k^2 + 1)/(12 h k) - 1/4)
-        term_num = h * h + k * k + 1 - 3 * h * k
-        term_den = 12 * h * k
-        num = num * term_den + sign * term_num * den
-        den *= term_den
-        sign = -sign
-        h, k = k % h, h
-    return Fraction(num, den)
-
-
 def dedekind_fast(a: int, b: int, n: int) -> Fraction:
-    """d(a, b, n) in O(log n): substitute i -> a^{-1} i, then descend.
+    """d(a, b, n) in O(log n): substitute i -> a^{-1} i, then read D.
 
-    The substitution gives d(a, b, n) = d(1, {a' b}_n, n) = s({a' b}_n, n).
+    The substitution gives d(a, b, n) = d(1, q, n) with q = {a' b}_n, and
+    12 n d(1, q, n) = D, the integer of :func:`~rootcover.hj.chain_record`.
     Requires both arguments invertible modulo n.
     """
     _check_modulus(n)
     if math.gcd(a, n) != 1 or math.gcd(b, n) != 1:
         raise NotCoprime(f"arguments {a}, {b} must be coprime to {n}")
     q = (pow(a, -1, n) * b) % n
-    return _classical(q, n)
+    return Fraction(chain_record(n, q)[1], 12 * n)
 
 
 def power_sums(a: int, b: int, c: int, n: int) -> tuple[Fraction, Fraction, Fraction]:
@@ -114,6 +97,10 @@ def barkan_residual(n: int, q: int) -> Fraction:
     relation already fails at (n, q) = (7, 5), where 12*(-1/14) + 3 = 15/7
     matches sum(k-2) + 8/7 but (-1/14) + 3 does not.  This function exists to
     keep that correction regression-tested; do not remove the 12.
+
+    :func:`dedekind_fast` reads d(1, q, n) from the run-length chain pass, so
+    the residual cross-checks that pass against the full :func:`hj_expand`
+    expansion, whose s, excess and q' make up the right-hand side.
     """
     if not is_prime(n):
         raise BadInput(f"modulus must be prime, got {n}")

@@ -15,6 +15,11 @@ from fractions import Fraction
 from .errors import BadInput, NotCoprime
 
 
+def _is_int(x) -> bool:
+    """True for an int that is not a bool: what every integer argument must be."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def mod_inverse(a: int, n: int) -> int:
     """Inverse of ``a`` modulo ``n``, in ``[1, n)``.
 

@@ -28,6 +28,7 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import BadParams
+from .exact import _is_int
 
 __all__ = [
     "PRESET_PARAMS",
@@ -42,10 +43,6 @@ __all__ = [
 
 # The parameters of each preset of make_preset, by name and in order.
 PRESET_PARAMS = {"planes_p3": ("r",), "hypersurface_p4": ("d", "r")}
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _require_ints(what: str, values) -> None:

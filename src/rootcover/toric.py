@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Iterator
 
 from .errors import BadInput, CertificationError, Degenerate, NotInterior
-from .exact import is_prime, mod_inverse
+from .exact import _is_int, is_prime, mod_inverse
 from .hj import HJExpansion, hj_expand
 
 __all__ = [
@@ -66,13 +66,15 @@ def _excluded_shape(n: int, p: int, q: int) -> dict[str, bool] | None:
 
 @dataclass(frozen=True)
 class LocalConeSpec:
-    """The cone data (n, p, q) of one triple point."""
+    """The cone data (n, p, q) of one triple point: three ints, n prime."""
 
     n: int
     p: int
     q: int
 
     def __post_init__(self):
+        if not all(map(_is_int, (self.n, self.p, self.q))):
+            raise BadInput(f"n, p, q must be ints, got {self.n!r}, {self.p!r}, {self.q!r}")
         if not is_prime(self.n):
             raise BadInput(f"modulus must be prime, got {self.n}")
         if not (0 < self.p < self.n and 0 < self.q < self.n):
@@ -145,14 +147,6 @@ class CyclicResolution:
         if frm < to:
             return self.walls[(frm, to)].q
         return self.walls[(to, frm)].q_inv
-
-    def ray_vector(self, wall: tuple[int, int], alpha: int) -> tuple[int, int, int]:
-        """Exceptional ray e_{jk,a} = (m_a d_j + n_a d_k)/n as a lattice vector."""
-        e = self.walls[wall]
-        d = self.spec.rays
-        j, k = wall
-        return _lattice_comb((d[j - 1], d[k - 1]),
-                             (e.m_seq[alpha], e.n_seq[alpha]), self.spec.n)
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,7 @@ from rootcover.toric import (
 import rootcover.toric as toric
 from test_exact import leq_sqrt_bound
 from test_logchern import nonsingular_cover_chern
+from test_toric import ray_vector
 
 
 def _passed(num, text):
@@ -210,8 +211,8 @@ def test_criterion_05_toric_suite():
             res = cyclic_resolution(spec, v)  # certifies det = mult and walls
             v_vec = toric._lattice_comb(spec.rays, v, n)
             for c in res.cones:
-                e0 = res.ray_vector(c.wall, c.alpha)
-                e1 = res.ray_vector(c.wall, c.alpha + 1)
+                e0 = ray_vector(res, c.wall, c.alpha)
+                e1 = ray_vector(res, c.wall, c.alpha + 1)
                 assert abs(toric._det3(v_vec, e0, e1)) == c.mult
                 assert toric._minor_gcd(e0, e1) == 1
                 if c.mult > 1:

@@ -20,14 +20,19 @@ from rootcover.dedekind import dedekind_fast
 from rootcover.errors import BadInput, CertificationError, Exhausted, NotCoprime
 from rootcover.exact import mod_inverse
 from rootcover.hj import chain_record, hj_length
+from test_dedekind import reciprocity_sum
 from test_exact import leq_sqrt_bound
 
 
 @functools.lru_cache(maxsize=None)
 def fraction_member(n, q):
-    """Membership in O_n by its definition: full chain length, Fraction sum."""
+    """Membership in O_n by its definition: full chain length, Fraction sum.
+
+    The Dedekind sum comes from the reciprocity descent, not from the chain
+    pass that girstmair_member and dedekind_fast both read.
+    """
     return leq_sqrt_bound(hj_length(n, q), 3, n, 2) and leq_sqrt_bound(
-        abs(dedekind_fast(1, q, n)), 3, n, 5
+        abs(reciprocity_sum(q, n)), 3, n, 5
     )
 
 
@@ -119,6 +124,13 @@ def test_partition_q_matrix():
         assert (qjk * qkj) % 7 == 1  # q_kj = (q_jk)'
     with pytest.raises(BadInput):
         Partition(7, (1, 2, 7))
+    # ints only (not bools, not floats); a list of multiplicities is kept as a tuple
+    for n, nu in ((7, (1.0, 2, 4)), (7.0, (1, 2, 4)), (True, (1, 2)), (7, (True, 2, 4)),
+                  (7, 5), (7, "124")):
+        with pytest.raises(BadInput):
+            Partition(n, nu)
+    listed = Partition(7, [1, 2, 4])
+    assert listed.nu == (1, 2, 4) and hash(listed) == hash(part) and listed == part
 
 
 def test_q_matrix_matches_q_of_pair_on_random_partitions():
@@ -179,7 +191,7 @@ def test_girstmair_dedekind_bound_edges():
     outside = [(12043, 3), (12043, 8029), (21227, 4), (21227, 5307)]
     for (n, q), expected in [(c, True) for c in inside] + [(c, False) for c in outside]:
         assert leq_sqrt_bound(hj_length(n, q), 3, n, 2)
-        d = abs(dedekind_fast(1, q, n))
+        d = abs(reciprocity_sum(q, n))
         shifted = d + Fraction(1, 20) if expected else d - Fraction(1, 20)
         assert leq_sqrt_bound(shifted, 3, n, 5) != expected
         assert fraction_member(n, q) == expected
@@ -245,6 +257,10 @@ def test_exhausted():
         find_asymptotic_partition(19, 25, 0, 10)
     with pytest.raises(BadInput):
         find_asymptotic_partition(19, 1, 0, 10)
+    for args in ((101.0, 3, 0, 10), (101, 3, "x", 10), (101, 3.0, 0, 10),
+                 (101, 3, 0, 10.0), (101, 3, 0, True)):
+        with pytest.raises(BadInput, match="need int arguments"):
+            find_asymptotic_partition(*args)
 
 
 def test_negative_trial_budget_is_bad_input():

@@ -405,6 +405,15 @@ def test_sweep_workers_capped_at_the_cells(tmp_path, monkeypatch):
     assert len(forks) == 2
 
 
+def test_sweep_over_no_primes(tmp_path):
+    # an empty range still runs on one worker: a stride of 0 would raise
+    path = write_config(tmp_path, n_min=24, n_max=28, partition="asymptotic")
+    cfg = _load_config(str(path))
+    for workers in (None, 1, 2):
+        cfg["workers"] = workers
+        assert run_sweep(cfg) == (",".join(_CSV_COLUMNS) + "\n", 0)
+
+
 def test_sweep_without_fork_runs_in_one_process(tmp_path, monkeypatch):
     path = write_config(tmp_path, n_min=7, n_max=31, partition="asymptotic", seed=5)
     cfg = _load_config(str(path))
@@ -578,13 +587,16 @@ def test_cli_import_leaves_out_sympy():
 
 def test_cli_import_leaves_out_the_process_pool(tmp_path):
     # a sweep forks its extra workers itself: neither CLI start-up nor a
-    # 2-worker sweep imports the pool machinery, and only the latter pickle
+    # sweep imports the pool machinery, and only one that forks a child
+    # imports pickle and signal
     out = tmp_path / "out.csv"
     path = write_config(tmp_path, n_min=17, n_max=31, partition="asymptotic", output=str(out))
     code = (
         "import sys\n"
         "from rootcover.cli import main\n"
-        "pool = ('concurrent.futures', 'multiprocessing', 'pickle')\n"
+        "pool = ('concurrent.futures', 'multiprocessing', 'pickle', 'signal')\n"
+        "print(*[m for m in pool if m in sys.modules])\n"
+        f"assert main(['sweep', '--config', {str(path)!r}, '--workers', '1']) == 0\n"
         "print(*[m for m in pool if m in sys.modules])\n"
         f"assert main(['sweep', '--config', {str(path)!r}, '--workers', '2']) == 0\n"
         "print(*[m for m in pool if m in sys.modules])\n"
@@ -593,7 +605,7 @@ def test_cli_import_leaves_out_the_process_pool(tmp_path):
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n") == ["", "pickle", ""]
+    assert proc.stdout.split("\n") == ["", "", "pickle signal", ""]
     assert out.read_text().count("\n") == 6
 
 

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from sympy import primerange
+from sympy import nextprime, primerange
 
 from rootcover.dedekind import barkan_residual, dedekind_fast, dedekind_sum, power_sums
 from rootcover.errors import BadInput, NotCoprime
@@ -19,6 +19,27 @@ def sawtooth_oracle(a_list, n):
             prod *= sawtooth(Fraction(i * a, n))
         total += prod
     return total
+
+
+def reciprocity_sum(q, n):
+    """s(q, n) = sum ((i/n))((iq/n)) by the reciprocity descent.
+
+    s(h, k) + s(k, h) = -1/4 + (h^2 + k^2 + 1)/(12 h k), applied along the
+    Euclidean remainder chain; s(0, 1) = 0 closes the recursion.  The O(log n)
+    reference for dedekind_fast, independent of the chain pass that it reads.
+    """
+    h, k = q % n, n
+    num, den = 0, 1  # running sum as num/den
+    sign = 1
+    while h > 0:
+        # add sign * ((h^2 + k^2 + 1)/(12 h k) - 1/4)
+        term_num = h * h + k * k + 1 - 3 * h * k
+        term_den = 12 * h * k
+        num = num * term_den + sign * term_num * den
+        den *= term_den
+        sign = -sign
+        h, k = k % h, h
+    return Fraction(num, den)
 
 
 def test_dedekind_sum_examples():
@@ -78,6 +99,10 @@ def test_fast_examples():
     assert dedekind_fast(1, 4, 5) == Fraction(-1, 5)
     with pytest.raises(NotCoprime):
         dedekind_fast(3, 5, 9)
+    # the modulus is checked before coprimality
+    for a, b in ((1, 1), (2, 1)):
+        with pytest.raises(BadInput):
+            dedekind_fast(a, b, 2)
 
 
 def test_fast_equals_naive_exhaustive():
@@ -100,6 +125,30 @@ def test_fast_equals_naive_random():
         if math.gcd(a, n) != 1 or math.gcd(b, n) != 1:
             continue
         assert dedekind_fast(a, b, n) == dedekind_sum([a, b], n)
+
+
+def test_fast_equals_reciprocity_descent_large():
+    # prime and composite moduli up to 10^18, where the O(n) sum is out of reach
+    rng = random.Random(19)
+    moduli = [nextprime(rng.randrange(10**6, 10**18)) for _ in range(60)]
+    moduli += [rng.randrange(10**3, 10**9) * rng.randrange(10**3, 10**9) for _ in range(60)]
+    moduli += [2**60, 10**18, 3**37]
+    for n in moduli:
+        checked = 0
+        while checked < 4:
+            a, b = rng.randrange(1, n), rng.randrange(1, n)
+            if math.gcd(a, n) != 1 or math.gcd(b, n) != 1:
+                continue
+            q = pow(a, -1, n) * b % n
+            assert dedekind_fast(a, b, n) == reciprocity_sum(q, n), (a, b, n)
+            checked += 1
+
+
+def test_reciprocity_descent_equals_naive():
+    for n in range(3, 120):
+        for q in range(1, n):
+            if math.gcd(q, n) == 1:
+                assert reciprocity_sum(q, n) == dedekind_sum([1, q], n)
 
 
 def test_inverse_symmetry():

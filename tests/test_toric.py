@@ -25,6 +25,14 @@ from rootcover.toric import (
 DATA = Path(__file__).parent / "data"
 
 
+def ray_vector(res, wall, alpha):
+    """Exceptional ray e_{jk,a} = (m_a d_j + n_a d_k)/n of ``res`` as a lattice vector."""
+    e = res.walls[wall]
+    d = res.spec.rays
+    j, k = wall
+    return toric._lattice_comb((d[j - 1], d[k - 1]), (e.m_seq[alpha], e.n_seq[alpha]), res.spec.n)
+
+
 def random_nondegenerate(rng, n_max=200):
     primes = list(primerange(5, n_max))
     while True:
@@ -50,6 +58,9 @@ def test_local_cone_examples():
 
     with pytest.raises(BadInput):
         LocalConeSpec(8, 3, 5)
+    for args in ((7.0, 2, 3), (7, 2.0, 3), (7, 2, "3"), (7, True, 3)):
+        with pytest.raises(BadInput):
+            LocalConeSpec(*args)
 
 
 def test_parallelepiped_points():
@@ -69,6 +80,8 @@ def test_select_v_minimal():
         select_v(LocalConeSpec(7, 3, 4), "minimal")
     with pytest.raises(BadInput):
         select_v(LocalConeSpec(7, 5, 3), "smallest")
+    with pytest.raises(BadInput):
+        select_v(LocalConeSpec(7.0, 2, 3), "balanced")
 
 
 def test_select_v_balanced():
@@ -449,8 +462,8 @@ def _verify_records(res):
         j, k = c.wall
         l = 6 - j - k
         vl = v[l - 1]
-        e0 = res.ray_vector(c.wall, c.alpha)
-        e1 = res.ray_vector(c.wall, c.alpha + 1)
+        e0 = ray_vector(res, c.wall, c.alpha)
+        e1 = ray_vector(res, c.wall, c.alpha + 1)
         assert abs(toric._det3(v_vec, e0, e1)) == vl == c.mult
         assert toric._minor_gcd(e0, e1) == 1  # exterior wall unimodular
         mult = c.mult
@@ -470,7 +483,7 @@ def _verify_records(res):
         vj, vk, vl = v[j - 1], v[k - 1], v[l - 1]
         assert m == math.gcd(vj * e.n_seq[a] - vk * e.m_seq[a], vl)
         # multiplicity of the 2-cone C(v, e_a) from its minors
-        assert m == toric._minor_gcd(v_vec, res.ray_vector((j, k), a))
+        assert m == toric._minor_gcd(v_vec, ray_vector(res, (j, k), a))
         assert e.m_seq[a] + e.n_seq[a] - 1 >= 0
     assert sum(v) - 1 >= 0
 

@@ -28,6 +28,7 @@ from rootcover.toric import (
     local_intersection_table,
     select_v,
 )
+from test_toric import ray_vector
 
 
 def _solve_relation(u1, u2, w, wprime):
@@ -68,7 +69,7 @@ def _oracle_tables(res):
     rays[("center",)] = v_vec
     for (j, k), e in res.walls.items():
         for a in range(e.s + 2):
-            vec = res.ray_vector((j, k), a)
+            vec = ray_vector(res, (j, k), a)
             if 1 <= a <= e.s:
                 rays[("exc", (j, k), a)] = vec
 
@@ -77,7 +78,7 @@ def _oracle_tables(res):
     f_c = {}
     k_cl = {}
     for (j, k), e in res.walls.items():
-        chain = [res.ray_vector((j, k), a) for a in range(e.s + 2)]
+        chain = [ray_vector(res, (j, k), a) for a in range(e.s + 2)]
         for a in range(1, e.s + 1):
             # curve V(C(v, e_a)) between cones with third generators
             # e_{a-1} and e_{a+1}
@@ -103,9 +104,9 @@ def _oracle_tables(res):
 def _first_ray_from(res, frm, to):
     """The exceptional ray adjacent to d_frm on the wall {frm, to}."""
     if frm < to:
-        return res.ray_vector((frm, to), 1)
+        return ray_vector(res, (frm, to), 1)
     e = res.walls[(to, frm)]
-    return res.ray_vector((to, frm), e.s)
+    return ray_vector(res, (to, frm), e.s)
 
 
 def test_oracle_matches_table_on_fixtures():
