@@ -32,7 +32,7 @@ from .errors import (
     NotInterior,
     RootcoverError,
 )
-from .exact import mod_inverse, sawtooth
+from .exact import mod_inverse
 from .hj import (
     HJExpansion,
     chain_record,

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import BadInput, CertificationError, Exhausted
-from .exact import _is_int, is_prime, log_enclosure, mod_inverse
+from .exact import is_prime, log_enclosure, mod_inverse, require_ints
 from .hj import _chain, chain_record
 
 # The membership test runs the chain kernel itself; these two names stay
@@ -57,6 +57,7 @@ class SplitMix64:
     _MASK = (1 << 64) - 1
 
     def __init__(self, seed: int):
+        require_ints("seed", seed)
         self.state = seed & self._MASK
 
     def next64(self) -> int:
@@ -72,6 +73,7 @@ class SplitMix64:
         One 64-bit word per draw: a bound above 2^64 is BadInput (its
         rejection limit would be 0, so no word would ever be accepted).
         """
+        require_ints("bound", bound)
         if bound <= 0:
             raise BadInput(f"bound must be positive, got {bound}")
         if bound > 1 << 64:
@@ -116,8 +118,7 @@ class Partition:
             nu = tuple(self.nu)
         except TypeError:
             raise BadInput(f"multiplicities must be a sequence, got {self.nu!r}") from None
-        if not all(map(_is_int, (self.n, *nu))):
-            raise BadInput(f"modulus and multiplicities must be ints, got {self.n!r}, {nu!r}")
+        require_ints("modulus and multiplicities", self.n, *nu)
         object.__setattr__(self, "nu", nu)
         if not is_prime(self.n):
             raise BadInput(f"modulus must be prime, got {self.n}")
@@ -153,6 +154,7 @@ class Partition:
 
 def q_of_pair(n: int, nu_j: int, nu_k: int) -> int:
     """The unique q in (0, n) with nu_j + q*nu_k ~ 0 (mod n)."""
+    require_ints("n, nu_j and nu_k", n, nu_j, nu_k)
     if not (0 < nu_j < n and 0 < nu_k < n):
         raise BadInput("multiplicities must be nonzero modulo n")
     return (-nu_j * mod_inverse(nu_k, n)) % n
@@ -185,6 +187,7 @@ def girstmair_member(n: int, q: int) -> bool:
     of the chain records themselves, and call the chain pass directly.
     Raises :class:`NotCoprime` when q is not invertible modulo n.
     """
+    require_ints("n and q", n, q)
     if not 0 < q < n:
         return False
     if n < 3:
@@ -200,10 +203,19 @@ def _complement_bound_holds(n: int, complement_size: int) -> bool:
     return Fraction(complement_size) ** 2 <= n * log_lo * log_lo
 
 
-def girstmair_set(n: int) -> ONSet:
-    """The extensional O_n for a prime n >= 17; complement bound verified."""
-    if n < 17 or not is_prime(n):
+def _check_search_modulus(n: int) -> None:
+    """BadInput unless n is an int prime with 17 <= n <= 2^64, the moduli the
+    searches take: :class:`SplitMix64` draws below n - 1 from one word."""
+    require_ints("n", n)
+    if n > 1 << 64:
+        raise BadInput(f"need n <= 2^64 (one 64-bit word per draw), got {n}")
+    if not is_prime(n) or n < 17:
         raise BadInput(f"need a prime n >= 17, got {n}")
+
+
+def girstmair_set(n: int) -> ONSet:
+    """The extensional O_n for a prime 17 <= n <= 2^64; complement bound verified."""
+    _check_search_modulus(n)
     members = frozenset(q for q in range(1, n) if girstmair_member(n, q))
     complement = (n + 1) - len(members)  # complement within {0, ..., n}
     if not _complement_bound_holds(n, complement):
@@ -353,15 +365,11 @@ def find_asymptotic_partition(
     at once, the error the samples would have ended in.  The partition
     returned carries the chain records its search computed
     (``Partition.chain_records``).  BadInput unless all four arguments are
-    ints, for a negative ``max_trials``, and for n > 2^64: :class:`SplitMix64`
-    draws below n - 1 from one word.
+    ints, for a negative ``max_trials``, and for an n that
+    :func:`_check_search_modulus` refuses.
     """
-    if not all(map(_is_int, (n, r, seed, max_trials))):
-        raise BadInput(f"need int arguments, got {(n, r, seed, max_trials)!r}")
-    if n > 1 << 64:
-        raise BadInput(f"need n <= 2^64 (one 64-bit word per draw), got {n}")
-    if not is_prime(n) or n < 17:
-        raise BadInput(f"need a prime n >= 17, got {n}")
+    require_ints("n, r, seed and max_trials", n, r, seed, max_trials)
+    _check_search_modulus(n)
     if r < 2:
         raise BadInput(f"need r >= 2, got {r}")
     if max_trials < 0:
@@ -410,13 +418,13 @@ def partition_density(
 
     ``samples=None`` enumerates all C(n-1, r-1) compositions exactly; otherwise
     a seeded uniform sample of the given size is used.  r = 1 is vacuously
-    asymptotic (no pairs).  BadInput for n > 2^64, as in
-    :func:`find_asymptotic_partition`, whether sampled or enumerated.
+    asymptotic (no pairs).  BadInput for an n that
+    :func:`_check_search_modulus` refuses, whether sampled or enumerated.
     """
-    if n > 1 << 64:
-        raise BadInput(f"need n <= 2^64 (one 64-bit word per draw), got {n}")
-    if not is_prime(n) or n < 17:
-        raise BadInput(f"need a prime n >= 17, got {n}")
+    _check_search_modulus(n)
+    require_ints("r, seed and samples", r, seed, *[samples] if samples is not None else ())
+    if samples is not None and samples < 1:
+        raise BadInput("need at least one sample")
     if r < 1:
         raise BadInput(f"need r >= 1, got {r}")
     if r == 1:
@@ -430,8 +438,6 @@ def partition_density(
             total += 1
             hits += asymptotic(nu)
         return Fraction(hits, total)
-    if samples < 1:
-        raise BadInput("need at least one sample")
     stream = _sampled_compositions(n, r, seed)
     hits = sum(asymptotic(next(stream)) for _ in range(samples))
     return Fraction(hits, samples)

@@ -17,13 +17,14 @@ import math
 from fractions import Fraction
 
 from .errors import BadInput, NotCoprime
-from .exact import is_prime
+from .exact import is_prime, require_ints
 from .hj import chain_record, hj_expand
 
 __all__ = ["dedekind_sum", "dedekind_fast", "power_sums", "barkan_residual"]
 
 
-def _check_modulus(n: int) -> None:
+def _check_args(n: int, *args) -> None:
+    require_ints("arguments and modulus", *args, n)
     if n < 3:
         raise BadInput(f"modulus must be >= 3, got {n}")
 
@@ -35,7 +36,8 @@ def dedekind_sum(a_list, n: int) -> Fraction:
     non-coprime arguments are allowed here (only the fast path needs them
     invertible).
     """
-    _check_modulus(n)
+    a_list = list(a_list)
+    _check_args(n, *a_list)
     residues = [a % n for a in a_list]
     d = len(residues)
     total = 0
@@ -58,7 +60,7 @@ def dedekind_fast(a: int, b: int, n: int) -> Fraction:
     12 n d(1, q, n) = D, the integer of :func:`~rootcover.hj.chain_record`.
     Requires both arguments invertible modulo n.
     """
-    _check_modulus(n)
+    _check_args(n, a, b)
     if math.gcd(a, n) != 1 or math.gcd(b, n) != 1:
         raise NotCoprime(f"arguments {a}, {b} must be coprime to {n}")
     q = (pow(a, -1, n) * b) % n
@@ -73,11 +75,10 @@ def power_sums(a: int, b: int, c: int, n: int) -> tuple[Fraction, Fraction, Frac
         sum {ia}{ib}       = n^2 d(a,b,n) + n^2 (n-1)/4
         sum {ia}^2 {ib}    = n^3 d(a,b,n) + n^2 (n-1)(2n-1)/12
         sum {ia}{ib}{ic}   = (n^3/2)(d(a,b,n) + d(a,c,n) + d(b,c,n)) + n^3 (n-1)/8
+
+    Each argument must be invertible modulo n, as for :func:`dedekind_fast`,
+    which checks them.
     """
-    _check_modulus(n)
-    for x in (a, b, c):
-        if math.gcd(x, n) != 1:
-            raise NotCoprime(f"argument {x} must be coprime to {n}")
     dab = dedekind_fast(a, b, n)
     s11 = n * n * dab + Fraction(n * n * (n - 1), 4)
     s21 = n**3 * dab + Fraction(n * n * (n - 1) * (2 * n - 1), 12)
@@ -104,9 +105,7 @@ def barkan_residual(n: int, q: int) -> Fraction:
     """
     if not is_prime(n):
         raise BadInput(f"modulus must be prime, got {n}")
-    if not 0 < q < n:
-        raise BadInput(f"need 0 < q < n, got q={q}")
-    e = hj_expand(n, q)
+    e = hj_expand(n, q)  # BadInput unless q is an int with 0 < q < n
     lhs = 12 * dedekind_fast(1, q, n) + e.s
     rhs = e.excess + Fraction(q + e.q_inv, n)
     return lhs - rhs

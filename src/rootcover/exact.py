@@ -3,12 +3,13 @@
 Everything downstream computes with arbitrary-precision rationals; the only
 irrational quantities in the whole system (square-root and logarithm bounds)
 are compared or enclosed exactly here, so no floating point enters any result.
-The deterministic primality test every prime modulus is checked with lives
-here too.
+The primality test every prime modulus is checked with, and the integer rule
+of every public entry point (:func:`require_ints`), live here too.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -20,11 +21,20 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def require_ints(what: str, *values, error: type[BadInput] = BadInput) -> None:
+    """``error`` (BadInput, or BadParams for pair data) unless every value is
+    an int: the one integer rule.  A bool is no int, nor is 3.0 or Fraction(3)."""
+    for x in values:
+        if type(x) is not int and not _is_int(x):  # an exact int needs no call
+            raise error(f"{what} must be ints, got {x!r}")
+
+
 def mod_inverse(a: int, n: int) -> int:
     """Inverse of ``a`` modulo ``n``, in ``[1, n)``.
 
     Raises :class:`NotCoprime` when ``gcd(a, n) != 1``.
     """
+    require_ints("mod_inverse arguments", a, n)
     if n < 2:
         raise BadInput(f"modulus must be >= 2, got {n}")
     try:
@@ -53,6 +63,7 @@ def is_prime(n: int) -> bool:
     proven bound for the bases tested so far.  Raises :class:`BadInput` at
     or above the last bound, where these bases no longer decide.
     """
+    require_ints("is_prime arguments", n)
     if n >= _SPRP_BOUNDS[-1]:
         raise BadInput(f"primality is decided below {_SPRP_BOUNDS[-1]}, got {n}")
     if n < 2:
@@ -78,24 +89,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def sawtooth(x) -> Fraction:
-    """The sawtooth function ((x)): x - floor(x) - 1/2 off the integers, 0 on them.
-
-    Odd and periodic with period 1.
-    """
-    x = Fraction(x)
-    if x.denominator == 1:
-        return Fraction(0)
-    return x - math.floor(x) - Fraction(1, 2)
-
-
 def sqrt_upper(m: int) -> Fraction:
     """A rational upper bound for sqrt(m), within 2**-64 of the true value.
 
     The bound is (isqrt(m 4**64) + 1) / 2**64, taken by shifts; BadInput
     unless m is a nonnegative integer.
     """
-    if not isinstance(m, int) or m < 0:
+    require_ints("sqrt_upper arguments", m)
+    if m < 0:
         raise BadInput(f"radicand must be a nonnegative integer, got {m!r}")
     return Fraction(math.isqrt(m << 128) + 1, 1 << 64)
 
@@ -107,13 +108,12 @@ _LN2_TERMS = 96
 _LOG_TERMS = 64  # terms of the atanh series in log_enclosure
 
 
+@functools.cache
 def _ln2_enclosure() -> tuple[Fraction, Fraction]:
     # ln 2 = sum_{k>=1} 1/(k 2^k); the tail after K terms is < 1/((K+1) 2^K).
+    # Cached on first use, not summed at import: only log_enclosure reads it.
     lo = sum(Fraction(1, k * (1 << k)) for k in range(1, _LN2_TERMS + 1))
     return lo, lo + Fraction(1, (_LN2_TERMS + 1) * (1 << _LN2_TERMS))
-
-
-_LN2_LO, _LN2_HI = _ln2_enclosure()
 
 
 def log_enclosure(x) -> tuple[Fraction, Fraction]:
@@ -142,6 +142,7 @@ def log_enclosure(x) -> tuple[Fraction, Fraction]:
         power *= tsq
     lo_frac = 2 * acc
     tail = 2 * power / ((2 * _LOG_TERMS + 1) * (1 - tsq)) if t else Fraction(0)
+    ln2_lo, ln2_hi = _ln2_enclosure()
     if e >= 0:
-        return e * _LN2_LO + lo_frac, e * _LN2_HI + lo_frac + tail
-    return e * _LN2_HI + lo_frac, e * _LN2_LO + lo_frac + tail
+        return e * ln2_lo + lo_frac, e * ln2_hi + lo_frac + tail
+    return e * ln2_hi + lo_frac, e * ln2_lo + lo_frac + tail

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadInput, CertificationError
+from .exact import require_ints
 
 __all__ = [
     "HJExpansion",
@@ -76,6 +77,7 @@ class HJExpansion:
 
 
 def _validate(n: int, q: int) -> None:
+    require_ints("n and q", n, q)
     if n < 2 or not 1 <= q < n:
         raise BadInput(f"need 1 <= q < n with n >= 2, got n={n}, q={q}")
     if math.gcd(n, q) != 1:
@@ -105,6 +107,7 @@ def hj_evaluate(ks) -> Fraction:
     ks = list(ks)
     if not ks:
         raise BadInput("empty coefficient list")
+    require_ints("coefficients", *ks)
     if any(k < 2 for k in ks):
         raise BadInput("all coefficients must be >= 2")
     value = Fraction(ks[-1])

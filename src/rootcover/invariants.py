@@ -44,7 +44,7 @@ from .errors import (
     DegenerateCone,
     IncompatiblePartition,
 )
-from .exact import sqrt_upper
+from .exact import require_ints, sqrt_upper
 from .hj import hj_expand
 from .logchern import BasePair, LogChernNumbers
 from .toric import subdivision_point
@@ -94,6 +94,8 @@ class ClosedFormsP4:
 
 @dataclass(frozen=True)
 class InvariantReport:
+    """Every invariant of one (pair, n, partition, strategy) cell, exact."""
+
     n: int
     nu: tuple[int, ...]
     label: str
@@ -347,6 +349,7 @@ def closed_forms_p4(d: int, n: int, part: Partition) -> ClosedFormsP4:
     and the slope limits ((d-2)^3 - 1)/((d-2)(d-1)^2),
     (d-5)(d^2+2d+6)/((d-2)(d-1)^2) (undefined for d <= 2).
     """
+    require_ints("d and n", d, n, error=BadParams)
     if d < 1:
         raise BadParams(f"need d >= 1, got {d}")
     if part.r != 3 or part.n != n or sum(part.nu) != n:

@@ -22,13 +22,13 @@ import itertools
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
 from .errors import BadParams
-from .exact import _is_int
+from .exact import _is_int, require_ints
 
 __all__ = [
     "PRESET_PARAMS",
@@ -44,12 +44,19 @@ __all__ = [
 # The parameters of each preset of make_preset, by name and in order.
 PRESET_PARAMS = {"planes_p3": ("r",), "hypersurface_p4": ("d", "r")}
 
+# BasePair's integer fields in field order, by rank: 0 a scalar, 1 a table
+# of r values, 2 an r x r table.  BasePair.__post_init__ checks them, and
+# base_pair_to_json and base_pair_from_json write and read them, from here.
+_INT_FIELDS = {
+    "r": 0, "c1_cubed": 0, "c1c2": 0, "c3": 0,
+    "d3": 1, "c1sq_d": 1, "c2_d": 1,
+    "c1_dd": 2, "dd2": 2,
+    "e_d": 0, "e_sing_d": 0,
+}
 
-def _require_ints(what: str, values) -> None:
-    """BadParams unless every one of ``values`` is an int (bools are not)."""
-    for x in values:
-        if not _is_int(x):
-            raise BadParams(f"{what} must be ints, got {x!r}")
+
+def _from_json(value, rank: int):
+    return value if rank == 0 else tuple(_from_json(x, rank - 1) for x in value)
 
 
 @dataclass(frozen=True)
@@ -65,12 +72,12 @@ class TripleTable:
     entries: dict = field(default_factory=dict)  # {(j,k,l): value}, j<k<l
 
     def __post_init__(self):
-        _require_ints("triple r", (self.r,))
+        require_ints("triple r", self.r, error=BadParams)
         if self.constant is not None:
-            _require_ints("triple constant", (self.constant,))
-        _require_ints("triple values", self.entries.values())
+            require_ints("triple constant", self.constant, error=BadParams)
+        require_ints("triple values", *self.entries.values(), error=BadParams)
         for key in self.entries:
-            _require_ints("triple keys", key)
+            require_ints("triple keys", *key, error=BadParams)
             if not (len(key) == 3 and 0 <= key[0] < key[1] < key[2] < self.r):
                 raise BadParams(
                     f"triple key {key} must be (j, k, l) with 0 <= j < k < l < {self.r}"
@@ -146,27 +153,24 @@ class BasePair:
 
     def __post_init__(self):
         r = self.r
-        for name in ("r", "c1_cubed", "c1c2", "c3", "e_d", "e_sing_d"):
-            _require_ints(name, (getattr(self, name),))
+        for name, rank in _INT_FIELDS.items():
+            value = getattr(self, name)
+            if rank == 0:
+                require_ints(name, value, error=BadParams)
+                continue
+            if len(value) != r or (rank == 2 and any(len(row) != r for row in value)):
+                shape = f"have length {r}" if rank == 1 else f"be {r} x {r}"
+                raise BadParams(f"table {name} must {shape}")
+            entries = value if rank == 1 else itertools.chain.from_iterable(value)
+            require_ints(f"table {name}", *entries, error=BadParams)
         if not isinstance(self.h_section, bool) or not isinstance(self.label, str):
             raise BadParams(
                 f"h_section must be a bool and label a str, got {self.h_section!r}, {self.label!r}"
             )
-        for name in ("d3", "c1sq_d", "c2_d"):
-            table = getattr(self, name)
-            if len(table) != r:
-                raise BadParams(f"table {name} must have length {r}")
-            _require_ints(f"table {name}", table)
-        for name in ("c1_dd", "dd2"):
-            rows = getattr(self, name)
-            if len(rows) != r or any(len(row) != r for row in rows):
-                raise BadParams(f"table {name} must be {r} x {r}")
-            for row in rows:
-                _require_ints(f"table {name}", row)
         if self.triple.r != r:
             raise BadParams(f"triple table has r = {self.triple.r}, pair has r = {r}")
         for key, curves in self.pair_curves.items():
-            _require_ints("pair_curves keys", key)
+            require_ints("pair_curves keys", *key, error=BadParams)
             if not (len(key) == 2 and 0 <= key[0] < key[1] < r):
                 raise BadParams(
                     f"pair_curves key {key} must be (j, k) with 0 <= j < k < {r}"
@@ -174,7 +178,7 @@ class BasePair:
             for curve in curves:
                 if len(curve) != 2:
                     raise BadParams(f"pair_curves[{key}] entries must be (genus, count)")
-                _require_ints(f"pair_curves[{key}]", curve)
+                require_ints(f"pair_curves[{key}]", *curve, error=BadParams)
         for j in range(r):
             for k in range(r):
                 if self.c1_dd[j][k] != self.c1_dd[k][j]:
@@ -318,6 +322,8 @@ class BasePair:
 
 @dataclass(frozen=True)
 class LogChernNumbers:
+    """The log Chern numbers c1_bar^3, c1c2_bar and c3_bar of a pair, exact."""
+
     c1_cubed_bar: Fraction
     c1c2_bar: Fraction
     c3_bar: Fraction
@@ -407,27 +413,14 @@ def base_pair_to_json(pair: BasePair) -> str:
         triple = {
             "entries": [[j, k, l, v] for (j, k, l), v in sorted(pair.triple.entries.items())]
         }
-    doc = {
-        "schema": "rootcover-basepair/1",
-        "label": pair.label,
-        "h_section": pair.h_section,
-        "r": pair.r,
-        "c1_cubed": pair.c1_cubed,
-        "c1c2": pair.c1c2,
-        "c3": pair.c3,
-        "d3": list(pair.d3),
-        "c1sq_d": list(pair.c1sq_d),
-        "c2_d": list(pair.c2_d),
-        "c1_dd": [list(row) for row in pair.c1_dd],
-        "dd2": [list(row) for row in pair.dd2],
-        "triple": triple,
-        "pair_curves": [
-            [j, k, [[g, c] for g, c in curves]]
-            for (j, k), curves in sorted(pair.pair_curves.items())
-        ],
-        "e_d": pair.e_d,
-        "e_sing_d": pair.e_sing_d,
-    }
+    doc = {name: getattr(pair, name) for name in _INT_FIELDS}  # tuples as lists
+    doc.update(
+        schema="rootcover-basepair/1",
+        label=pair.label,
+        h_section=pair.h_section,
+        triple=triple,
+        pair_curves=[[j, k, curves] for (j, k), curves in sorted(pair.pair_curves.items())],
+    )
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
@@ -448,23 +441,17 @@ def base_pair_from_json(text: str) -> BasePair:
         else:
             entries = {tuple(e[:3]): e[3] for e in tdoc["entries"]}
             triple = TripleTable(r=r, entries=entries)
+        values = {"r": r, "triple": triple}
+        for f in fields(BasePair):  # the rest in field order
+            if f.name == "pair_curves":
+                values[f.name] = {
+                    (j, k): tuple((g, c) for g, c in curves)
+                    for j, k, curves in doc["pair_curves"]
+                }
+            elif f.name in _INT_FIELDS and f.name not in values:
+                values[f.name] = _from_json(doc[f.name], _INT_FIELDS[f.name])
         return BasePair(
-            r=r,
-            c1_cubed=doc["c1_cubed"],
-            c1c2=doc["c1c2"],
-            c3=doc["c3"],
-            d3=tuple(doc["d3"]),
-            c1sq_d=tuple(doc["c1sq_d"]),
-            c2_d=tuple(doc["c2_d"]),
-            c1_dd=tuple(tuple(row) for row in doc["c1_dd"]),
-            dd2=tuple(tuple(row) for row in doc["dd2"]),
-            triple=triple,
-            pair_curves={
-                (j, k): tuple((g, c) for g, c in curves)
-                for j, k, curves in doc["pair_curves"]
-            },
-            e_d=doc["e_d"],
-            e_sing_d=doc["e_sing_d"],
+            **values,
             label=doc.get("label", "custom"),
             h_section=doc.get("h_section", False),
         )

@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Iterator
 
 from .errors import BadInput, CertificationError, Degenerate, NotInterior
-from .exact import _is_int, is_prime, mod_inverse
+from .exact import is_prime, mod_inverse, require_ints
 from .hj import HJExpansion, hj_expand
 
 __all__ = [
@@ -73,8 +73,7 @@ class LocalConeSpec:
     q: int
 
     def __post_init__(self):
-        if not all(map(_is_int, (self.n, self.p, self.q))):
-            raise BadInput(f"n, p, q must be ints, got {self.n!r}, {self.p!r}, {self.q!r}")
+        require_ints("n, p, q", self.n, self.p, self.q)
         if not is_prime(self.n):
             raise BadInput(f"modulus must be prime, got {self.n}")
         if not (0 < self.p < self.n and 0 < self.q < self.n):
@@ -101,6 +100,7 @@ def max_slope(v: tuple[int, int, int]) -> Fraction:
 
     Raises :class:`NotInterior` for a point with a zero coordinate.
     """
+    require_ints("coordinates", *v)
     if min(v) <= 0:
         raise NotInterior(f"{v} has a zero coordinate")
     return Fraction(max(v), min(v))
@@ -479,15 +479,14 @@ def cyclic_resolution(spec: LocalConeSpec, v: tuple[int, int, int]) -> CyclicRes
     if flags is not None:
         raise Degenerate(f"excluded cone shape {flags}")
     try:
-        v = tuple(v)
-    except TypeError:
+        v1, v2, v3 = v
+    except (TypeError, ValueError):
         raise BadInput(f"{v!r} is not a point (v1, v2, v3)") from None
-    if len(v) != 3 or any(type(c) is not int for c in v):  # bool is no coordinate
-        raise BadInput(f"{v!r} is not a point (v1, v2, v3) of three ints")
+    require_ints("point coordinates", v1, v2, v3)
+    v = (v1, v2, v3)
     if min(v) <= 0:
         raise NotInterior(f"{v} has a zero coordinate")
     n = spec.n
-    v1, v2, v3 = v
     if v3 != (spec.p * v1 + spec.q * v2) % n or max(v) >= n:
         raise BadInput(f"{v} is not in the open parallelepiped")
 

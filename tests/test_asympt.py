@@ -259,7 +259,7 @@ def test_exhausted():
         find_asymptotic_partition(19, 1, 0, 10)
     for args in ((101.0, 3, 0, 10), (101, 3, "x", 10), (101, 3.0, 0, 10),
                  (101, 3, 0, 10.0), (101, 3, 0, True)):
-        with pytest.raises(BadInput, match="need int arguments"):
+        with pytest.raises(BadInput, match="must be ints"):
             find_asymptotic_partition(*args)
 
 

@@ -7,7 +7,7 @@ from sympy import nextprime, primerange
 
 from rootcover.dedekind import barkan_residual, dedekind_fast, dedekind_sum, power_sums
 from rootcover.errors import BadInput, NotCoprime
-from rootcover.exact import sawtooth
+from test_exact import sawtooth
 
 
 def sawtooth_oracle(a_list, n):

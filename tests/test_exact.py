@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -7,15 +8,33 @@ import pytest
 from hypothesis import given, strategies as st
 from sympy import isprime
 
-from rootcover.errors import BadInput, NotCoprime
-from rootcover.exact import (
-    is_prime,
-    log_enclosure,
-    mod_inverse,
-    sawtooth,
-    sqrt_upper,
+from rootcover import exact
+from rootcover.asympt import (
+    Partition,
+    SplitMix64,
+    girstmair_member,
+    girstmair_set,
+    partition_density,
+    q_of_pair,
 )
+from rootcover.dedekind import barkan_residual, dedekind_fast, dedekind_sum, power_sums
+from rootcover.errors import BadInput, BadParams, NotCoprime
+from rootcover.exact import is_prime, log_enclosure, mod_inverse, sqrt_upper
+from rootcover.hj import chain_record, hj_evaluate, hj_expand, hj_length
+from rootcover.invariants import closed_forms_p4
+from rootcover.toric import local_cone, max_slope
 
+
+def sawtooth(x) -> Fraction:
+    """The sawtooth function ((x)): x - floor(x) - 1/2 off the integers, 0 on them.
+
+    Odd and periodic with period 1.  The Dedekind sums' defining factor, for
+    the tests' oracles (test_dedekind imports it from here).
+    """
+    x = Fraction(x)
+    if x.denominator == 1:
+        return Fraction(0)
+    return x - math.floor(x) - Fraction(1, 2)
 
 
 def leq_sqrt_bound(x, c, m: int, d) -> bool:
@@ -138,6 +157,27 @@ def test_log_enclosure():
         log_enclosure(0)
 
 
+def test_ln2_enclosure_is_pinned():
+    # the 96-term enclosure of ln 2 is summed on first use and cached, not
+    # built at import; both ends are pinned, and they bracket ln 2
+    exact._ln2_enclosure.cache_clear()
+    lo, hi = exact._ln2_enclosure()
+    assert lo == Fraction(
+        19736176966263837228580555830996084040336236181985230861402177728257,
+        28473284635335824425228876140218232013917389017909344229727089459200,
+    )
+    assert hi == Fraction(
+        1914409165727592211172313915606979535290087654380219629684543777288129,
+        2761908609627574969247200985601168505349986734737206390283527677542400,
+    )
+    assert exact._ln2_enclosure() is exact._ln2_enclosure()
+    assert exact._ln2_enclosure.cache_info().misses == 1
+    getcontext().prec = 60
+    ln2 = Fraction(str(Decimal(2).ln()))
+    assert lo < ln2 - Fraction(1, 10**55) and ln2 + Fraction(1, 10**55) < hi
+    assert hi - lo < Fraction(1, 2**102)
+
+
 # The least strong pseudoprime to the bases 2, 3, ..., p for each prime p
 # <= 37 (the bounds is_prime stops at), without repeats.
 STRONG_PSEUDOPRIMES = (
@@ -174,3 +214,57 @@ def test_is_prime_small_and_out_of_range():
         assert is_prime(n) == isprime(n), n
     with pytest.raises(BadInput):
         is_prime(PRIME_LIMIT)
+
+
+# Public entry points with valid integer arguments; a list argument holds
+# integers.  closed_forms_p4 takes closed-form parameters, so BadParams.
+INT_ENTRY_POINTS = [
+    ("is_prime", is_prime, (7,), BadInput),
+    ("mod_inverse", mod_inverse, (3, 7), BadInput),
+    ("sqrt_upper", sqrt_upper, (7,), BadInput),
+    ("hj_expand", hj_expand, (7, 5), BadInput),
+    ("chain_record", chain_record, (7, 5), BadInput),
+    ("hj_length", hj_length, (7, 5), BadInput),
+    ("hj_evaluate", hj_evaluate, ([2, 3],), BadInput),
+    ("dedekind_sum", dedekind_sum, ([1, 2], 7), BadInput),
+    ("dedekind_fast", dedekind_fast, (1, 2, 7), BadInput),
+    ("power_sums", power_sums, (1, 2, 3, 7), BadInput),
+    ("barkan_residual", barkan_residual, (7, 5), BadInput),
+    ("SplitMix64", SplitMix64, (1,), BadInput),
+    ("SplitMix64.below", lambda bound: SplitMix64(1).below(bound), (3,), BadInput),
+    ("q_of_pair", q_of_pair, (7, 1, 2), BadInput),
+    ("girstmair_member", girstmair_member, (101, 5), BadInput),
+    ("girstmair_set", girstmair_set, (101,), BadInput),
+    ("partition_density", partition_density, (101, 3, 10, 0), BadInput),
+    ("local_cone", local_cone, (7, 1, 2, 4), BadInput),
+    ("max_slope", max_slope, ((1, 2, 3),), BadInput),
+    ("closed_forms_p4",
+     lambda d, n: closed_forms_p4(d, n, Partition(7, (1, 2, 4))), (6, 7), BadParams),
+]
+
+NON_INTS = {"float": float, "bool": lambda x: True, "str": str}
+
+
+def _int_argument_cases():
+    for name, fn, args, error in INT_ENTRY_POINTS:
+        for i, arg in enumerate(args):
+            for j in [None] if isinstance(arg, int) else range(len(arg)):
+                for kind, make in NON_INTS.items():
+                    where = f"{i}" if j is None else f"{i}.{j}"
+                    yield pytest.param(fn, args, i, j, make, error, id=f"{name}-{where}-{kind}")
+
+
+@pytest.mark.parametrize("fn, args, i, j, make, error", _int_argument_cases())
+def test_integer_arguments_must_be_ints(fn, args, i, j, make, error):
+    # exact.require_ints decides for every entry point: a float of integral
+    # value, a bool and a numeric str are refused alike, with a typed error
+    # that names the value refused
+    fn(*args)  # valid as given
+    bad = list(args)
+    if j is None:
+        value = bad[i] = make(args[i])
+    else:
+        bad[i] = list(args[i])
+        value = bad[i][j] = make(args[i][j])
+    with pytest.raises(error, match=f"must be ints, got {re.escape(repr(value))}$"):
+        fn(*bad)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -350,6 +351,19 @@ def test_base_pair_fields_must_be_ints(path, bad):
     node[last] = bad
     with pytest.raises(BadParams):
         base_pair_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("kind, params, golden", [
+    ("planes_p3", 4, "basepair_planes_p3_r4.json"),
+    ("hypersurface_p4", (6, 3), "basepair_hypersurface_p4_6_3.json"),
+])
+def test_base_pair_json_bytes_are_pinned(kind, params, golden):
+    # the goldens hold the rootcover-basepair/1 text of two presets: the
+    # writer keeps it byte for byte, and the reader gives the same pair back
+    text = (Path(__file__).parent / "data" / golden).read_text(encoding="utf-8")
+    pair = make_preset(kind, params)
+    assert base_pair_to_json(pair) == text
+    assert base_pair_from_json(text) == pair
 
 
 @pytest.mark.parametrize("field, bad", [("h_section", "no"), ("h_section", 1), ("label", 5)])
