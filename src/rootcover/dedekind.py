@@ -36,7 +36,10 @@ def dedekind_sum(a_list, n: int) -> Fraction:
     non-coprime arguments are allowed here (only the fast path needs them
     invertible).
     """
-    a_list = list(a_list)
+    try:
+        a_list = list(a_list)
+    except TypeError:
+        raise BadInput(f"arguments must be a sequence, got {a_list!r}") from None
     _check_args(n, *a_list)
     residues = [a % n for a in a_list]
     d = len(residues)

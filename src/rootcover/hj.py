@@ -104,7 +104,10 @@ def hj_evaluate(ks) -> Fraction:
     Independent oracle for :func:`hj_expand`: evaluating the coefficients of
     the expansion of n/q returns exactly n/q.
     """
-    ks = list(ks)
+    try:
+        ks = list(ks)
+    except TypeError:
+        raise BadInput(f"coefficients must be a sequence, got {ks!r}") from None
     if not ks:
         raise BadInput("empty coefficient list")
     require_ints("coefficients", *ks)

@@ -3,9 +3,10 @@
 A base pair is a smooth projective 3-fold Z together with branch divisors
 D_1, ..., D_r whose reduced sum is simple normal crossing, represented purely
 by numbers: Chern numbers of Z, all divisor products up to degree three,
-curve genera of the pairwise intersections, and the Euler characteristics of
-D and Sing(D).  The log Chern numbers of the pair are the Chern numbers of
-the log-differential sheaf; for 3-folds,
+and the curve genera of the pairwise intersections.  The Euler numbers of D
+and Sing(D) follow from the tables (see ``BasePair.e_d`` and
+``BasePair.e_sing_d``).  The log Chern numbers of the pair are the Chern
+numbers of the log-differential sheaf; for 3-folds,
 
     c1_bar^3   = (c1 - D)^3,
     c1c2_bar   = c1c2 - D(c1^2 + c2) + c1(2 D^[2] + 3 D^[1,1]) - D(D^[2] + D^[1,1]),
@@ -51,8 +52,10 @@ _INT_FIELDS = {
     "r": 0, "c1_cubed": 0, "c1c2": 0, "c3": 0,
     "d3": 1, "c1sq_d": 1, "c2_d": 1,
     "c1_dd": 2, "dd2": 2,
-    "e_d": 0, "e_sing_d": 0,
 }
+# BasePair's integers derived from the tables: schema v1 carries them, so
+# base_pair_to_json writes them and base_pair_from_json checks them.
+_DERIVED_INTS = ("e_d", "e_sing_d")
 
 
 def _from_json(value, rank: int):
@@ -124,15 +127,16 @@ class BasePair:
     of the curve D_j.D_k; it is nonempty for every pair with a nonzero
     product (``meeting_pairs``), or BadParams.  ``h_section`` marks pairs
     whose divisors are all linearly equivalent to a single class H, so
-    multiplicities must satisfy sum(nu) ~ 0 mod n.
+    multiplicities must satisfy sum(nu) ~ 0 mod n.  The Euler numbers of D
+    and Sing(D) are not inputs: ``e_d`` and ``e_sing_d`` derive them.
 
     Everything the invariants derive from these tables alone is computed once
     per pair, on first use, and kept with it (also through pickling): the
     divisor aggregates (:meth:`sum_d3` ... :meth:`c2_dred`), the nonzero
-    triples, ``meeting_pairs``, the weights of chi and e per pair
-    (``pair_weights``, ``euler_weights``), ``chi_bound_weight``,
-    ``log_chern`` and ``log_slopes``.  A report then does only the work that
-    depends on n and the partition.
+    triples, ``meeting_pairs``, ``e_d`` and ``e_sing_d``, the weights of chi
+    and e per pair (``pair_weights``, ``euler_weights``),
+    ``chi_bound_weight``, ``log_chern`` and ``log_slopes``.  A report then
+    does only the work that depends on n and the partition.
     """
 
     r: int
@@ -146,8 +150,6 @@ class BasePair:
     dd2: tuple[tuple[int, ...], ...]
     triple: TripleTable
     pair_curves: dict  # {(j,k): ((genus, count), ...)}, j < k
-    e_d: int
-    e_sing_d: int
     label: str = "custom"
     h_section: bool = False
 
@@ -267,13 +269,34 @@ class BasePair:
         return sums
 
     @cached_property
+    def e_d(self) -> int:
+        """e(D) = c3 - c3_bar, since e(Z) = e(D) + e(Z - D) and c3_bar = e(Z - D)."""
+        return int(self.c3 - self.log_chern.c3_bar)
+
+    @cached_property
+    def _curve_euler(self) -> dict[tuple[int, int], int]:
+        """{(j, k): e(D_j D_k)} for j < k, by adjunction
+        e(D_j D_k) = -(K_Z + D_j + D_k) D_j D_k = c1 D_j D_k - D_j D_k^2 - D_j^2 D_k."""
+        c1_dd, dd2 = self.c1_dd, self.dd2
+        return {
+            (j, k): c1_dd[j][k] - dd2[j][k] - dd2[k][j]
+            for j, k in itertools.combinations(range(self.r), 2)
+        }
+
+    @cached_property
+    def e_sing_d(self) -> int:
+        """e(Sing D) = sum_{j<k} e(D_j D_k) - 2 D^[1,1,1]: each triple point
+        lies on three of the curves."""
+        return sum(self._curve_euler.values()) - 2 * self.triple.total()
+
+    @cached_property
     def pair_weights(self) -> tuple[tuple[int, int, int], ...]:
         """(j, k, w_jk) for the pairs j < k with w_jk != 0, the weight of the
         Dedekind sum d(nu_j, nu_k, n) in chi: w_jk = D_j D_k (D_j + D_k + K_Z)
-        + sum_l D_jkl, so each triple product weights its three pairs."""
+        + sum_l D_jkl = sum_l D_jkl - e(D_j D_k), so each triple product
+        weights its three pairs."""
         weights = (
-            (j, k, self.dd2[k][j] + self.dd2[j][k] + self.kz_dd(j, k) + t)
-            for (j, k), t in self._triple_sums.items()
+            (j, k, t - self._curve_euler[j, k]) for (j, k), t in self._triple_sums.items()
         )
         return tuple(entry for entry in weights if entry[2])
 
@@ -300,11 +323,10 @@ class BasePair:
     @cached_property
     def chi_bound_weight(self) -> int:
         """sum_{j<k} |D_j D_k (D_j + D_k + K_Z)| + 3 sum_{j<k<l} |D_jkl|, the
-        weight of the a-priori chi bound."""
-        return sum(
-            abs(self.dd2[k][j] + self.dd2[j][k] + self.kz_dd(j, k))
-            for j, k in itertools.combinations(range(self.r), 2)
-        ) + 3 * sum(abs(t) for _key, t in self.triple.items_nonzero())
+        weight of the a-priori chi bound; D_j D_k (D_j + D_k + K_Z) = -e(D_j D_k)."""
+        return sum(map(abs, self._curve_euler.values())) + 3 * sum(
+            abs(t) for _key, t in self.triple.items_nonzero()
+        )
 
     @cached_property
     def log_chern(self) -> LogChernNumbers:
@@ -352,8 +374,6 @@ def log_chern_numbers(pair: BasePair) -> LogChernNumbers:
 
 def _hypersurface_tables(d: int, r: int) -> BasePair:
     genus = (d - 1) * (d - 2) // 2
-    e_surface = d**3 - 4 * d * d + 6 * d
-    e_curve = 3 * d - d * d  # 2 - 2*genus
     c1h2 = (5 - d) * d
     pair_curves = {
         (j, k): ((genus, 1),) for j in range(r) for k in range(j + 1, r)
@@ -370,8 +390,6 @@ def _hypersurface_tables(d: int, r: int) -> BasePair:
         dd2=tuple((d,) * r for _ in range(r)),
         triple=TripleTable(r=r, constant=d),
         pair_curves=pair_curves,
-        e_d=r * e_surface - math.comb(r, 2) * e_curve + math.comb(r, 3) * d,
-        e_sing_d=math.comb(r, 2) * e_curve - 2 * d * math.comb(r, 3),
         label=f"hypersurface_p4(d={d}, r={r})" if d > 1 else f"planes_p3(r={r})",
         h_section=True,
     )
@@ -413,7 +431,9 @@ def base_pair_to_json(pair: BasePair) -> str:
         triple = {
             "entries": [[j, k, l, v] for (j, k, l), v in sorted(pair.triple.entries.items())]
         }
-    doc = {name: getattr(pair, name) for name in _INT_FIELDS}  # tuples as lists
+    doc = {  # tuples as lists
+        name: getattr(pair, name) for name in (*_INT_FIELDS, *_DERIVED_INTS)
+    }
     doc.update(
         schema="rootcover-basepair/1",
         label=pair.label,
@@ -425,7 +445,8 @@ def base_pair_to_json(pair: BasePair) -> str:
 
 
 def base_pair_from_json(text: str) -> BasePair:
-    """Inverse of base_pair_to_json; BadParams for text that is not a valid document."""
+    """Inverse of base_pair_to_json; BadParams for text that is not a valid
+    document, or whose ``e_d`` or ``e_sing_d`` disagrees with its tables."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -450,10 +471,16 @@ def base_pair_from_json(text: str) -> BasePair:
                 }
             elif f.name in _INT_FIELDS and f.name not in values:
                 values[f.name] = _from_json(doc[f.name], _INT_FIELDS[f.name])
-        return BasePair(
+        pair = BasePair(
             **values,
             label=doc.get("label", "custom"),
             h_section=doc.get("h_section", False),
         )
+        for name in _DERIVED_INTS:
+            value, derived = doc[name], getattr(pair, name)
+            require_ints(name, value, error=BadParams)
+            if value != derived:
+                raise BadParams(f"{name} = {value} disagrees with the {derived} its tables give")
+        return pair
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise BadParams(f"malformed base pair: {type(exc).__name__}: {exc}") from None

@@ -95,12 +95,23 @@ class LocalConeSpec:
         return ((n, 0, -p), (0, n, -q), (0, 0, 1))
 
 
+def _point(v) -> tuple[int, int, int]:
+    """``v`` as a point (v1, v2, v3) of three ints; anything else is BadInput."""
+    try:
+        v1, v2, v3 = v
+    except (TypeError, ValueError):
+        raise BadInput(f"{v!r} is not a point (v1, v2, v3)") from None
+    require_ints("point coordinates", v1, v2, v3)
+    return v1, v2, v3
+
+
 def max_slope(v: tuple[int, int, int]) -> Fraction:
     """max v_j / v_k over all coordinate pairs (the balance figure of merit).
 
-    Raises :class:`NotInterior` for a point with a zero coordinate.
+    ``v`` is a point (v1, v2, v3) of three ints, else BadInput.  Raises
+    :class:`NotInterior` for a point with a zero coordinate.
     """
-    require_ints("coordinates", *v)
+    v = _point(v)
     if min(v) <= 0:
         raise NotInterior(f"{v} has a zero coordinate")
     return Fraction(max(v), min(v))
@@ -478,12 +489,7 @@ def cyclic_resolution(spec: LocalConeSpec, v: tuple[int, int, int]) -> CyclicRes
     flags = _excluded_shape(spec.n, spec.p, spec.q)
     if flags is not None:
         raise Degenerate(f"excluded cone shape {flags}")
-    try:
-        v1, v2, v3 = v
-    except (TypeError, ValueError):
-        raise BadInput(f"{v!r} is not a point (v1, v2, v3)") from None
-    require_ints("point coordinates", v1, v2, v3)
-    v = (v1, v2, v3)
+    v = v1, v2, v3 = _point(v)
     if min(v) <= 0:
         raise NotInterior(f"{v} has a zero coordinate")
     n = spec.n

@@ -434,7 +434,7 @@ def test_criterion_11_smooth_cover_identity():
         d3=(2, 3), c1sq_d=(18, 10), c2_d=(12, 8),
         c1_dd=((6, 0), (0, 5)), dd2=((2, 0), (0, 3)),
         triple=TripleTable(r=2, constant=0), pair_curves={},
-        e_d=9, e_sing_d=0, label="disjoint-acceptance",
+        label="disjoint-acceptance",
     )
     bars = log_chern_numbers(pair)
     d3 = Fraction(sum(pair.d3))
@@ -453,7 +453,7 @@ def test_criterion_11_smooth_cover_identity():
     empty = BasePair(
         r=0, c1_cubed=64, c1c2=24, c3=4, d3=(), c1sq_d=(), c2_d=(),
         c1_dd=(), dd2=(), triple=TripleTable(r=0, constant=0),
-        pair_curves={}, e_d=0, e_sing_d=0,
+        pair_curves={},
     )
     assert nonsingular_cover_chern(empty, 13) == (64 * 13, 24 * 13, 4 * 13)
     _passed(11, "smooth-cover Chern identity exact for all primes n <= 100")

@@ -268,3 +268,20 @@ def test_integer_arguments_must_be_ints(fn, args, i, j, make, error):
         value = bad[i][j] = make(args[i][j])
     with pytest.raises(error, match=f"must be ints, got {re.escape(repr(value))}$"):
         fn(*bad)
+
+
+def _list_argument_cases():
+    for name, fn, args, error in INT_ENTRY_POINTS:
+        for i, arg in enumerate(args):
+            if not isinstance(arg, int):
+                yield pytest.param(fn, args, i, error, id=f"{name}-{i}")
+
+
+@pytest.mark.parametrize("fn, args, i, error", _list_argument_cases())
+def test_list_arguments_must_be_sequences(fn, args, i, error):
+    # an int where a list of ints belongs is refused with the typed error,
+    # not a TypeError from iterating it
+    bad = list(args)
+    bad[i] = 5
+    with pytest.raises(error, match="5"):
+        fn(*bad)

@@ -66,8 +66,8 @@ SPARSE_PAIR_DOC = {
         [1, 2, [[0, 1]]],
         [1, 3, [[2, 1]]],
     ],
-    "e_d": 10,
-    "e_sing_d": 4,
+    "e_d": 14,
+    "e_sing_d": -10,
 }
 SPARSE_PAIR_PARTS = (Partition(101, (3, 17, 40, 55)), Partition(103, (5, 60, 22, 91)))
 
@@ -348,7 +348,7 @@ def test_chi_r3_vanishes_without_dedekind_mass():
         r=2, c1_cubed=8, c1c2=24, c3=4, d3=(1, 1), c1sq_d=(2, 2), c2_d=(3, 3),
         c1_dd=((1, 2), (2, 1)), dd2=((1, 1), (1, 1)),
         triple=TripleTable(r=2, constant=0), pair_curves={(0, 1): ((0, 1),)},
-        e_d=6, e_sing_d=2, label="r3-test",
+        label="r3-test",
     )
     part = Partition(13, (1, 5))
     assert q_of_pair(13, 1, 5) == 5

@@ -74,8 +74,6 @@ def disjoint_pair(r=2):
         dd2=tuple(tuple(2 if j == k else 0 for k in range(r)) for j in range(r)),
         triple=TripleTable(r=r, constant=0),
         pair_curves={},
-        e_d=4 * r,
-        e_sing_d=0,
         label="disjoint-test",
     )
 
@@ -98,14 +96,51 @@ def test_preset_euler_data_by_inclusion_exclusion():
         assert pair.e_d == 3 * r - 2 * math.comb(r, 2) + math.comb(r, 3)
         assert pair.e_sing_d == 2 * math.comb(r, 2) - 2 * math.comb(r, 3)
     # degree-d surfaces in P^3 sections: e(S_d) = d^3 - 4d^2 + 6d,
-    # e(C_d) = 2 - (d-1)(d-2) per plane curve of degree d
-    for d in (2, 4, 6):
-        for r in (2, 3, 5):
+    # e(C_d) = 2 - (d-1)(d-2) per plane curve of degree d; the pair derives
+    # both numbers from its tables, so these hand counts are the oracle
+    for d in range(1, 15):
+        for r in range(1, 13):
             pair = make_preset("hypersurface_p4", (d, r))
             e_s = d**3 - 4 * d * d + 6 * d
             e_c = 2 - (d - 1) * (d - 2)
             assert pair.e_d == r * e_s - math.comb(r, 2) * e_c + math.comb(r, 3) * d
             assert pair.e_sing_d == math.comb(r, 2) * e_c - 2 * d * math.comb(r, 3)
+
+
+def test_euler_data_follow_the_tables():
+    # e(D) and e(Sing D) are derived, not fields, so a pair built from
+    # other tables carries their values, not the old ones
+    names = {f.name for f in dataclasses.fields(BasePair)}
+    assert not names & {"e_d", "e_sing_d"}
+    planes = make_preset("planes_p3", 4)
+    assert (planes.e_d, planes.e_sing_d) == (4, 4)
+    # c2.D_0 one higher adds one to e(D_0) = (c2 - c1 D_0 + D_0^2) D_0
+    moved = dataclasses.replace(planes, c2_d=(7, 6, 6, 6))
+    assert (moved.e_d, moved.e_sing_d) == (5, 4)
+    # c1.D_0 D_1 one higher adds one to e(D_0 D_1) and takes one from e(D)
+    moved = dataclasses.replace(
+        planes, c1_dd=((4, 5, 4, 4), (5, 4, 4, 4), (4, 4, 4, 4), (4, 4, 4, 4))
+    )
+    assert (moved.e_d, moved.e_sing_d) == (3, 5)
+
+
+@pytest.mark.parametrize("name", ["e_d", "e_sing_d"])
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_base_pair_json_checks_the_euler_data(name, delta):
+    # schema v1 carries e(D) and e(Sing D); a document whose value is not
+    # the one its tables give is refused, naming the field and both values
+    pair = make_preset("hypersurface_p4", (6, 3))
+    doc = json.loads(base_pair_to_json(pair))
+    value = getattr(pair, name)
+    assert doc[name] == value
+    doc[name] = value + delta
+    with pytest.raises(
+        BadParams, match=rf"^{name} = {value + delta} disagrees with the {value} "
+    ):
+        base_pair_from_json(json.dumps(doc))
+    del doc[name]
+    with pytest.raises(BadParams, match=f"malformed base pair: KeyError: '{name}'"):
+        base_pair_from_json(json.dumps(doc))
 
 
 def test_preset_hypersurface_fixtures():
@@ -213,7 +248,7 @@ def test_cover_chern_empty_branch():
     pair = BasePair(
         r=0, c1_cubed=64, c1c2=24, c3=4, d3=(), c1sq_d=(), c2_d=(),
         c1_dd=(), dd2=(), triple=TripleTable(r=0, constant=0),
-        pair_curves={}, e_d=0, e_sing_d=0, label="no-branch",
+        pair_curves={}, label="no-branch",
     )
     for n in (2, 7, 31):
         assert nonsingular_cover_chern(pair, n) == (64 * n, 24 * n, 4 * n)
@@ -257,7 +292,6 @@ def test_base_pair_json_roundtrip():
         pair_curves={
             (0, 1): ((2, 1), (0, 2)), (0, 2): ((1, 1),), (1, 2): ((0, 1),),
         },
-        e_d=7, e_sing_d=1,
     )
     assert base_pair_from_json(base_pair_to_json(sparse)) == sparse
     for text in ('{"schema": "other/9"}', "not json", "[1, 2]",
@@ -272,7 +306,6 @@ def test_base_pair_requires_curves_for_crossing_pairs():
             r=2, c1_cubed=1, c1c2=24, c3=2, d3=(1, 1), c1sq_d=(0, 0),
             c2_d=(1, 1), c1_dd=((1, 0), (0, 1)), dd2=((1, 2), (2, 1)),
             triple=TripleTable(r=2, constant=0), pair_curves={},
-            e_d=4, e_sing_d=2,
         )
 
 

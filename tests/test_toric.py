@@ -395,6 +395,12 @@ def test_max_slope_of_a_boundary_point_is_typed():
     for v in ((0, 3, 4), (3, 0, 4), (3, 4, 0)):
         with pytest.raises(NotInterior):
             max_slope(v)
+    # the one point rule of cyclic_resolution: three ints, else BadInput
+    for v in (5, (), (1, 2), (1, 2, 3, 4)):
+        with pytest.raises(BadInput, match=r"is not a point \(v1, v2, v3\)"):
+            max_slope(v)
+    with pytest.raises(BadInput, match="point coordinates must be ints"):
+        max_slope((1, 2.0, 3))
 
 
 def test_balanced_degenerate_when_p_equals_q():
