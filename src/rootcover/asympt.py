@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import BadInput, CertificationError, Exhausted
 from .exact import is_prime, log_enclosure, mod_inverse, require_ints
@@ -85,8 +86,7 @@ class SplitMix64:
                 return z % bound
 
 
-@dataclass(frozen=True)
-class ONSet:
+class ONSet(NamedTuple):
     """The Girstmair set of a prime n, with its complement count in {0,...,n}."""
 
     n: int
@@ -94,8 +94,7 @@ class ONSet:
     complement_size: int
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(namedtuple("Partition", ("n", "nu"))):
     """Branch multiplicities nu_1..nu_r modulo a prime n, with pair residues.
 
     n and every nu_j are ints (BadInput otherwise; a bool is refused), and
@@ -110,20 +109,21 @@ class Partition:
     records of its search.
     """
 
-    n: int
-    nu: tuple[int, ...]
-
-    def __post_init__(self):
+    def __new__(cls, n: int, nu):
         try:
-            nu = tuple(self.nu)
+            nu = tuple(nu)
         except TypeError:
-            raise BadInput(f"multiplicities must be a sequence, got {self.nu!r}") from None
-        require_ints("modulus and multiplicities", self.n, *nu)
-        object.__setattr__(self, "nu", nu)
-        if not is_prime(self.n):
-            raise BadInput(f"modulus must be prime, got {self.n}")
-        if any(not 0 < v < self.n for v in self.nu):
-            raise BadInput(f"multiplicities must lie in (0, {self.n})")
+            raise BadInput(f"multiplicities must be a sequence, got {nu!r}") from None
+        require_ints("modulus and multiplicities", n, *nu)
+        if not is_prime(n):
+            raise BadInput(f"modulus must be prime, got {n}")
+        if any(not 0 < v < n for v in nu):
+            raise BadInput(f"multiplicities must lie in (0, {n})")
+        return super().__new__(cls, n, nu)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # so that _replace checks too
 
     @property
     def r(self) -> int:
@@ -395,9 +395,9 @@ def find_asymptotic_partition(
 def _with_search_records(part: Partition, memo: dict) -> Partition:
     # The search looked up the wall seed q_kj of every pair j < k of ``part``
     # and kept the chain record of n/q_kj in ``memo``.  Seeding the
-    # cached_property's slot in the instance dict leaves equality, hash,
-    # repr and pickling of the frozen dataclass as they are; the records
-    # equal what Partition.chain_records would compute.
+    # cached_property's slot in the instance dict leaves equality, hash and
+    # repr of the named tuple as they are, and pickling keeps the slot; the
+    # records equal what Partition.chain_records would compute.
     q, r = part.q_matrix, part.r
     part.__dict__["chain_records"] = {
         (j, k): memo[q[k][j]] for j in range(r) for k in range(j + 1, r)

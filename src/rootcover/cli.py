@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import io
 import json
 import os
@@ -266,9 +267,18 @@ def _forked_rows(cells: list, workers: int) -> list[dict]:
     with a nonzero status raises RuntimeError.  Whichever side fails, every
     pipe is closed and every child reaped (killed first if still running)
     before this returns.
+
+    Before it forks, this process moves every object it tracks into the
+    collector's permanent generation (``gc.freeze``), as the ``gc`` docs
+    advise for a fork without exec: no later collection scans that heap
+    again, neither one in a child (whose pages it would otherwise touch and
+    copy) nor this process's last one at exit.  ``workers = 1`` freezes
+    nothing.
     """
     children = []  # (pid, read end of its pipe)
     reaped = set()
+    if workers > 1:
+        gc.freeze()
     try:
         for w in range(1, workers):
             # only with a child: the 1-worker path and CLI start-up go without them

@@ -28,8 +28,8 @@ coefficient, for the callers that need the full sequences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import BadInput, CertificationError
 from .exact import require_ints
@@ -44,8 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HJExpansion:
+class HJExpansion(NamedTuple):
     """The full record of one expansion n/q = [k_1, ..., k_s].
 
     ``m_seq`` runs m_0 = n > m_1 = q > ... > m_s = 1 > m_{s+1} = 0 and

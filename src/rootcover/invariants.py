@@ -31,9 +31,8 @@ c3 := e.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .asympt import Partition
 from .dedekind import dedekind_fast
@@ -72,8 +71,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ChiValue:
+class ChiValue(NamedTuple):
     """chi(O_X) with its R-term breakdown; chi = n chi(O_Z) - (r1+r2+r3)/12."""
 
     chi: Fraction
@@ -82,8 +80,7 @@ class ChiValue:
     r3: Fraction
 
 
-@dataclass(frozen=True)
-class ClosedFormsP4:
+class ClosedFormsP4(NamedTuple):
     """Closed-form specializations for degree-d hypersurfaces in P^4, r = 3."""
 
     k3: Fraction
@@ -92,8 +89,7 @@ class ClosedFormsP4:
     slope_pair: Optional[tuple[Fraction, Fraction]]
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """Every invariant of one (pair, n, partition, strategy) cell, exact."""
 
     n: int

@@ -22,11 +22,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import BadParams
 from .exact import _is_int, require_ints
@@ -46,7 +46,7 @@ __all__ = [
 PRESET_PARAMS = {"planes_p3": ("r",), "hypersurface_p4": ("d", "r")}
 
 # BasePair's integer fields in field order, by rank: 0 a scalar, 1 a table
-# of r values, 2 an r x r table.  BasePair.__post_init__ checks them, and
+# of r values, 2 an r x r table.  BasePair.__new__ checks them, and
 # base_pair_to_json and base_pair_from_json write and read them, from here.
 _INT_FIELDS = {
     "r": 0, "c1_cubed": 0, "c1c2": 0, "c3": 0,
@@ -62,29 +62,31 @@ def _from_json(value, rank: int):
     return value if rank == 0 else tuple(_from_json(x, rank - 1) for x in value)
 
 
-@dataclass(frozen=True)
-class TripleTable:
+class TripleTable(namedtuple("TripleTable", ("r", "constant", "entries"))):
     """Symmetric triple products D_j D_k D_l (j < k < l).
 
     Either one constant value for every triple (the uniform arrangements) or
-    an explicit sparse map; both forms appear in the JSON schema.
+    an explicit sparse map {(j, k, l): value}, j < k < l, that defaults to a
+    new empty dict for each table; both forms appear in the JSON schema.
     """
 
-    r: int
-    constant: Optional[int] = None
-    entries: dict = field(default_factory=dict)  # {(j,k,l): value}, j<k<l
-
-    def __post_init__(self):
-        require_ints("triple r", self.r, error=BadParams)
-        if self.constant is not None:
-            require_ints("triple constant", self.constant, error=BadParams)
-        require_ints("triple values", *self.entries.values(), error=BadParams)
-        for key in self.entries:
+    def __new__(cls, r: int, constant: Optional[int] = None, entries: Optional[dict] = None):
+        entries = {} if entries is None else entries
+        require_ints("triple r", r, error=BadParams)
+        if constant is not None:
+            require_ints("triple constant", constant, error=BadParams)
+        require_ints("triple values", *entries.values(), error=BadParams)
+        for key in entries:
             require_ints("triple keys", *key, error=BadParams)
-            if not (len(key) == 3 and 0 <= key[0] < key[1] < key[2] < self.r):
+            if not (len(key) == 3 and 0 <= key[0] < key[1] < key[2] < r):
                 raise BadParams(
-                    f"triple key {key} must be (j, k, l) with 0 <= j < k < l < {self.r}"
+                    f"triple key {key} must be (j, k, l) with 0 <= j < k < l < {r}"
                 )
+        return super().__new__(cls, r, constant, entries)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # so that _replace checks too
 
     def get(self, j: int, k: int, l: int) -> int:
         key = tuple(sorted((j, k, l)))
@@ -117,8 +119,12 @@ class TripleTable:
         return sum(self.entries.values())
 
 
-@dataclass(frozen=True)
-class BasePair:
+class BasePair(namedtuple(
+    "BasePair",
+    ("r", "c1_cubed", "c1c2", "c3", "d3", "c1sq_d", "c2_d", "c1_dd", "dd2",
+     "triple", "pair_curves", "label", "h_section"),
+    defaults=("custom", False),
+)):
     """All intersection-theoretic data of (Z, D) the invariants consume.
 
     Tables are indexed from 0.  ``c1_dd[j][k]`` is c1.D_j D_k (the diagonal is
@@ -139,21 +145,8 @@ class BasePair:
     does only the work that depends on n and the partition.
     """
 
-    r: int
-    c1_cubed: int
-    c1c2: int
-    c3: int
-    d3: tuple[int, ...]
-    c1sq_d: tuple[int, ...]
-    c2_d: tuple[int, ...]
-    c1_dd: tuple[tuple[int, ...], ...]
-    dd2: tuple[tuple[int, ...], ...]
-    triple: TripleTable
-    pair_curves: dict  # {(j,k): ((genus, count), ...)}, j < k
-    label: str = "custom"
-    h_section: bool = False
-
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         r = self.r
         for name, rank in _INT_FIELDS.items():
             value = getattr(self, name)
@@ -190,6 +183,11 @@ class BasePair:
                 raise BadParams(
                     f"divisors {j}, {k} meet but pair_curves[({j},{k})] is empty"
                 )
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # so that _replace checks too
 
     @property
     def chi(self) -> Fraction:
@@ -342,8 +340,7 @@ class BasePair:
         return bars.c1_cubed_bar / bars.c1c2_bar, bars.c3_bar / bars.c1c2_bar
 
 
-@dataclass(frozen=True)
-class LogChernNumbers:
+class LogChernNumbers(NamedTuple):
     """The log Chern numbers c1_bar^3, c1c2_bar and c3_bar of a pair, exact."""
 
     c1_cubed_bar: Fraction
@@ -463,14 +460,14 @@ def base_pair_from_json(text: str) -> BasePair:
             entries = {tuple(e[:3]): e[3] for e in tdoc["entries"]}
             triple = TripleTable(r=r, entries=entries)
         values = {"r": r, "triple": triple}
-        for f in fields(BasePair):  # the rest in field order
-            if f.name == "pair_curves":
-                values[f.name] = {
+        for name in BasePair._fields:  # the rest in field order
+            if name == "pair_curves":
+                values[name] = {
                     (j, k): tuple((g, c) for g, c in curves)
                     for j, k, curves in doc["pair_curves"]
                 }
-            elif f.name in _INT_FIELDS and f.name not in values:
-                values[f.name] = _from_json(doc[f.name], _INT_FIELDS[f.name])
+            elif name in _INT_FIELDS and name not in values:
+                values[name] = _from_json(doc[name], _INT_FIELDS[name])
         pair = BasePair(
             **values,
             label=doc.get("label", "custom"),

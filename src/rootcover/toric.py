@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import BadInput, CertificationError, Degenerate, NotInterior
 from .exact import is_prime, mod_inverse, require_ints
@@ -64,20 +63,20 @@ def _excluded_shape(n: int, p: int, q: int) -> dict[str, bool] | None:
     return None
 
 
-@dataclass(frozen=True)
-class LocalConeSpec:
+class LocalConeSpec(namedtuple("LocalConeSpec", ("n", "p", "q"))):
     """The cone data (n, p, q) of one triple point: three ints, n prime."""
 
-    n: int
-    p: int
-    q: int
-
-    def __post_init__(self):
-        require_ints("n, p, q", self.n, self.p, self.q)
-        if not is_prime(self.n):
-            raise BadInput(f"modulus must be prime, got {self.n}")
-        if not (0 < self.p < self.n and 0 < self.q < self.n):
+    def __new__(cls, n: int, p: int, q: int):
+        require_ints("n, p, q", n, p, q)
+        if not is_prime(n):
+            raise BadInput(f"modulus must be prime, got {n}")
+        if not (0 < p < n and 0 < q < n):
             raise BadInput("p, q must be nonzero modulo n")
+        return super().__new__(cls, n, p, q)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # so that _replace checks too
 
     @property
     def degenerate_flags(self) -> dict[str, bool]:
@@ -117,8 +116,7 @@ def max_slope(v: tuple[int, int, int]) -> Fraction:
     return Fraction(max(v), min(v))
 
 
-@dataclass(frozen=True)
-class ConeRecord:
+class ConeRecord(NamedTuple):
     """One 3-cone C(v, e_{jk,a}, e_{jk,a+1}) of the refinement.
 
     ``mult`` is the lattice multiplicity (= v_l for the wall's opposite
@@ -134,8 +132,7 @@ class ConeRecord:
     type_b: int
 
 
-@dataclass(frozen=True)
-class CyclicResolution:
+class CyclicResolution(NamedTuple):
     """Star subdivision at v plus Hirzebruch-Jung refinement of each wall.
 
     ``v`` is the point (v1, v2, v3) of the fundamental parallelepiped,
@@ -148,9 +145,10 @@ class CyclicResolution:
     cones: tuple[ConeRecord, ...]
     inner_wall_mults: dict[tuple[tuple[int, int], int], int]
 
-    @cached_property
+    @property
     def V(self) -> Fraction:
-        """Discrepancy coefficient of the central divisor F."""
+        """Discrepancy coefficient V = (v1 + v2 + v3 - n)/n of the central
+        divisor F, computed on each read: a named tuple keeps no cache."""
         return Fraction(sum(self.v) - self.spec.n, self.spec.n)
 
     def first_m(self, frm: int, to: int) -> int:
@@ -160,8 +158,7 @@ class CyclicResolution:
         return self.walls[(to, frm)].q_inv
 
 
-@dataclass(frozen=True)
-class LocalIntersections:
+class LocalIntersections(NamedTuple):
     """Rational intersection numbers of the local resolution.
 
     ``k_cl[l]`` is K.C_l for the three axis curves C_l = V(C(d_l, v));

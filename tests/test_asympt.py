@@ -133,6 +133,23 @@ def test_partition_q_matrix():
     assert listed.nu == (1, 2, 4) and hash(listed) == hash(part) and listed == part
 
 
+def test_partition_is_a_checked_named_tuple():
+    # a named tuple of (n, nu): its repr names the fields, it unpacks and
+    # equals the plain tuple, no field can be assigned, and _replace runs
+    # the same checks as the constructor
+    part = Partition(7, [1, 2, 4])
+    assert repr(part) == "Partition(n=7, nu=(1, 2, 4))"
+    n, nu = part
+    assert (n, nu) == part == (7, (1, 2, 4)) and Partition._fields == ("n", "nu")
+    with pytest.raises(AttributeError):
+        part.nu = (1, 2, 4)
+    assert part._replace(nu=[4, 2, 1]) == Partition(7, (4, 2, 1))
+    with pytest.raises(BadInput, match=r"multiplicities must lie in \(0, 7\)"):
+        part._replace(nu=(0, 3, 4))
+    with pytest.raises(BadInput, match="modulus must be prime"):
+        part._replace(n=9)
+
+
 def test_q_matrix_matches_q_of_pair_on_random_partitions():
     rng = random.Random(13)
     primes = list(primerange(3, 2000))

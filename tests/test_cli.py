@@ -585,27 +585,37 @@ def test_cli_import_leaves_out_sympy():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # the records are named tuples: start-up pays for neither module
+    code = "import sys, rootcover.cli; print('dataclasses' in sys.modules, 'inspect' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False False"
+
+
 def test_cli_import_leaves_out_the_process_pool(tmp_path):
     # a sweep forks its extra workers itself: neither CLI start-up nor a
     # sweep imports the pool machinery, and only one that forks a child
-    # imports pickle and signal
+    # imports pickle and signal; only that one freezes the heap (gc.freeze)
     out = tmp_path / "out.csv"
     path = write_config(tmp_path, n_min=17, n_max=31, partition="asymptotic", output=str(out))
     code = (
-        "import sys\n"
+        "import gc, sys\n"
         "from rootcover.cli import main\n"
         "pool = ('concurrent.futures', 'multiprocessing', 'pickle', 'signal')\n"
         "print(*[m for m in pool if m in sys.modules])\n"
         f"assert main(['sweep', '--config', {str(path)!r}, '--workers', '1']) == 0\n"
-        "print(*[m for m in pool if m in sys.modules])\n"
+        "print(*[m for m in pool if m in sys.modules], gc.get_freeze_count() > 0)\n"
         f"assert main(['sweep', '--config', {str(path)!r}, '--workers', '2']) == 0\n"
-        "print(*[m for m in pool if m in sys.modules])\n"
+        "print(*[m for m in pool if m in sys.modules], gc.get_freeze_count() > 0)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n") == ["", "", "pickle signal", ""]
+    assert proc.stdout.split("\n") == ["", "False", "pickle signal True", ""]
     assert out.read_text().count("\n") == 6
 
 

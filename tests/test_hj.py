@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -94,7 +93,7 @@ def test_dual_examples():
     assert hj_dual(hj_dual(e)) == e
     # a record whose coefficients do not match its sequences fails certification
     with pytest.raises(CertificationError):
-        hj_dual(dataclasses.replace(hj_expand(7, 5), ks=(3, 2, 2)))
+        hj_dual(hj_expand(7, 5)._replace(ks=(3, 2, 2)))
 
 
 def _check_structure(n, q, prime=None):

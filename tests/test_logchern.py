@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -110,16 +109,16 @@ def test_preset_euler_data_by_inclusion_exclusion():
 def test_euler_data_follow_the_tables():
     # e(D) and e(Sing D) are derived, not fields, so a pair built from
     # other tables carries their values, not the old ones
-    names = {f.name for f in dataclasses.fields(BasePair)}
+    names = set(BasePair._fields)
     assert not names & {"e_d", "e_sing_d"}
     planes = make_preset("planes_p3", 4)
     assert (planes.e_d, planes.e_sing_d) == (4, 4)
     # c2.D_0 one higher adds one to e(D_0) = (c2 - c1 D_0 + D_0^2) D_0
-    moved = dataclasses.replace(planes, c2_d=(7, 6, 6, 6))
+    moved = planes._replace(c2_d=(7, 6, 6, 6))
     assert (moved.e_d, moved.e_sing_d) == (5, 4)
     # c1.D_0 D_1 one higher adds one to e(D_0 D_1) and takes one from e(D)
-    moved = dataclasses.replace(
-        planes, c1_dd=((4, 5, 4, 4), (5, 4, 4, 4), (4, 4, 4, 4), (4, 4, 4, 4))
+    moved = planes._replace(
+        c1_dd=((4, 5, 4, 4), (5, 4, 4, 4), (4, 4, 4, 4), (4, 4, 4, 4))
     )
     assert (moved.e_d, moved.e_sing_d) == (3, 5)
 
@@ -313,9 +312,9 @@ def test_base_pair_requires_curves_for_every_meeting_pair():
     # c1.D_0 D_1 != 0 alone makes the pair meet: meeting_pairs lists it and
     # e counts its curves, so a pair without them is refused
     with pytest.raises(BadParams, match=r"pair_curves\[\(0,1\)\] is empty"):
-        dataclasses.replace(disjoint_pair(2), c1_dd=((6, 2), (2, 6)))
-    pair = dataclasses.replace(
-        disjoint_pair(2), c1_dd=((6, 2), (2, 6)), pair_curves={(0, 1): ((0, 1),)}
+        disjoint_pair(2)._replace(c1_dd=((6, 2), (2, 6)))
+    pair = disjoint_pair(2)._replace(
+        c1_dd=((6, 2), (2, 6)), pair_curves={(0, 1): ((0, 1),)}
     )
     assert pair.meeting_pairs == ((0, 1),)
     assert disjoint_pair(2).meeting_pairs == ()
@@ -333,12 +332,12 @@ def test_base_pair_checks_table_shapes():
             (rows[0], rows[1], rows[2][:2]),  # a short row
         ):
             with pytest.raises(BadParams, match=f"table {name} must be 3 x 3"):
-                dataclasses.replace(planes, **{name: bad})
+                planes._replace(**{name: bad})
             text = json.dumps({**doc, name: [list(row) for row in bad]})
             with pytest.raises(BadParams, match=f"table {name} must be 3 x 3"):
                 base_pair_from_json(text)
     with pytest.raises(BadParams, match="triple table has r = 4, pair has r = 3"):
-        dataclasses.replace(planes, triple=TripleTable(r=4, constant=1))
+        planes._replace(triple=TripleTable(r=4, constant=1))
 
 
 def test_base_pair_rejects_unordered_keys():
@@ -433,6 +432,29 @@ def test_preset_params_forms():
     assert make_preset("hypersurface_p4", [6, 3]) == make_preset("hypersurface_p4", (6, 3))
     with pytest.raises(BadParams, match="need d >= 1 and r >= 1"):
         make_preset("hypersurface_p4", (6, 0))
+
+
+def test_tables_are_checked_named_tuples():
+    # _replace runs the constructor's checks, no field can be assigned, and
+    # each table without entries gets a dict of its own
+    sparse = TripleTable(r=4, entries={(0, 1, 2): 3})
+    with pytest.raises(BadParams, match=r"triple key \(0, 2, 1\) must be \(j, k, l\)"):
+        sparse._replace(entries={(0, 2, 1): 3})
+    with pytest.raises(BadParams, match=r"triple key \(0, 1, 2\) must be"):
+        sparse._replace(r=2)
+    first, second = TripleTable(r=3), TripleTable(r=3)
+    assert first.entries == {} and first.entries is not second.entries
+    assert TripleTable._fields == ("r", "constant", "entries")
+    planes = make_preset("planes_p3", 3)
+    with pytest.raises(BadParams, match="table d3 must have length 3"):
+        planes._replace(d3=(1, 1))
+    with pytest.raises(BadParams, match="table dd2 must be 3 x 3"):
+        planes._replace(dd2=planes.dd2[:2])
+    assert planes._replace(label="three planes").label == "three planes"
+    for record, name in ((sparse, "r"), (planes, "c3"), (planes, "label")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    assert BasePair(*planes) == planes == tuple(planes)
 
 
 def test_triple_table():

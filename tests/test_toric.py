@@ -63,6 +63,19 @@ def test_local_cone_examples():
             LocalConeSpec(*args)
 
 
+def test_cone_spec_is_a_checked_named_tuple():
+    # _replace runs the constructor's checks; no field can be assigned
+    spec = LocalConeSpec(7, 5, 3)
+    assert spec == (7, 5, 3) and repr(spec) == "LocalConeSpec(n=7, p=5, q=3)"
+    assert spec._replace(q=2) == LocalConeSpec(7, 5, 2)
+    with pytest.raises(BadInput, match="p, q must be nonzero modulo n"):
+        spec._replace(p=0)
+    with pytest.raises(BadInput, match="modulus must be prime"):
+        spec._replace(n=8)
+    with pytest.raises(AttributeError):
+        spec.p = 2
+
+
 def test_parallelepiped_points():
     spec = LocalConeSpec(7, 5, 3)
     pts = list(parallelepiped_points(spec))
