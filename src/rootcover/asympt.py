@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+import struct
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .errors import BadInput, CertificationError, Exhausted
@@ -225,37 +227,74 @@ def girstmair_set(n: int) -> ONSet:
     return ONSet(n, members, complement)
 
 
+# The most words in one block of _splitmix64_blocks.  Blocks of 64-256 words
+# cost about 120-190 ns a word (2-vCPU x86-64, Python 3.11), against about
+# 500 ns for one word at a time; 1024-word blocks gain little more.
+_BLOCK_CAP = 256
+
+
+@lru_cache(maxsize=64)
+def _lanes(size: int):
+    # The constants of a block of `size` 128-bit lanes: one in every lane,
+    # the 64-bit mask of every lane, the increments 1, 2, ..., size times the
+    # SplitMix64 step, and the struct that unpacks the low word of each lane.
+    ones = ((1 << 128 * size) - 1) // ((1 << 128) - 1)
+    words = struct.Struct("<" + "Q8x" * size)
+    ramp = int.from_bytes(words.pack(*range(1, size + 1)), "little")
+    return ones, ones * SplitMix64._MASK, 0x9E3779B97F4A7C15 * ramp, words
+
+
+def _splitmix64_blocks(seed: int, first: int):
+    """The words of ``SplitMix64(seed).next64()``, in order, in tuples.
+
+    A block of b words is mixed at once in one int of b packed 128-bit lanes,
+    word i in the low 64 bits of lane i.  A lane below 2^64 times a 64-bit
+    constant stays below 2^128, so one multiply of the whole int mixes every
+    lane and carries nothing into the next; masking with the lane mask then
+    reduces each lane mod 2^64.  A right shift moves the low bits of lane
+    i + 1 into the top of lane i, so the operands of the two shifts before a
+    multiply are masked too.  The last shift's stray bits land above bit 64,
+    where the unpack skips them.  The first block holds ``first`` words,
+    each next block twice the words of the one before, all at most
+    ``_BLOCK_CAP``.
+    """
+    mask = SplitMix64._MASK
+    state = seed & mask
+    size = min(first, _BLOCK_CAP)
+    while True:
+        ones, low, steps, words = _lanes(size)
+        z = (state * ones + steps) & low  # the next `size` states
+        state = (state + size * 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ ((z >> 30) & low)) * 0xBF58476D1CE4E5B9) & low
+        z = ((z ^ ((z >> 27) & low)) * 0x94D049BB133111EB) & low
+        yield words.unpack((z ^ (z >> 31)).to_bytes(16 * size, "little"))
+        size = min(2 * size, _BLOCK_CAP)
+
+
 def _sampled_compositions(n: int, r: int, seed: int):
     """The endless stream of uniform compositions of n into r positive parts.
 
     Each composition takes r - 1 distinct cuts in {1, ..., n-1} by Floyd's
     subset sampling, drawing ``SplitMix64(seed).below(j) + 1`` for
     j = n-r+1, ..., n-1, so the draw count per composition is fixed.  The
-    recipe of :class:`SplitMix64` is inlined on a local state, with the
-    rejection limit of each bound j computed once.
+    words come from :func:`_splitmix64_blocks`, whose first block is one
+    composition's r - 1 words (for r <= 257), so a search that stops at its
+    first sample mixes no word it does not use (unless a word was rejected);
+    each bound j keeps the rejection rule of :meth:`SplitMix64.below`, with
+    its limit computed once.
     """
-    mask = SplitMix64._MASK
-    state = seed & mask
     limits = [(j, (1 << 64) - (1 << 64) % j) for j in range(n - r + 1, n)]
+    words = itertools.chain.from_iterable(_splitmix64_blocks(seed, r - 1))
     while True:
         cuts = set()
-        for j, limit in limits:
-            while True:
-                state = (state + 0x9E3779B97F4A7C15) & mask
-                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
-                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-                z ^= z >> 31
-                if z < limit:
-                    break
+        for (j, limit), z in zip(limits, words):
+            while z >= limit:
+                z = next(words)
             t = z % j + 1
             cuts.add(j if t in cuts else t)
-        parts = []
-        prev = 0
-        for cut in sorted(cuts):
-            parts.append(cut - prev)
-            prev = cut
-        parts.append(n - prev)
-        yield tuple(parts)
+        ordered = sorted(cuts)
+        ordered.append(n)
+        yield tuple(map(operator.sub, ordered, [0, *ordered]))
 
 
 def _asymptotic_test(n: int, memo: dict):
@@ -263,28 +302,62 @@ def _asymptotic_test(n: int, memo: dict):
 
     Each pair j < k is tested on its wall seed q_kj = q_jk': O_n is closed
     under q -> q', which keeps the length s and D, so the verdict is that of
-    q_jk.  Membership of each residue q is looked up in ``memo``, which
-    holds the chain record of n/q for a member and False otherwise (filled
-    by the chain pass on a miss; q is a nonzero residue of the prime n, so
-    no coprimality check is needed).  A composition that passes thus leaves
-    the record of each of its wall chains n/q_kj in the memo.  The test
-    stops at the first residue outside O_n.
+    q_jk.  ``memo`` holds the chain record of n/q for a member q and False
+    otherwise (q is a nonzero residue of the prime n, so no coprimality
+    check is needed).
+
+    A pre-pass rejects the composition before any chain pass when two parts
+    are equal, or when for some pair q = q_kj or q = q_jk is known False in
+    the memo or has q >= (cap + 1)(n - q), cap = floor(3 sqrt(n) + 2).  That
+    rule is exact: such a q is above 2n/3, so the chain n/q opens with a run
+    of floor(q / (n - q)) > cap twos, where the chain pass stops, and q is
+    not in O_n; it holds for q_jk as well, whose chain is that of n/q_kj
+    reversed.  Equal parts pair to q = n - 1, the rule's extreme case
+    (n - 1 >= cap + 1 for n >= 17).  The residue a rule rejects is set False
+    in the memo (n - 1 for equal parts).  Only then are the missing records
+    computed, pair by pair, stopping at the first residue outside O_n, so a
+    composition that passes leaves the record of each of its wall chains
+    n/q_kj in the memo.
     """
     cap = _length_cap(n)
+    first_run_over = -(-(cap + 1) * n // (cap + 2))  # least q >= (cap + 1)(n - q)
     neg_inverses: dict[int, int] = {}
 
+    def neg_inverse(v: int) -> int:
+        m = neg_inverses[v] = n - pow(v, -1, n)
+        return m
+
     def asymptotic(nu) -> bool:
-        for j in range(len(nu) - 1):
-            m = neg_inverses.get(nu[j])
-            if m is None:
-                m = neg_inverses[nu[j]] = n - mod_inverse(nu[j], n)
-            for k in range(j + 1, len(nu)):
-                q = nu[k] * m % n  # q_of_pair(n, nu[k], nu[j])
+        r = len(nu)
+        if len(set(nu)) < r:
+            memo[n - 1] = False
+            return False
+        ms = [neg_inverses.get(v) or neg_inverse(v) for v in nu]
+        missing = []
+        for j in range(r - 1):
+            v, m = nu[j], ms[j]
+            for k in range(j + 1, r):
+                q = nu[k] * m % n  # q_kj = q_of_pair(n, nu[k], nu[j])
+                p = v * ms[k] % n  # q_jk
+                if q >= first_run_over:
+                    memo[q] = False
+                    return False
+                if p >= first_run_over:
+                    memo[p] = False
+                    return False
                 hit = memo.get(q)
                 if hit is None:
-                    hit = memo[q] = _member_record(n, q, cap)
-                if not hit:
+                    if memo.get(p) is False:
+                        return False
+                    missing.append(q)
+                elif not hit:
                     return False
+        for q in missing:
+            hit = memo.get(q)
+            if hit is None:
+                hit = memo[q] = _member_record(n, q, cap)
+            if not hit:
+                return False
         return True
 
     return asymptotic

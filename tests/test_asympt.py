@@ -19,7 +19,7 @@ from rootcover.asympt import (
 from rootcover.dedekind import dedekind_fast
 from rootcover.errors import BadInput, CertificationError, Exhausted, NotCoprime
 from rootcover.exact import mod_inverse
-from rootcover.hj import chain_record, hj_length
+from rootcover.hj import _chain, chain_record, hj_length
 from test_dedekind import reciprocity_sum
 from test_exact import leq_sqrt_bound
 
@@ -332,6 +332,12 @@ def test_partition_density():
         assert partition_density(n, r, 300, seed) == Fraction(hits, 300)
     hits = sum(_is_asymptotic(19, nu) for nu in asympt._all_compositions(19, 4))
     assert partition_density(19, 4, None) == Fraction(hits, 816)  # C(18, 3)
+    # pinned from the test without its pre-pass over cheap rejections
+    assert partition_density(101, 4, 500, 3) == Fraction(13, 20)
+    assert partition_density(1009, 8, 400, 1) == Fraction(127, 400)
+    assert partition_density(10007, 20, 200, 5) == Fraction(9, 200)
+    assert partition_density(23, 5, None) == Fraction(432, 1463)
+    assert partition_density(61, 4, None) == Fraction(5472, 8555)
 
 
 def test_composition_sampler_uniform_support():
@@ -351,6 +357,167 @@ def test_sampled_compositions_match_splitmix64_floyd():
         stream = asympt._sampled_compositions(n, r, seed)
         for _ in range(10**4 if n == 101 else 500):
             assert next(stream) == _sample_composition(n, r, rng)
+
+
+def _per_draw_compositions(n, r, seed):
+    """The sampler one SplitMix64 word at a time, the recipe inlined on a
+    local state: the stream that the block sampler must reproduce."""
+    mask = SplitMix64._MASK
+    state = seed & mask
+    limits = [(j, (1 << 64) - (1 << 64) % j) for j in range(n - r + 1, n)]
+    while True:
+        cuts = set()
+        for j, limit in limits:
+            while True:
+                state = (state + 0x9E3779B97F4A7C15) & mask
+                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+                z ^= z >> 31
+                if z < limit:
+                    break
+            t = z % j + 1
+            cuts.add(j if t in cuts else t)
+        parts = []
+        prev = 0
+        for cut in sorted(cuts):
+            parts.append(cut - prev)
+            prev = cut
+        parts.append(n - prev)
+        yield tuple(parts)
+
+
+def test_splitmix64_blocks_match_next64():
+    cap = asympt._BLOCK_CAP
+    seeds = [0, 1, 2**64 - 1, random.Random(34).getrandbits(64)]
+    for seed in seeds:
+        for first in (1, 7, 15, cap - 1, cap, cap + 44):
+            sizes, b = [], min(first, cap)
+            while len(sizes) < 3 or sizes[-3] != cap:  # three full-size blocks
+                sizes.append(b)
+                b = min(2 * b, cap)
+            blocks = list(itertools.islice(asympt._splitmix64_blocks(seed, first), len(sizes)))
+            assert [len(block) for block in blocks] == sizes, (seed, first)
+            rng = SplitMix64(seed)
+            assert [w for block in blocks for w in block] == [
+                rng.next64() for _ in range(sum(sizes))
+            ], (seed, first)
+
+
+def test_sampled_compositions_match_per_draw_oracle():
+    # n = 9223372036854775837 is just above 2^63: every bound j is its own
+    # rejection limit, so about half the words are rejected, often twice in
+    # a row; 2^64 - 59 is the largest n the sampler takes
+    heavy = 9223372036854775837
+    for n in (17, 1009, heavy, 2**64 - 59):
+        for r in (2, 5, 8, 16):
+            seed = n % 1000 + r
+            stream = asympt._sampled_compositions(n, r, seed)
+            oracle = _per_draw_compositions(n, r, seed)
+            for i in range(1500 // r):
+                assert next(stream) == next(oracle), (n, r, i)
+    rng = SplitMix64(heavy % 1000 + 8)
+    words = [rng.next64() for _ in range(1500)]
+    assert any(a >= heavy - 1 and b >= heavy - 1 for a, b in itertools.pairwise(words))
+
+
+def test_first_block_is_one_composition(monkeypatch):
+    sizes = []
+    blocks = asympt._splitmix64_blocks
+
+    def recorded(seed, first):
+        for block in blocks(seed, first):
+            sizes.append(len(block))
+            yield block
+
+    monkeypatch.setattr(asympt, "_splitmix64_blocks", recorded)
+    for r in (2, 5, 8, 16):
+        sizes.clear()
+        next(asympt._sampled_compositions(1009, r, 3))  # rejects under 2^-54 of words
+        assert sizes == [r - 1]
+
+
+def test_first_run_rule_is_exact():
+    # q >= (cap + 1)(n - q): the chain n/q opens with more than cap twos
+    for n in primerange(17, 2001):
+        cap = asympt._length_cap(n)
+        for q in range(n - 1, 0, -1):
+            if q < (cap + 1) * (n - q):
+                break
+            assert _chain(n, q, cap) is None, (n, q)
+
+
+def _residue(n, nu_j, nu_k):
+    return -nu_j * pow(nu_k, -1, n) % n  # q_of_pair without its input checks
+
+
+def _pre_pass_rejects(n, nu, memo, new):
+    """Whether the asymptotic test must reject nu without a chain pass,
+    given the memo with the residues ``new`` not yet in it."""
+    if len(set(nu)) < len(nu):
+        return True
+    cap = asympt._length_cap(n)
+    for a, b in itertools.combinations(nu, 2):
+        for q in (_residue(n, b, a), _residue(n, a, b)):  # q_kj and q_jk
+            if q >= (cap + 1) * (n - q) or (q not in new and memo.get(q) is False):
+                return True
+    return False
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """The residues of the chain passes made through the asympt module."""
+    passes = []
+
+    def chain(n, q, cap):
+        passes.append(q)
+        return _chain(n, q, cap)
+
+    monkeypatch.setattr(asympt, "_chain", chain)
+    return passes
+
+
+def _check_test_on(n, compositions, pair_member, counted):
+    """Run one asymptotic test over the compositions with a shared memo.
+
+    Each verdict must be that of ``pair_member((nu_j, nu_k))`` (is q_kj in
+    O_n?) on every pair j < k.  A chain pass may only run on a wall seed
+    q_kj, once, and never for a composition that the pre-pass rejects.
+    """
+    memo = {}
+    test = asympt._asymptotic_test(n, memo)
+    for nu in compositions:
+        verdict = all(map(pair_member, itertools.combinations(nu, 2)))
+        counted.clear()
+        assert test(nu) == verdict, (n, nu)
+        if counted:
+            new = set(counted)
+            seeds = {_residue(n, b, a) for a, b in itertools.combinations(nu, 2)}
+            assert len(new) == len(counted) and new <= seeds, (n, nu, counted)
+            assert not _pre_pass_rejects(n, nu, memo, new), (n, nu, counted)
+
+
+def test_asymptotic_test_matches_membership_on_every_composition(counted):
+    for n in primerange(17, 62):
+        members = girstmair_set(n).members
+        good = {
+            (a, b) for a in range(1, n) for b in range(1, n) if q_of_pair(n, b, a) in members
+        }
+        for r in (3, 4, 5):
+            _check_test_on(n, asympt._all_compositions(n, r), good.__contains__, counted)
+
+
+def test_asymptotic_test_matches_membership_on_samples(counted):
+    # at 10^9 + 7 nearly every residue is new and in O_n, so a composition
+    # costs r(r - 1)/2 chain passes on each side: fewer samples there
+    for n, samples in ((1009, 10**4), (10007, 10**4), (10**9 + 7, 200)):
+        member = functools.lru_cache(maxsize=None)(functools.partial(girstmair_member, n))
+
+        def pair_member(pair):
+            return member(_residue(n, pair[1], pair[0]))  # q_kj
+
+        for r in (8, 20):
+            stream = itertools.islice(asympt._sampled_compositions(n, r, r), samples)
+            _check_test_on(n, stream, pair_member, counted)
 
 
 def test_search_matches_plain_sampler():

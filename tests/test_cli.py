@@ -52,6 +52,26 @@ def test_partition_command(capsys):
     assert out.startswith("nu =")
 
 
+@pytest.mark.parametrize(
+    "golden, args",
+    [
+        ("partition_1000000000000000009_8_seed1", ["1000000000000000009", "8", "--seed", "1"]),
+        # rejects about half of its SplitMix64 words
+        ("partition_9223372036854775837_8_seed0", ["9223372036854775837", "8", "--seed", "0"]),
+        # ok after 4335 samples
+        ("partition_53_8_seed0_trials50000", ["53", "8", "--seed", "0", "--trials", "50000"]),
+    ],
+)
+def test_partition_goldens(capsys, golden, args):
+    assert main(["partition", *args]) == 0
+    assert capsys.readouterr().out == (DATA / f"{golden}.txt").read_text()
+
+
+def test_partition_exhausted_exits_1(capsys):
+    assert main(["partition", "47", "8"]) == 1
+    assert "Exhausted" in capsys.readouterr().err
+
+
 def test_resolve_command(capsys):
     assert main(["resolve", "7", "5", "3", "--table"]) == 0
     doc = json.loads(capsys.readouterr().out)
