@@ -272,12 +272,15 @@ def _forked_rows(cells: list, workers: int) -> list[dict]:
     collector's permanent generation (``gc.freeze``), as the ``gc`` docs
     advise for a fork without exec: no later collection scans that heap
     again, neither one in a child (whose pages it would otherwise touch and
-    copy) nor this process's last one at exit.  ``workers = 1`` freezes
-    nothing.
+    copy) nor this process's last one at exit.  A young-generation
+    collection first frees the cyclic garbage of the calls before, which a
+    freeze would otherwise keep for the life of the process.  ``workers =
+    1`` freezes nothing.
     """
     children = []  # (pid, read end of its pipe)
     reaped = set()
     if workers > 1:
+        gc.collect(1)
         gc.freeze()
     try:
         for w in range(1, workers):

@@ -536,11 +536,63 @@ def test_search_matches_plain_sampler():
         assert _outcome(find_asymptotic_partition, n, r, 0, 10) == _outcome(
             sample_search, n, r, 0, 10
         )
-    for max_trials in [0, 1, 10, 100]:
+    # budgets smaller than the tree, and around the sample where it starts
+    d = asympt._TREE_AFTER
+    for max_trials in [0, 1, 10, 100, d - 1, d, d + 1, 4 * d]:
         for n, r in [(47, 8), (53, 8), (101, 12), (239, 20)]:
             assert _outcome(
                 find_asymptotic_partition, n, r, 1, max_trials
             ) == _outcome(sample_search, n, r, 1, max_trials)
+    # r (r + 1) / 2 > n: no r distinct parts sum to n, so no sample qualifies
+    for max_trials in [0, 1, 10**4]:
+        for n, r in [(17, 6), (31, 8), (43, 9)]:
+            assert _outcome(
+                find_asymptotic_partition, n, r, 0, max_trials
+            ) == _outcome(sample_search, n, r, 0, max_trials)
+
+
+def test_tree_starts_after_the_sampler_misses(monkeypatch):
+    # The output is the plain sampler's either way; what the schedule
+    # changes is which work a search does, seen here as events in order.
+    d = asympt._TREE_AFTER
+    events = []
+    sampled, tree = asympt._sampled_compositions, asympt._composition_tree
+
+    def counted_samples(n, r, seed):
+        for nu in sampled(n, r, seed):
+            events.append("sample")
+            yield nu
+
+    def counted_steps(nodes):
+        for node in nodes:
+            events.append("step")
+            yield node
+
+    def counted_tree(n, r, memo):
+        events.append("tree")
+        return counted_steps(tree(n, r, memo))
+
+    monkeypatch.setattr(asympt, "_sampled_compositions", counted_samples)
+    monkeypatch.setattr(asympt, "_composition_tree", counted_tree)
+    # 1 + ... + 8 = 36 > 31: settled before any sample, with no tree
+    with pytest.raises(Exhausted, match="search exhausted after 10000 trials"):
+        find_asymptotic_partition(31, 8, 0, 10**4)
+    assert events == []
+    # answers at the 36th and at the d-th sample build no tree
+    for n, seed, hit in [(109, 0, 36), (83, 0, d)]:
+        events.clear()
+        assert _outcome(find_asymptotic_partition, n, 8, seed, 10**4) == _outcome(
+            sample_search, n, 8, seed, 10**4
+        )
+        assert events == ["sample"] * hit, (n, seed)
+    # no composition of 47 into 8 parts qualifies: d samples, then the tree
+    # steps once after each miss until it is exhausted
+    events.clear()
+    with pytest.raises(Exhausted, match="search exhausted after 10000 trials"):
+        find_asymptotic_partition(47, 8, 0, 10**4)
+    steps = events.count("step")
+    assert 0 < steps < 10**4 - d
+    assert events == ["sample"] * d + ["tree"] + ["step", "sample"] * steps
 
 
 def _brute_force_witnesses(n, r, member):

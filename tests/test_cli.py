@@ -639,6 +639,29 @@ def test_cli_import_leaves_out_the_process_pool(tmp_path):
     assert out.read_text().count("\n") == 6
 
 
+def test_repeated_forking_sweeps_freeze_no_garbage():
+    # each 2-worker sweep freezes the heap before it forks; the cyclic
+    # garbage of the calls before is collected first, so the frozen count
+    # stops growing once the caches of the first calls are built
+    config = DATA / "sweep_p4d6_r4_balanced_2003_2129.cfg.json"
+    code = (
+        "import contextlib, gc, io\n"
+        "from rootcover.cli import main\n"
+        "counts = []\n"
+        "for _ in range(5):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        assert main(['sweep', '--config', {str(config)!r}, '--workers', '2']) == 0\n"
+        "    counts.append(gc.get_freeze_count())\n"
+        "print(counts[1], counts[4])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    second, fifth = proc.stdout.split()
+    assert second == fifth
+
+
 def test_csv_decimal_matches_fraction_float():
     # the CSV renders decimals from the report's "num/den" strings
     import random
