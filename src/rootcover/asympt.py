@@ -133,25 +133,31 @@ class Partition(namedtuple("Partition", ("n", "nu"))):
 
     @cached_property
     def q_matrix(self) -> tuple[tuple[int | None, ...], ...]:
-        # q_jk = nu_j (-nu_k') mod n: one inverse per column (n is prime)
         n = self.n
-        neg_inverses = [n - pow(v, -1, n) for v in self.nu]
-        rows = []
-        for j, nu_j in enumerate(self.nu):
-            row = [nu_j * m % n for m in neg_inverses]
-            row[j] = None
-            rows.append(tuple(row))
-        return tuple(rows)
+        return _q_rows(n, self.nu, [n - pow(v, -1, n) for v in self.nu])
 
     @cached_property
     def chain_records(self) -> dict[tuple[int, int], tuple[int, ...]]:
         q = self.q_matrix
-        n, r = self.n, self.r
-        return {
-            (j, k): chain_record(n, q[k][j])
-            for j in range(r)
-            for k in range(j + 1, r)
-        }
+        n = self.n
+        return {(j, k): chain_record(n, q[k][j]) for j, k in _pair_keys(self.r)}
+
+
+def _q_rows(n: int, nu, neg_inverses) -> tuple[tuple[int | None, ...], ...]:
+    # q_jk = nu_j (-nu_k') mod n, from the negative inverse -nu_k' of each
+    # column (n is prime); the diagonal is None
+    rows = []
+    for j, nu_j in enumerate(nu):
+        row = [nu_j * m % n for m in neg_inverses]
+        row[j] = None
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _pair_keys(r: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (j, k), j < k < r, in the order of ``Partition.chain_records``."""
+    return tuple(itertools.combinations(range(r), 2))
 
 
 def q_of_pair(n: int, nu_j: int, nu_k: int) -> int:
@@ -297,7 +303,7 @@ def _sampled_compositions(n: int, r: int, seed: int):
         yield tuple(map(operator.sub, ordered, [0, *ordered]))
 
 
-def _asymptotic_test(n: int, memo: dict):
+def _asymptotic_test(n: int, memo: dict, neg_inverses: dict | None = None):
     """The test nu -> (every pair residue of nu lies in O_n).
 
     Each pair j < k is tested on its wall seed q_kj = q_jk': O_n is closed
@@ -317,11 +323,14 @@ def _asymptotic_test(n: int, memo: dict):
     in the memo (n - 1 for equal parts).  Only then are the missing records
     computed, pair by pair, stopping at the first residue outside O_n, so a
     composition that passes leaves the record of each of its wall chains
-    n/q_kj in the memo.
+    n/q_kj in the memo, and the negative inverse n - v' of each of its parts
+    v in ``neg_inverses`` (a dict of the caller's, or the test's own), which
+    the test fills as it goes.
     """
+    if neg_inverses is None:
+        neg_inverses = {}
     cap = _length_cap(n)
     first_run_over = -(-(cap + 1) * n // (cap + 2))  # least q >= (cap + 1)(n - q)
-    neg_inverses: dict[int, int] = {}
 
     def neg_inverse(v: int) -> int:
         m = neg_inverses[v] = n - pow(v, -1, n)
@@ -475,12 +484,13 @@ def find_asymptotic_partition(
     if r * (r + 1) // 2 > n:
         raise Exhausted(max_trials)
     memo: dict = {}
-    asymptotic = _asymptotic_test(n, memo)
+    neg_inverses: dict = {}
+    asymptotic = _asymptotic_test(n, memo, neg_inverses)
     tree = None
     samples = zip(range(1, max_trials + 1), _sampled_compositions(n, r, seed))
     for trial, nu in samples:
         if asymptotic(nu):
-            return _with_search_records(Partition(n, nu), memo)
+            return _with_search_records(Partition(n, nu), memo, neg_inverses)
         if trial == _TREE_AFTER:
             tree = _composition_tree(n, r, memo)
         if tree is not None:
@@ -493,16 +503,21 @@ def find_asymptotic_partition(
     raise Exhausted(max_trials)
 
 
-def _with_search_records(part: Partition, memo: dict) -> Partition:
-    # The search looked up the wall seed q_kj of every pair j < k of ``part``
-    # and kept the chain record of n/q_kj in ``memo``.  Seeding the
-    # cached_property's slot in the instance dict leaves equality, hash and
-    # repr of the named tuple as they are, and pickling keeps the slot; the
-    # records equal what Partition.chain_records would compute.
-    q, r = part.q_matrix, part.r
-    part.__dict__["chain_records"] = {
-        (j, k): memo[q[k][j]] for j in range(r) for k in range(j + 1, r)
-    }
+def _with_search_records(part: Partition, memo: dict, neg_inverses: dict) -> Partition:
+    # The search's test computed the negative inverse of every part of
+    # ``part`` and kept the chain record of the wall chain n/q_kj of every
+    # pair j < k in ``memo``.  Seeding the cached_properties' slots in the
+    # instance dict leaves equality, hash and repr of the named tuple as they
+    # are, and pickling keeps the slots; they equal what Partition.q_matrix
+    # and Partition.chain_records would compute.  Column j of the q_matrix
+    # below the diagonal holds the seeds q_kj, k > j, in key order.
+    n, nu = part.n, part.nu
+    slots = part.__dict__
+    q = slots["q_matrix"] = _q_rows(n, nu, [neg_inverses[v] for v in nu])
+    seeds = itertools.chain.from_iterable(
+        column[j + 1 :] for j, column in enumerate(zip(*q))
+    )
+    slots["chain_records"] = dict(zip(_pair_keys(part.r), map(memo.__getitem__, seeds)))
     return part
 
 

@@ -14,15 +14,23 @@ resolution, this module evaluates, as exact rationals:
 The data splits into two kinds.  Per base pair, computed once and kept on
 the :class:`BasePair` (see its docstring): the divisor aggregates, the
 nonzero triples, the meeting pairs, the weights of each pair in chi and e,
-the weight of the chi bound, the log Chern numbers and the log slopes.  Per
+the weight of the chi bound, the plan of the K^3 kernel
+(``BasePair.k3_plan``), the log Chern numbers and the log slopes.  Per
 cell (n and the partition) is everything else: ``Partition.q_matrix`` and
 ``Partition.chain_records``, one integer record (s, D, S0, S1, S2, B) per
-pair j < k from a single run-length pass over the wall chain n/q_kj (handed
-over by the partition search when it found the partition), and the
+pair j < k from a single run-length pass over the wall chain n/q_kj (both
+handed over by the partition search when it found the partition), and the
 subdivision point of each triple, picked in integers from the q_matrix.
 chi, K^3 and e read the chain records.  The length/excess relation gives
 the Dedekind sums of chi from them, d(nu_j, nu_k, n) = -D_jk/(12 n), so chi
 is assembled over 24 n in integers.
+
+K^3 is one formula in two parts (see :func:`k3_root_cover`): a per-pair
+part over the meeting pairs, which also takes the triple points' wall-seed
+terms, and a per-triple-point part, which reads the chain ends and the
+slope coefficients of a triple's three pairs from flat per-pair lists at
+the positions the plan names, and takes every point of a report from one
+call of :func:`rootcover.toric.subdivision_points`.
 
 Slopes use the singular-model convention c1^3 := -K^3, c1c2 := 24 chi,
 c3 := e.
@@ -46,10 +54,10 @@ from .errors import (
 from .exact import require_ints, sqrt_upper
 from .hj import hj_expand
 from .logchern import BasePair, LogChernNumbers
-from .toric import subdivision_point
+from .toric import subdivision_points
 
 # Reports read chain lengths from Partition.chain_records, log Chern numbers
-# from BasePair.log_chern and triple points from subdivision_point; these
+# from BasePair.log_chern and triple points from subdivision_points; these
 # names stay bound here because perfbench/tracer.py wraps them where this
 # module looked them up.
 from .hj import hj_length  # noqa: F401
@@ -190,20 +198,28 @@ def chi_eigenspace_oracle(pair: BasePair, part: Partition) -> Fraction:
 def _triple_points(pair: BasePair, part: Partition, strategy: str) -> list:
     """The subdivision point (v1, v2, v3) of each nonzero triple, in integers.
 
-    Aligned with ``pair.triple.items_nonzero()``.  The triple (a, b, c) has
-    the cone (n, q_ac, q_bc) of :func:`rootcover.toric.local_cone`, and its
-    point is :func:`rootcover.toric.subdivision_point` of those q_matrix
-    integers (the partition has checked that n is prime).  A cone of an
-    excluded shape raises DegenerateCone, naming the triple.
+    Aligned with ``pair.k3_plan.triples`` (the order of
+    ``pair.triple.items_nonzero()``).  The triple (a, b, c) has the cone
+    (n, q_ac, q_bc) of :func:`rootcover.toric.local_cone`, and its point is
+    the one :func:`rootcover.toric.subdivision_points` gives for those
+    q_matrix integers (the partition has checked that n is prime), all
+    triples in one call.  A cone of an excluded shape raises DegenerateCone,
+    naming the triple.
     """
-    points = []
-    n = part.n
     q = part.q_matrix
-    for (a, b, c), _t in pair.triple.items_nonzero():
-        try:
-            points.append(subdivision_point(n, q[a][c], q[b][c], strategy))
-        except Degenerate as exc:
-            raise DegenerateCone(f"triple ({a},{b},{c}): {exc}") from exc
+    triples = pair.k3_plan.triples
+    points: list = []
+    try:
+        points.extend(
+            subdivision_points(
+                part.n,
+                ((q[a][c], q[b][c]) for a, b, c, _t, _ab, _ac, _bc in triples),
+                strategy,
+            )
+        )
+    except Degenerate as exc:
+        a, b, c = triples[len(points)][:3]
+        raise DegenerateCone(f"triple ({a},{b},{c}): {exc}") from exc
     return points
 
 
@@ -239,10 +255,25 @@ def k3_root_cover(pair: BasePair, part: Partition, strategy: str = "minimal") ->
 
     Since P_{a+1} - P_a = (k_a - 2) m_a, every term of S1 and S2 carries the
     factor 2 - k_a too (see :func:`rootcover.hj.chain_record`, which the
-    kernel reads from ``part.chain_records``).  Every remaining piece is an
-    integer over n^2, except the slope terms, which are collected per triple
-    point over n^2 v1 v2 v3 together with its central term; the result is
-    one Fraction.
+    kernel reads from ``part.chain_records``).
+
+    The kernel is one formula in two parts, over the pair's
+    ``BasePair.k3_plan``:
+
+    * Per pair j < k: the chain ends and the wall sum, over n^2.  The wall
+      seeds enter S0_jk's coefficient as D_jk D_k q_kj + sum_l D_jkl q_lj
+      over the triple points (j, k, l) through the pair, a weighted sum of
+      column j of the q_matrix.  For a constant table t it is
+      (D_jk D_k - t) q_kj + t sum_{l != j} q_lj, one column sum per j, so
+      this part costs O(r^2) however many triples there are; a sparse table
+      sums over its own entries.
+    * Per triple point: its point v (:func:`_triple_points`, one strategy
+      dispatch for the report), its chain-end term 2 (v1 + v2 + v3 - 1)
+      D_abc (B_ab + B_ac + B_bc), and its central term with its share of
+      the slope terms over n^2 v1 v2 v3, read from flat per-pair lists of
+      the chain ends B and of S0 - S2 and S0 + S1.  Those numerators are
+      summed per denominator v1 v2 v3 before the one lcm; the result is one
+      Fraction.
 
     The chain-end values x_{jk,1} drop the central-divisor corrections
     v_{pos(k)} K.C_{pos(j)} at the triple points.  Those vanish whenever the
@@ -253,62 +284,75 @@ def k3_root_cover(pair: BasePair, part: Partition, strategy: str = "minimal") ->
     """
     _check_compatible(pair, part)
     n = part.n
-    dd2 = pair.dd2
     q = part.q_matrix  # the wall seed j -> k is q[k][j]
     chains = part.chain_records
+    plan = pair.k3_plan
     points = _triple_points(pair, part, strategy)
 
     # Every integral piece is accumulated as a numerator over n^2.
-    dred3 = pair.sum_d3() + 3 * (pair.sum_12() + pair.sum_21()) + 6 * pair.triple.total()
+    c1_cubed, c1sq_d, c1_d, d_cubed = plan.cube
     total = (
-        -pair.c1_cubed * n**3
-        + 3 * n * n * (n - 1) * pair.c1sq_dred()
-        - 3 * n * (n - 1) ** 2 * (pair.c1_d2() + 2 * pair.c1_d11())
-        + (n - 1) ** 3 * dred3
+        -c1_cubed * n**3
+        + 3 * n * n * (n - 1) * c1sq_d
+        - 3 * n * (n - 1) ** 2 * c1_d
+        + (n - 1) ** 3 * d_cubed
     )
 
-    # Per pair (j, k), the terms of the chain ends and of the wall sum
-    # without the triples (j, k, l) through it.
-    for j, k in pair.meeting_pairs:
-        _s, _d, s0, s1, s2, chain_end = chains[j, k]
-        dd_sum = dd2[k][j] + dd2[j][k]
-        k_class = n * pair.kz_dd(j, k) + (n - 1) * dd_sum  # n D_jk K, less triples
-        x1 = k_class + (q[k][j] + 1 - n) * dd2[j][k]  # n x_{jk,1}, less triples
-        total -= 2 * k_class * chain_end
-        total -= s0 * (dd_sum + x1) + dd2[j][k] * s1 - dd2[k][j] * s2
+    # The wall seeds' share of each pair's S0 coefficient: D_jk D_k q_kj
+    # from x_{jk,1}, and q_lj D_jkl from each triple point (j, k, l), all in
+    # column j of the q_matrix.
+    if plan.constant is not None:
+        t = plan.constant
+        cols = [sum(filter(None, col)) for col in zip(*q)]  # sum_{l != j} q_lj
+        seeds = [
+            (djk - t) * q[k][j] + t * cols[j] for j, k, _kz, _dd, djk, _dkj in plan.pairs
+        ]
+    else:
+        seeds = [
+            djk * q[k][j] + sum(t * q[l][j] for l, t in through)
+            for (j, k, _kz, _dd, djk, _dkj), through in zip(plan.pairs, plan.thirds)
+        ]
 
-    # Per triple point (a, b, c): D_abc adds to each pair (j, k) through it,
-    # l the third index, (n - 1) D_jkl to n D_jk K, (v1 + v2 + v3 - n) D_jkl
-    # to the V-sum and (q_lj + 1 - n) D_jkl to n x_{jk,1}, whose (1 - n)
-    # D_jkl cancels the share of n D_jk K there.  So the chain-end term takes
-    # 2 (v1 + v2 + v3 - 1) D_jkl B_jk and the wall sum q_lj D_jkl S0_jk.
-    # Then n^2 v1 v2 v3 times its central term and its share of the slope
-    # terms |D_j|_k, |D_k|_j, whose coefficients over n^2 are S0 - S2 and
-    # S0 + S1.
-    dens, nums = [], []
-    for ((a, b, c), t), (va, vb, vc) in zip(pair.triple.items_nonzero(), points):
-        _s, _d, ab0, ab1, ab2, ab_end = chains[a, b]
-        _s, _d, ac0, ac1, ac2, ac_end = chains[a, c]
-        _s, _d, bc0, bc1, bc2, bc_end = chains[b, c]
+    # Per pair (j, k): the chain ends and the wall sum.  The triple points
+    # through it add (n - 1) D_jkl to n D_jk K and (q_lj + 1 - n) D_jkl to
+    # n x_{jk,1}, which cancel but for the seeds' q_lj D_jkl S0_jk.
+    ends, lows, highs = [], [], []
+    records = map(chains.__getitem__, pair.meeting_pairs)
+    for (j, k, kz, dd_sum, djk, dkj), record, seed in zip(plan.pairs, records, seeds):
+        _s, _d, s0, s1, s2, chain_end = record
+        k_class = n * kz + (n - 1) * dd_sum  # n D_jk K, less triples
+        # n x_{jk,1} = k_class + (q_kj + 1 - n) D_jk D_k, less triples
+        total -= (
+            2 * k_class * chain_end
+            + s0 * (dd_sum + k_class + (1 - n) * djk + seed)
+            + djk * s1
+            - dkj * s2
+        )
+        ends.append(chain_end)
+        lows.append(s0 - s2)
+        highs.append(s0 + s1)
+
+    # Per triple point (a, b, c): the chain ends of its pairs take
+    # 2 (v1 + v2 + v3 - 1) D_abc B_jk (the V-sum adds (v1 + v2 + v3 - n)
+    # D_jkl); then n^2 v1 v2 v3 times its central term and its share of the
+    # slope terms |D_j|_k, |D_k|_j, whose coefficients over n^2 are S0 - S2
+    # and S0 + S1, summed per denominator v1 v2 v3.
+    ends_sum = 0
+    nums: dict[int, int] = {}
+    for (_a, _b, _c, t, ab, ac, bc), (va, vb, vc) in zip(plan.triples, points):
         v_sum = va + vb + vc
-        total -= t * (
-            2 * (v_sum - 1) * (ab_end + ac_end + bc_end)
-            + q[c][a] * ab0
-            + q[b][a] * ac0
-            + q[a][b] * bc0
+        ends_sum += t * (v_sum - 1) * (ends[ab] + ends[ac] + ends[bc])
+        den = va * vb * vc
+        w = v_sum - n
+        nums[den] = nums.get(den, 0) + t * (
+            w * w * w
+            + (lows[ab] * va + highs[ab] * vb) * va * vb
+            + (lows[ac] * va + highs[ac] * vc) * va * vc
+            + (lows[bc] * vb + highs[bc] * vc) * vb * vc
         )
-        nums.append(
-            t
-            * (
-                (v_sum - n) ** 3
-                + ((ab0 - ab2) * va + (ab0 + ab1) * vb) * va * vb
-                + ((ac0 - ac2) * va + (ac0 + ac1) * vc) * va * vc
-                + ((bc0 - bc2) * vb + (bc0 + bc1) * vc) * vb * vc
-            )
-        )
-        dens.append(va * vb * vc)
-    den = math.lcm(*dens)
-    total = total * den + sum(num * (den // d) for num, d in zip(nums, dens))
+    total -= 2 * ends_sum
+    den = math.lcm(*nums)
+    total = total * den + sum(num * (den // d) for d, num in nums.items())
     return Fraction(total, n * n * den)
 
 
@@ -397,25 +441,24 @@ def chi_error_bound(pair: BasePair, part: Partition) -> Fraction:
                         (sum_{j<k} |D_jk (D_j + D_k + K_Z)| + 3 sum |D_jkl|).
 
     The n-dependent drift chi(O_Z) - (R_1 + R_2)/(12 n) - c1c2_bar/24 of the
-    R_1, R_2 terms is exact and added as is.  Each term is built as one
+    R_1, R_2 terms is exact and added as is.  The bound is built as one
     Fraction from integers: R_1 and R_2 are integers over 2 n (see
-    :func:`chi_root_cover`) and sqrt_upper(n) is an integer over 2**64.
+    :func:`chi_root_cover`), so the drift is an integer over 24 n^2 b for
+    the denominator b of c1c2_bar, and sqrt_upper(n) is an integer over R,
+    a power of two, so the Girstmair term is one over 2 n R; both are taken
+    over 24 n^2 b R.
     """
     _check_compatible(pair, part)
     n = part.n
     r12 = sum(_r12(pair, n))
     bar = pair.log_chern.c1c2_bar
+    b = bar.denominator
     n2 = n * n
-    drift = Fraction(
-        (pair.c1c2 * n2 - r12) * bar.denominator - bar.numerator * n2,
-        24 * n2 * bar.denominator,
-    )
+    drift = (pair.c1c2 * n2 - r12) * b - bar.numerator * n2  # over 24 n^2 b
     root = sqrt_upper(n)
-    girstmair = Fraction(
-        (3 * root.numerator + 5 * root.denominator) * pair.chi_bound_weight,
-        2 * n * root.denominator,
-    )
-    return abs(drift) + girstmair
+    big_r = root.denominator
+    girstmair = (3 * root.numerator + 5 * big_r) * pair.chi_bound_weight  # over 2 n R
+    return Fraction(abs(drift) * big_r + 12 * n * b * girstmair, 24 * n2 * b * big_r)
 
 
 def invariant_report(

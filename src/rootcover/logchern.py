@@ -35,6 +35,7 @@ __all__ = [
     "PRESET_PARAMS",
     "TripleTable",
     "BasePair",
+    "K3Plan",
     "LogChernNumbers",
     "log_chern_numbers",
     "make_preset",
@@ -119,6 +120,28 @@ class TripleTable(namedtuple("TripleTable", ("r", "constant", "entries"))):
         return sum(self.entries.values())
 
 
+class K3Plan(NamedTuple):
+    """What the K^3 kernel reads of a pair, once per pair (``BasePair.k3_plan``).
+
+    ``cube`` is (c1^3, c1^2 D, c1 (D^[2] + 2 D^[1,1]), D^3) with D = D_red,
+    the numbers of (K_Z + (n-1)/n D)^3.  ``pairs`` holds, for each meeting
+    pair j < k in order, (j, k, K_Z D_j D_k, D_j D_k^2 + D_j^2 D_k,
+    D_j D_k^2, D_j^2 D_k).  ``triples`` holds, for each nonzero triple
+    a < b < c in order, (a, b, c, D_abc, i_ab, i_ac, i_bc), where i_jk is
+    the position of the pair (j, k) in ``pairs``.  ``constant`` is the value
+    t of a constant triple table with t != 0, where D_jkl = t for every
+    third index l of every pair, and ``thirds`` is then None; otherwise
+    ``constant`` is None and ``thirds`` holds, for each pair of ``pairs``,
+    the (l, D_jkl) of the nonzero triples through it.
+    """
+
+    cube: tuple[int, int, int, int]
+    pairs: tuple[tuple[int, int, int, int, int, int], ...]
+    triples: tuple[tuple[int, int, int, int, int, int, int], ...]
+    constant: Optional[int]
+    thirds: Optional[tuple[tuple[tuple[int, int], ...], ...]]
+
+
 class BasePair(namedtuple(
     "BasePair",
     ("r", "c1_cubed", "c1c2", "c3", "d3", "c1sq_d", "c2_d", "c1_dd", "dd2",
@@ -141,8 +164,11 @@ class BasePair(namedtuple(
     divisor aggregates (:meth:`sum_d3` ... :meth:`c2_dred`), the nonzero
     triples, ``meeting_pairs``, ``e_d`` and ``e_sing_d``, the weights of chi
     and e per pair (``pair_weights``, ``euler_weights``),
-    ``chi_bound_weight``, ``log_chern`` and ``log_slopes``.  A report then
-    does only the work that depends on n and the partition.
+    ``chi_bound_weight``, ``log_chern`` and ``log_slopes``, and the plan of
+    the K^3 kernel (``k3_plan``, a :class:`K3Plan`): the per-pair constants
+    of its per-pair part and the index triples of its per-triple-point
+    loop.  A report then does only the work that depends on n and the
+    partition.
     """
 
     def __new__(cls, *args, **kwargs):
@@ -317,6 +343,38 @@ class BasePair(namedtuple(
             if c:
                 weights.append((j, k, c))
         return e_0, tuple(weights)
+
+    @cached_property
+    def k3_plan(self) -> K3Plan:
+        """The per-pair part of :func:`rootcover.invariants.k3_root_cover`:
+        the constants its kernel reads, and the index triples of its
+        per-triple-point loop (see :class:`K3Plan`)."""
+        keys = self.meeting_pairs
+        index = {key: i for i, key in enumerate(keys)}
+        c1_dd, dd2 = self.c1_dd, self.dd2
+        pairs = tuple(
+            (j, k, -c1_dd[j][k], dd2[j][k] + dd2[k][j], dd2[j][k], dd2[k][j])
+            for j, k in keys
+        )
+        thirds: dict[tuple[int, int], list] = {key: [] for key in keys}
+        triples = []
+        for (a, b, c), t in self.triple.items_nonzero():
+            thirds[a, b].append((c, t))
+            thirds[a, c].append((b, t))
+            thirds[b, c].append((a, t))
+            triples.append((a, b, c, t, index[a, b], index[a, c], index[b, c]))
+        cube = (
+            self.c1_cubed,
+            self.c1sq_dred(),
+            self.c1_d2() + 2 * self.c1_d11(),
+            self.sum_d3() + 3 * (self.sum_12() + self.sum_21()) + 6 * self.triple.total(),
+        )
+        constant = self.triple.constant or None
+        if constant is not None:
+            return K3Plan(cube, pairs, tuple(triples), constant, None)
+        return K3Plan(
+            cube, pairs, tuple(triples), None, tuple(tuple(thirds[key]) for key in keys)
+        )
 
     @cached_property
     def chi_bound_weight(self) -> int:

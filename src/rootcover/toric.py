@@ -36,6 +36,7 @@ __all__ = [
     "parallelepiped_points",
     "select_v",
     "subdivision_point",
+    "subdivision_points",
     "cyclic_resolution",
     "local_intersection_table",
     "max_slope",
@@ -53,7 +54,7 @@ def _excluded_shape(n: int, p: int, q: int) -> dict[str, bool] | None:
     The star subdivision excludes an edge-type wall (p or q = n - 1), equal
     parameters (p = q) and the (1,1)-type third wall (p + q = n).  The flags
     are keyed edge, equal, opposite; the dict is built only for an excluded
-    cone, as every triple point of a report passes through this test.
+    cone.  :func:`subdivision_points` runs the same test inline.
     """
     edge = p == n - 1 or q == n - 1
     equal = p == q
@@ -232,11 +233,13 @@ def subdivision_point(n: int, p: int, q: int, strategy: str) -> tuple[int, int, 
     """The star-subdivision point (v1, v2, v3) of the cone (n, p, q), in integers.
 
     The caller guarantees what :class:`LocalConeSpec` checks: n prime and
-    0 < p, q < n.  The global invariants call this once per triple point
-    with p, q read off ``Partition.q_matrix``; :func:`select_v` wraps it for
-    a validated spec.  A cone of an excluded shape (p or q = n - 1, p = q,
-    p + q = n; see ``LocalConeSpec.degenerate_flags``) raises Degenerate
-    under either strategy, and BadInput names an unknown strategy.
+    0 < p, q < n.  This is the one-cone form of :func:`subdivision_points`,
+    which implements the rule below for a batch of cones (the global
+    invariants pass all triple points of a report, with p, q read off
+    ``Partition.q_matrix``); :func:`select_v` wraps it for a validated spec.
+    A cone of an excluded shape (p or q = n - 1, p = q, p + q = n; see
+    ``LocalConeSpec.degenerate_flags``) raises Degenerate under either
+    strategy, and BadInput names an unknown strategy.
 
     ``minimal`` takes (1, 1, {p+q}_n), the interior point over the corner of
     the parallelepiped; {p+q}_n = 0 is the opposite shape.
@@ -293,14 +296,41 @@ def subdivision_point(n: int, p: int, q: int, strategy: str) -> tuple[int, int, 
     found by comparisons and ranked by cross-multiplication, and only a
     line's best point becomes a tuple.
     """
+    return next(subdivision_points(n, ((p, q),), strategy))
+
+
+def subdivision_points(n: int, cones, strategy: str) -> Iterator[tuple[int, int, int]]:
+    """The :func:`subdivision_point` of each cone (n, p, q), (p, q) in ``cones``.
+
+    A generator over the cones in order, with one strategy dispatch for all
+    of them; the global invariants pass every triple point of a report at
+    once.  A balanced point depends on the multiplier c = {-(p+1)(q+1)'}_n
+    alone, so it is computed once per distinct c within the call.  The first
+    cone of an excluded shape raises Degenerate after the points of the
+    cones before it have been yielded, so a caller that collects the points
+    knows which cone it was.  BadInput names an unknown strategy, at the
+    first cone.
+    """
     if strategy not in STRATEGIES:
         raise BadInput(f"unknown strategy {strategy!r}")
-    flags = _excluded_shape(n, p, q)
-    if flags is not None:
-        raise Degenerate(f"excluded cone shape {flags}")
+    # the test of _excluded_shape, inline: every triple point of a report
+    # passes it; the flags are built for an excluded cone only
+    edge = n - 1
     if strategy == "minimal":
-        return (1, 1, (p + q) % n)
-    return _balanced_point(n, (-(p + 1) * pow(q + 1, -1, n)) % n)
+        for p, q in cones:
+            if p == edge or q == edge or p == q or p + q == n:
+                raise Degenerate(f"excluded cone shape {_excluded_shape(n, p, q)}")
+            yield 1, 1, (p + q) % n
+        return
+    points: dict[int, tuple[int, int, int]] = {}
+    for p, q in cones:
+        if p == edge or q == edge or p == q or p + q == n:
+            raise Degenerate(f"excluded cone shape {_excluded_shape(n, p, q)}")
+        c = -(p + 1) * pow(q + 1, -1, n) % n
+        point = points.get(c)
+        if point is None:
+            point = points[c] = _balanced_point(n, c)
+        yield point
 
 
 def _reduced_basis(n: int, c: int) -> tuple[int, int, int, int]:

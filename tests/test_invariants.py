@@ -551,6 +551,136 @@ def test_triple_points_match_public_route():
     assert outcomes == {"degenerate", "point"}
 
 
+def k3_per_triple_oracle(pair, part, strategy="minimal"):
+    """K^3 by the kernel's earlier one-loop form, as an oracle for the split.
+
+    The same integer formula as ``k3_root_cover``, in the shape it had before
+    it was split into a per-pair part and a per-triple-point part: a loop
+    over the pairs without their triple points, then one loop over the
+    triple points that looks up the chain records of its three pairs by key,
+    adds their q S0 wall-seed terms and puts each numerator over its own
+    v1 v2 v3 before one lcm of all of them.  The points come from the public
+    route, so a degenerate cone raises its DegenerateCone from there.
+    """
+    _check_compatible(pair, part)
+    n = part.n
+    dd2 = pair.dd2
+    q = part.q_matrix
+    chains = part.chain_records
+    points = [
+        public_triple_point(part, key, strategy) for key, _t in pair.triple.items_nonzero()
+    ]
+    dred3 = pair.sum_d3() + 3 * (pair.sum_12() + pair.sum_21()) + 6 * pair.triple.total()
+    total = (
+        -pair.c1_cubed * n**3
+        + 3 * n * n * (n - 1) * pair.c1sq_dred()
+        - 3 * n * (n - 1) ** 2 * (pair.c1_d2() + 2 * pair.c1_d11())
+        + (n - 1) ** 3 * dred3
+    )
+    for j, k in pair.meeting_pairs:
+        _s, _d, s0, s1, s2, chain_end = chains[j, k]
+        dd_sum = dd2[k][j] + dd2[j][k]
+        k_class = n * pair.kz_dd(j, k) + (n - 1) * dd_sum
+        x1 = k_class + (q[k][j] + 1 - n) * dd2[j][k]
+        total -= 2 * k_class * chain_end
+        total -= s0 * (dd_sum + x1) + dd2[j][k] * s1 - dd2[k][j] * s2
+    dens, nums = [], []
+    for ((a, b, c), t), (va, vb, vc) in zip(pair.triple.items_nonzero(), points):
+        _s, _d, ab0, ab1, ab2, ab_end = chains[a, b]
+        _s, _d, ac0, ac1, ac2, ac_end = chains[a, c]
+        _s, _d, bc0, bc1, bc2, bc_end = chains[b, c]
+        v_sum = va + vb + vc
+        total -= t * (
+            2 * (v_sum - 1) * (ab_end + ac_end + bc_end)
+            + q[c][a] * ab0
+            + q[b][a] * ac0
+            + q[a][b] * bc0
+        )
+        nums.append(
+            t
+            * (
+                (v_sum - n) ** 3
+                + ((ab0 - ab2) * va + (ab0 + ab1) * vb) * va * vb
+                + ((ac0 - ac2) * va + (ac0 + ac1) * vc) * va * vc
+                + ((bc0 - bc2) * vb + (bc0 + bc1) * vc) * vb * vc
+            )
+        )
+        dens.append(va * vb * vc)
+    den = math.lcm(*dens)
+    total = total * den + sum(num * (den // d) for num, d in zip(nums, dens))
+    return Fraction(total, n * n * den)
+
+
+def with_sparse_triples(pair):
+    """The pair with its triple table written as explicit entries."""
+    return pair._replace(triple=TripleTable(pair.r, entries=dict(pair.triple.items_nonzero())))
+
+
+def test_k3_equals_the_per_triple_oracle():
+    # the split kernel against its earlier one-loop form, exactly, on every
+    # preset cell below and on each preset with a sparse triple table (the
+    # kernel's other branch for the wall seeds), and on the sparse fixture
+    # (a zero triple, pairs that meet without a triple point, a pair that
+    # does not meet); an excluded cone must raise the same DegenerateCone
+    # text on both
+    rng = random.Random(61)
+    presets = [make_preset("planes_p3", r) for r in range(3, 7)]
+    presets += [make_preset("hypersurface_p4", (d, r)) for d in (4, 6) for r in range(3, 9)]
+    presets.append(base_pair_from_json(json.dumps(SPARSE_PAIR_DOC)))
+    outcomes = collections.Counter()
+    for preset in presets:
+        sparse = with_sparse_triples(preset)
+        assert sparse.triple.constant is None and sparse.k3_plan.constant is None
+        assert preset.k3_plan.constant == preset.triple.constant
+        for n in primerange(17, 212):
+            part = random_h_partition(rng, n, preset.r, distinct=rng.random() < 0.7)
+            for strategy in ("minimal", "balanced"):
+                try:
+                    want = k3_per_triple_oracle(preset, part, strategy)
+                except DegenerateCone as exc:
+                    for pair in (preset, sparse):
+                        with pytest.raises(DegenerateCone) as info:
+                            k3_root_cover(pair, part, strategy)
+                        assert str(info.value) == str(exc), (pair.label, part, strategy)
+                    outcomes["degenerate"] += 1
+                    continue
+                for pair in (preset, sparse):
+                    assert k3_root_cover(pair, part, strategy) == want, (
+                        pair.label, part, strategy, pair.triple.constant
+                    )
+                outcomes[strategy] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_k3_plan_indexes_its_pairs():
+    # every triple of the plan names the positions of its three pairs, and
+    # each pair lists the third index and value of every triple through it
+    pairs = [make_preset("hypersurface_p4", (6, r)) for r in (3, 4, 8)]
+    pairs += [base_pair_from_json(json.dumps(SPARSE_PAIR_DOC))]
+    pairs += [with_sparse_triples(make_preset("planes_p3", 5))]
+    for pair in pairs:
+        plan = pair.k3_plan
+        keys = [entry[:2] for entry in plan.pairs]
+        assert tuple(keys) == pair.meeting_pairs
+        for j, k, kz, dd_sum, djk, dkj in plan.pairs:
+            assert (kz, djk, dkj) == (pair.kz_dd(j, k), pair.dd2[j][k], pair.dd2[k][j])
+            assert dd_sum == djk + dkj
+        want_thirds = {key: [] for key in keys}
+        for ((a, b, c), t), entry in zip(pair.triple.items_nonzero(), plan.triples):
+            assert entry[:4] == (a, b, c, t)
+            assert [keys[i] for i in entry[4:]] == [(a, b), (a, c), (b, c)]
+            want_thirds[a, b].append((c, t))
+            want_thirds[a, c].append((b, t))
+            want_thirds[b, c].append((a, t))
+        if pair.triple.constant:
+            assert plan.constant == pair.triple.constant and plan.thirds is None
+            assert all(len(through) == pair.r - 2 for through in want_thirds.values())
+        else:
+            assert plan.constant is None
+            assert plan.thirds == tuple(tuple(want_thirds[key]) for key in keys)
+        assert len(plan.triples) == len(pair.triple.items_nonzero())
+
+
 def derived_tables_by_direct_sums(pair):
     """Every table BasePair derives, summed directly from its raw tables."""
     r, dd2, c1_dd, tt = pair.r, pair.dd2, pair.c1_dd, pair.triple
@@ -634,6 +764,7 @@ def test_pickled_pair_keeps_its_tables_and_reports():
         reports = [invariant_report(base, part, "balanced") for part in parts]
         copy = pickle.loads(pickle.dumps(base))
         assert "log_chern" in vars(copy) and "pair_weights" in vars(copy)
+        assert vars(copy)["k3_plan"] == base.k3_plan
         assert derived_tables(copy) == derived_tables(base)
         for part, want in zip(parts, reports):
             assert invariant_report(copy, part, "balanced") == want
@@ -804,32 +935,48 @@ def test_chi_over_n_reaches_the_limit():
 
 
 def test_search_hands_its_chain_records_to_the_partition():
-    # The search seeds chain_records from its membership memo (the dual of
-    # each tested record); they must equal a fresh pass over the wall chains,
-    # also after pickling, and leave equality, hash and repr alone.
+    # The search seeds q_matrix from the negative inverses its test computed
+    # and chain_records from its membership memo (the dual of each tested
+    # record); both must equal a fresh Partition's, also after pickling,
+    # and leave equality, hash and repr alone, at moduli from small to just
+    # above 2^63.
+    searches = [
+        (n, r, seed, 5000)
+        for r in (3, 4, 5, 8)
+        for n in (61, 211, 1009, 4001)
+        for seed in (0, 1, 7)
+    ]
+    searches += [
+        (53, 8, 0, 50000),
+        (1009, 8, 4, 10000),
+        (10**18 + 9, 8, 1, 10000),
+        (9223372036854775837, 8, 0, 10000),
+    ]
     cells = 0
-    for r in (3, 4, 5, 8):
+    for n, r, seed, trials in searches:
         pair = make_preset("hypersurface_p4", (6, r))
-        for n in (61, 211, 1009, 4001):
-            for seed in (0, 1, 7):
-                try:
-                    part = find_asymptotic_partition(n, r, seed, 5000)
-                except Exhausted:
-                    continue
-                cells += 1
-                assert "chain_records" in vars(part)
-                fresh = Partition(n, part.nu)
-                assert "chain_records" not in vars(fresh)
-                assert part == fresh and hash(part) == hash(fresh)
-                assert repr(part) == repr(fresh)
-                assert part.chain_records == fresh.chain_records, (n, r, seed)
-                copy = pickle.loads(pickle.dumps(part))
-                assert copy == fresh and copy.chain_records == fresh.chain_records
-                for strategy in ("minimal", "balanced"):
-                    want = invariant_report(pair, Partition(n, part.nu), strategy)
-                    assert invariant_report(pair, part, strategy) == want
-                    assert invariant_report(pair, copy, strategy) == want
-    assert cells >= 30
+        try:
+            part = find_asymptotic_partition(n, r, seed, trials)
+        except Exhausted:
+            continue
+        cells += 1
+        assert "q_matrix" in vars(part) and "chain_records" in vars(part)
+        fresh = Partition(n, part.nu)
+        assert not {"q_matrix", "chain_records"} & set(vars(fresh))
+        assert part == fresh and hash(part) == hash(fresh)
+        assert repr(part) == repr(fresh)
+        assert part.q_matrix == fresh.q_matrix, (n, r, seed)
+        assert part.chain_records == fresh.chain_records, (n, r, seed)
+        assert list(part.chain_records) == list(fresh.chain_records)
+        copy = pickle.loads(pickle.dumps(part))
+        assert "q_matrix" in vars(copy) and "chain_records" in vars(copy)
+        assert copy == fresh and copy.q_matrix == fresh.q_matrix
+        assert copy.chain_records == fresh.chain_records
+        for strategy in ("minimal", "balanced"):
+            want = invariant_report(pair, Partition(n, part.nu), strategy)
+            assert invariant_report(pair, part, strategy) == want
+            assert invariant_report(pair, copy, strategy) == want
+    assert cells >= 34
 
 
 def chi_error_bound_by_fractions(pair, part):

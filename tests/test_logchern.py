@@ -398,6 +398,20 @@ def test_base_pair_json_bytes_are_pinned(kind, params, golden):
     assert base_pair_from_json(text) == pair
 
 
+def test_sparse_base_pair_golden_is_the_planes_preset_with_entries():
+    # CI sweeps this document against the preset: it must be the preset's
+    # tables with the triple table written as entries, byte for byte
+    text = (Path(__file__).parent / "data" / "basepair_planes_p3_r4_sparse.json").read_text(
+        encoding="utf-8"
+    )
+    preset = make_preset("planes_p3", 4)
+    sparse = preset._replace(triple=TripleTable(4, entries=dict(preset.triple.items_nonzero())))
+    assert base_pair_to_json(sparse) == text
+    pair = base_pair_from_json(text)
+    assert pair == sparse and pair.triple.constant is None
+    assert '"entries"' in text
+
+
 @pytest.mark.parametrize("field, bad", [("h_section", "no"), ("h_section", 1), ("label", 5)])
 def test_base_pair_flag_and_label_are_typed(field, bad):
     # a string h_section such as "no" is truthy and would demand

@@ -20,6 +20,7 @@ from rootcover.toric import (
     resolution_to_json,
     select_v,
     subdivision_point,
+    subdivision_points,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -178,6 +179,51 @@ def test_one_shape_check_for_both_strategies():
                         assert subdivision_point(n, p, q, strategy) == (1, 1, (p + q) % n)
                     else:
                         assert sum(subdivision_point(n, p, q, strategy)) == n
+
+
+def test_subdivision_points_is_subdivision_point_per_cone():
+    # the batched form gives each cone's point in order, computes a balanced
+    # point once per multiplier, and stops at the first excluded cone after
+    # yielding the points before it, with subdivision_point's error
+    rng = random.Random(83)
+    for n in (61, 211, 1009, 10007):
+        cones = []
+        while len(cones) < 40:
+            p, q = rng.randrange(1, n), rng.randrange(1, n)
+            if not LocalConeSpec(n, p, q).is_degenerate:
+                cones.append((p, q))
+        cones += cones[:10]  # repeated multipliers
+        for strategy in toric.STRATEGIES:
+            want = [subdivision_point(n, p, q, strategy) for p, q in cones]
+            assert list(subdivision_points(n, cones, strategy)) == want
+            assert list(subdivision_points(n, iter(cones), strategy)) == want
+            for bad in ((n - 1, 3), (5, 5), (7, n - 7)):
+                batch = [*cones[:13], bad, *cones[13:]]
+                got = []
+                with pytest.raises(Degenerate) as info:
+                    got.extend(subdivision_points(n, batch, strategy))
+                assert got == want[:13]
+                with pytest.raises(Degenerate) as one:
+                    subdivision_point(n, *bad, strategy)
+                assert str(info.value) == str(one.value)
+    assert list(subdivision_points(61, [], "minimal")) == []
+    with pytest.raises(BadInput, match="unknown strategy"):
+        next(subdivision_points(61, [(2, 3)], "best"))
+
+
+def test_subdivision_points_solves_each_multiplier_once(monkeypatch):
+    want = [subdivision_point(1009, p, q, "balanced") for p, q in ((2, 3), (5, 9))]
+    calls = []
+    real = toric._balanced_point
+
+    def counted(n, c):
+        calls.append(c)
+        return real(n, c)
+
+    monkeypatch.setattr(toric, "_balanced_point", counted)
+    cones = [(2, 3), (5, 9), (2, 3), (5, 9), (2, 3)]
+    assert list(subdivision_points(1009, cones, "balanced")) == want * 2 + want[:1]
+    assert len(calls) == len(set(calls)) == 2
 
 
 def test_balanced_matches_scan_random_large_cones():
