@@ -211,14 +211,17 @@ def _build_pair(cfg: dict):
 
 
 def _sweep_cell(args):
-    """One (n, pair) cell; never raises, reports failures in the status field."""
-    pair, d, n, cfg = args
+    """One (n, pair) cell; never raises, reports failures in the status field.
+
+    ``nu`` is the config's parsed partition, or None to search for one.
+    """
+    pair, d, n, nu, cfg = args
     row = {"n": n, "d": d, "r": pair.r, "nu": "", "status": "ok"}
     try:
-        if cfg["partition"] == "asymptotic":
+        if nu is None:
             part = find_asymptotic_partition(n, pair.r, cfg["seed"], cfg["trials"])
         else:
-            part = Partition(n, _parse_nu(cfg["partition"]))
+            part = Partition(n, nu)
         row["nu"] = "+".join(str(v) for v in part.nu)
         report = invariant_report(pair, part, cfg["strategy"])
     except Exhausted:
@@ -325,11 +328,15 @@ def run_sweep(cfg: dict) -> tuple[str, int]:
     process: with ``workers = k`` it forks ``k - 1`` children, and process
     ``w`` computes every ``k``-th cell from the ``w``-th on.  Without
     ``os.fork`` (Windows) the sweep runs in this one process.  Rows are
-    sorted by ``n``, so the output does not depend on ``workers``.
+    sorted by ``n``, so the output does not depend on ``workers``.  A
+    ``partition`` that is neither "asymptotic" nor a list of integers is a
+    ConfigError before any cell runs; one that does not fit some n fails
+    that cell alone.
     """
     pair, d = _build_pair(cfg)
+    nu = None if cfg["partition"] == "asymptotic" else _parse_nu(cfg["partition"])
     primes = [n for n in range(cfg["n_min"], cfg["n_max"] + 1) if is_prime(n)]
-    cells = [(pair, d, n, cfg) for n in primes]
+    cells = [(pair, d, n, nu, cfg) for n in primes]
     # 1 worker without os.fork, and for an empty range too: cells[::0] raises
     workers = max(1, min(cfg.get("workers") or 1, len(cells))) if hasattr(os, "fork") else 1
     rows = _forked_rows(cells, workers)

@@ -26,11 +26,11 @@ the Dedekind sums of chi from them, d(nu_j, nu_k, n) = -D_jk/(12 n), so chi
 is assembled over 24 n in integers.
 
 K^3 is one formula in two parts (see :func:`k3_root_cover`): a per-pair
-part over the meeting pairs, which also takes the triple points' wall-seed
-terms, and a per-triple-point part, which reads the chain ends and the
-slope coefficients of a triple's three pairs from flat per-pair lists at
-the positions the plan names, and takes every point of a report from one
-call of :func:`rootcover.toric.subdivision_points`.
+part over the meeting pairs, and a per-triple-point part that holds every
+term of a triple point.  The latter reads the chain ends, the S0 sums and
+the slope coefficients of a triple's three pairs from flat per-pair lists
+at the positions the plan names, and takes every point of a report from
+one call of :func:`rootcover.toric.subdivision_points`.
 
 Slopes use the singular-model convention c1^3 := -K^3, c1c2 := 24 chi,
 c3 := e.
@@ -260,20 +260,17 @@ def k3_root_cover(pair: BasePair, part: Partition, strategy: str = "minimal") ->
     The kernel is one formula in two parts, over the pair's
     ``BasePair.k3_plan``:
 
-    * Per pair j < k: the chain ends and the wall sum, over n^2.  The wall
-      seeds enter S0_jk's coefficient as D_jk D_k q_kj + sum_l D_jkl q_lj
-      over the triple points (j, k, l) through the pair, a weighted sum of
-      column j of the q_matrix.  For a constant table t it is
-      (D_jk D_k - t) q_kj + t sum_{l != j} q_lj, one column sum per j, so
-      this part costs O(r^2) however many triples there are; a sparse table
-      sums over its own entries.
-    * Per triple point: its point v (:func:`_triple_points`, one strategy
-      dispatch for the report), its chain-end term 2 (v1 + v2 + v3 - 1)
-      D_abc (B_ab + B_ac + B_bc), and its central term with its share of
-      the slope terms over n^2 v1 v2 v3, read from flat per-pair lists of
-      the chain ends B and of S0 - S2 and S0 + S1.  Those numerators are
-      summed per denominator v1 v2 v3 before the one lcm; the result is one
-      Fraction.
+    * Per pair j < k: the chain ends and the wall sum, over n^2, with the
+      pair's own wall seed D_jk D_k q_kj in S0_jk's coefficient.
+    * Per triple point (a, b, c): its point v (:func:`_triple_points`, one
+      strategy dispatch for the report); its chain-end term
+      2 (v1 + v2 + v3 - 1) D_abc (B_ab + B_ac + B_bc); the wall seeds
+      D_abc (S0_ab q_ca + S0_ac q_ba + S0_bc q_ab) of its three pairs; and
+      its central term with its share of the slope terms over
+      n^2 v1 v2 v3.  These read flat per-pair lists of the chain ends B,
+      of S0, and of S0 - S2 and S0 + S1.  The numerators over
+      n^2 v1 v2 v3 are summed per denominator before the one lcm; the
+      result is one Fraction.
 
     The chain-end values x_{jk,1} drop the central-divisor corrections
     v_{pos(k)} K.C_{pos(j)} at the triple points.  Those vanish whenever the
@@ -298,50 +295,43 @@ def k3_root_cover(pair: BasePair, part: Partition, strategy: str = "minimal") ->
         + (n - 1) ** 3 * d_cubed
     )
 
-    # The wall seeds' share of each pair's S0 coefficient: D_jk D_k q_kj
-    # from x_{jk,1}, and q_lj D_jkl from each triple point (j, k, l), all in
-    # column j of the q_matrix.
-    if plan.constant is not None:
-        t = plan.constant
-        cols = [sum(filter(None, col)) for col in zip(*q)]  # sum_{l != j} q_lj
-        seeds = [
-            (djk - t) * q[k][j] + t * cols[j] for j, k, _kz, _dd, djk, _dkj in plan.pairs
-        ]
-    else:
-        seeds = [
-            djk * q[k][j] + sum(t * q[l][j] for l, t in through)
-            for (j, k, _kz, _dd, djk, _dkj), through in zip(plan.pairs, plan.thirds)
-        ]
-
     # Per pair (j, k): the chain ends and the wall sum.  The triple points
     # through it add (n - 1) D_jkl to n D_jk K and (q_lj + 1 - n) D_jkl to
-    # n x_{jk,1}, which cancel but for the seeds' q_lj D_jkl S0_jk.
-    ends, lows, highs = [], [], []
+    # n x_{jk,1}, which cancel but for the seeds' q_lj D_jkl S0_jk, taken
+    # at the triple point below.
+    ends, s0s, lows, highs = [], [], [], []
     records = map(chains.__getitem__, pair.meeting_pairs)
-    for (j, k, kz, dd_sum, djk, dkj), record, seed in zip(plan.pairs, records, seeds):
+    for (j, k, kz, dd_sum, djk, dkj), record in zip(plan.pairs, records):
         _s, _d, s0, s1, s2, chain_end = record
         k_class = n * kz + (n - 1) * dd_sum  # n D_jk K, less triples
         # n x_{jk,1} = k_class + (q_kj + 1 - n) D_jk D_k, less triples
         total -= (
             2 * k_class * chain_end
-            + s0 * (dd_sum + k_class + (1 - n) * djk + seed)
+            + s0 * (dd_sum + k_class + (q[k][j] + 1 - n) * djk)
             + djk * s1
             - dkj * s2
         )
         ends.append(chain_end)
+        s0s.append(s0)
         lows.append(s0 - s2)
         highs.append(s0 + s1)
 
     # Per triple point (a, b, c): the chain ends of its pairs take
     # 2 (v1 + v2 + v3 - 1) D_abc B_jk (the V-sum adds (v1 + v2 + v3 - n)
-    # D_jkl); then n^2 v1 v2 v3 times its central term and its share of the
-    # slope terms |D_j|_k, |D_k|_j, whose coefficients over n^2 are S0 - S2
-    # and S0 + S1, summed per denominator v1 v2 v3.
-    ends_sum = 0
+    # D_jkl), and each pair (j, k) its wall seed q_lj D_jkl S0_jk; then
+    # n^2 v1 v2 v3 times its central term and its share of the slope terms
+    # |D_j|_k, |D_k|_j, whose coefficients over n^2 are S0 - S2 and S0 + S1,
+    # summed per denominator v1 v2 v3.
+    points_sum = 0
     nums: dict[int, int] = {}
-    for (_a, _b, _c, t, ab, ac, bc), (va, vb, vc) in zip(plan.triples, points):
+    for (a, b, c, t, ab, ac, bc), (va, vb, vc) in zip(plan.triples, points):
         v_sum = va + vb + vc
-        ends_sum += t * (v_sum - 1) * (ends[ab] + ends[ac] + ends[bc])
+        points_sum += t * (
+            2 * (v_sum - 1) * (ends[ab] + ends[ac] + ends[bc])
+            + s0s[ab] * q[c][a]
+            + s0s[ac] * q[b][a]
+            + s0s[bc] * q[a][b]
+        )
         den = va * vb * vc
         w = v_sum - n
         nums[den] = nums.get(den, 0) + t * (
@@ -350,7 +340,7 @@ def k3_root_cover(pair: BasePair, part: Partition, strategy: str = "minimal") ->
             + (lows[ac] * va + highs[ac] * vc) * va * vc
             + (lows[bc] * vb + highs[bc] * vc) * vb * vc
         )
-    total -= 2 * ends_sum
+    total -= points_sum
     den = math.lcm(*nums)
     total = total * den + sum(num * (den // d) for d, num in nums.items())
     return Fraction(total, n * n * den)

@@ -68,7 +68,8 @@ class TripleTable(namedtuple("TripleTable", ("r", "constant", "entries"))):
 
     Either one constant value for every triple (the uniform arrangements) or
     an explicit sparse map {(j, k, l): value}, j < k < l, that defaults to a
-    new empty dict for each table; both forms appear in the JSON schema.
+    new empty dict for each table; both forms appear in the JSON schema.  A
+    table given both a constant and entries is BadParams.
     """
 
     def __new__(cls, r: int, constant: Optional[int] = None, entries: Optional[dict] = None):
@@ -76,6 +77,8 @@ class TripleTable(namedtuple("TripleTable", ("r", "constant", "entries"))):
         require_ints("triple r", r, error=BadParams)
         if constant is not None:
             require_ints("triple constant", constant, error=BadParams)
+            if entries:
+                raise BadParams("a triple table takes a constant or entries, not both")
         require_ints("triple values", *entries.values(), error=BadParams)
         for key in entries:
             require_ints("triple keys", *key, error=BadParams)
@@ -128,18 +131,13 @@ class K3Plan(NamedTuple):
     pair j < k in order, (j, k, K_Z D_j D_k, D_j D_k^2 + D_j^2 D_k,
     D_j D_k^2, D_j^2 D_k).  ``triples`` holds, for each nonzero triple
     a < b < c in order, (a, b, c, D_abc, i_ab, i_ac, i_bc), where i_jk is
-    the position of the pair (j, k) in ``pairs``.  ``constant`` is the value
-    t of a constant triple table with t != 0, where D_jkl = t for every
-    third index l of every pair, and ``thirds`` is then None; otherwise
-    ``constant`` is None and ``thirds`` holds, for each pair of ``pairs``,
-    the (l, D_jkl) of the nonzero triples through it.
+    the position of the pair (j, k) in ``pairs``.  A triple table, constant
+    or sparse, enters through ``triples`` (and ``cube``) alone.
     """
 
     cube: tuple[int, int, int, int]
     pairs: tuple[tuple[int, int, int, int, int, int], ...]
     triples: tuple[tuple[int, int, int, int, int, int, int], ...]
-    constant: Optional[int]
-    thirds: Optional[tuple[tuple[tuple[int, int], ...], ...]]
 
 
 class BasePair(namedtuple(
@@ -356,25 +354,17 @@ class BasePair(namedtuple(
             (j, k, -c1_dd[j][k], dd2[j][k] + dd2[k][j], dd2[j][k], dd2[k][j])
             for j, k in keys
         )
-        thirds: dict[tuple[int, int], list] = {key: [] for key in keys}
-        triples = []
-        for (a, b, c), t in self.triple.items_nonzero():
-            thirds[a, b].append((c, t))
-            thirds[a, c].append((b, t))
-            thirds[b, c].append((a, t))
-            triples.append((a, b, c, t, index[a, b], index[a, c], index[b, c]))
+        triples = tuple(
+            (a, b, c, t, index[a, b], index[a, c], index[b, c])
+            for (a, b, c), t in self.triple.items_nonzero()
+        )
         cube = (
             self.c1_cubed,
             self.c1sq_dred(),
             self.c1_d2() + 2 * self.c1_d11(),
             self.sum_d3() + 3 * (self.sum_12() + self.sum_21()) + 6 * self.triple.total(),
         )
-        constant = self.triple.constant or None
-        if constant is not None:
-            return K3Plan(cube, pairs, tuple(triples), constant, None)
-        return K3Plan(
-            cube, pairs, tuple(triples), None, tuple(tuple(thirds[key]) for key in keys)
-        )
+        return K3Plan(cube, pairs, triples)
 
     @cached_property
     def chi_bound_weight(self) -> int:
@@ -513,6 +503,8 @@ def base_pair_from_json(text: str) -> BasePair:
         r = doc["r"]
         tdoc = doc["triple"]
         if "constant" in tdoc:
+            if "entries" in tdoc:
+                raise BadParams("a triple table takes a constant or entries, not both")
             triple = TripleTable(r=r, constant=tdoc["constant"])
         else:
             entries = {tuple(e[:3]): e[3] for e in tdoc["entries"]}

@@ -35,7 +35,6 @@ __all__ = [
     "local_cone",
     "parallelepiped_points",
     "select_v",
-    "subdivision_point",
     "subdivision_points",
     "cyclic_resolution",
     "local_intersection_table",
@@ -54,7 +53,7 @@ def _excluded_shape(n: int, p: int, q: int) -> dict[str, bool] | None:
     The star subdivision excludes an edge-type wall (p or q = n - 1), equal
     parameters (p = q) and the (1,1)-type third wall (p + q = n).  The flags
     are keyed edge, equal, opposite; the dict is built only for an excluded
-    cone.  :func:`subdivision_points` runs the same test inline.
+    cone.  :func:`subdivision_points` runs the same test inline, once.
     """
     edge = p == n - 1 or q == n - 1
     equal = p == q
@@ -221,116 +220,53 @@ def parallelepiped_points(spec: LocalConeSpec) -> Iterator[tuple[int, int, int]]
 def select_v(spec: LocalConeSpec, strategy: str) -> tuple[int, int, int]:
     """Choose the star-subdivision point (v1, v2, v3) of the cone ``spec``.
 
-    The point of :func:`subdivision_point` for (spec.n, spec.p, spec.q); the
-    checks of ``spec`` (n prime, p and q nonzero modulo n) have run when it
-    was built.  Degenerate when ``spec`` has an excluded shape
+    The point of :func:`subdivision_points` for the one cone (spec.p,
+    spec.q); the checks of ``spec`` (n prime, p and q nonzero modulo n) have
+    run when it was built.  Degenerate when ``spec`` has an excluded shape
     (``spec.is_degenerate``), under either strategy.
     """
-    return subdivision_point(spec.n, spec.p, spec.q, strategy)
+    return next(subdivision_points(spec.n, ((spec.p, spec.q),), strategy))
 
 
-def subdivision_point(n: int, p: int, q: int, strategy: str) -> tuple[int, int, int]:
-    """The star-subdivision point (v1, v2, v3) of the cone (n, p, q), in integers.
+def subdivision_points(n: int, cones, strategy: str) -> Iterator[tuple[int, int, int]]:
+    """The star-subdivision point (v1, v2, v3) of each cone (n, p, q), in integers.
 
-    The caller guarantees what :class:`LocalConeSpec` checks: n prime and
-    0 < p, q < n.  This is the one-cone form of :func:`subdivision_points`,
-    which implements the rule below for a batch of cones (the global
-    invariants pass all triple points of a report, with p, q read off
-    ``Partition.q_matrix``); :func:`select_v` wraps it for a validated spec.
-    A cone of an excluded shape (p or q = n - 1, p = q, p + q = n; see
+    ``cones`` holds the (p, q) of the cones, and the caller guarantees what
+    :class:`LocalConeSpec` checks: n prime and 0 < p, q < n.  The global
+    invariants pass every triple point of a report at once, with p, q read
+    off ``Partition.q_matrix``; :func:`select_v` passes one validated spec.
+    A generator over the cones in order.  The first cone of an excluded
+    shape (p or q = n - 1, p = q, p + q = n; see
     ``LocalConeSpec.degenerate_flags``) raises Degenerate under either
-    strategy, and BadInput names an unknown strategy.
+    strategy, after the points of the cones before it have been yielded, so
+    a caller that collects the points knows which cone it was.  BadInput
+    names an unknown strategy, at the first cone.
 
     ``minimal`` takes (1, 1, {p+q}_n), the interior point over the corner of
     the parallelepiped; {p+q}_n = 0 is the opposite shape.
 
-    ``balanced`` solves v1 + v2 + v3 = n: those points are exactly
-    (x, {cx}_n, n - x - {cx}_n) with c = {-(p+1)(q+1)'}_n and x + {cx}_n < n,
-    i.e. the points (x, y) of the rank-2 lattice L = {(x, y) : y = cx (mod n)}
-    in the open triangle x, y >= 1, x + y <= n - 1.  Among them the one with
-    the smallest max slope max(v)/min(v) is returned, ties broken
-    lexicographically on (v1, v2, v3).  The search is exact, in integers:
-
-    * Gauss reduction of (1, c), (0, n) gives a basis u, w of L with u
-      shortest, so L is the union of the lines j*w + Z*u, spaced
-      n/|u| >= |w| sqrt(3)/2 apart.
-    * Along one line the coordinates are linear in the step, so the max
-      slope is piecewise linear-fractional, with pieces that end where two
-      coordinates cross.  The line's best point is one of at most eight
-      candidates: the two ends of the line inside the box, and the two
-      integer steps around each of the three crossings (see _line_best).
-      u points towards increasing v1, so the first of the line's ties is
-      also the lexicographically first.
-    * The two lines next to the centroid G = (n/3, n/3) give a bound t = a/b
-      on the answer.  Every point with max slope <= t has each coordinate in
-      [ceil(nb/(b+2a)), floor(na/(a+2b))], so only the lines that cross this
-      box are searched, within the box.  Each line is solved once: a
-      centroid line's best point over the triangle is its best in the box
-      when its max slope is t, and loses to the bound otherwise.
-    * A centroid line holds a point for every c but n - 1 (p = q, where
-      x + y = 0 (mod n) misses the triangle).  Let T be the closed triangle
-      x, y >= 1, x + y <= n - 1, with legs l = n - 3 and centroid G.  G has
-      line index b = det(u, G)/n = (u_x - u_y)/3, and 3b is an integer, so
-      the nearer centroid line is within d = n/(3|u|) of G.  The chord of T
-      parallel to u is a concave function of its offset, at least 2M/3 at G,
-      and reaches zero no nearer than W/3 to G on either side, where M is
-      the longest such chord and W the width of T normal to u: M W = l^2
-      and l/sqrt(2) <= W <= l sqrt(2).
-      So the nearer line's chord is at least h = (2M/3)(1 - 3d/W), and a
-      closed chord at least |u| long holds a lattice point.  By Hermite's
-      bound |u|^2 <= 2n/sqrt(3).  |u| = sqrt(2) only for c in {1, n - 1},
-      and c = 1 has (1, 1) on its centroid line x = y; |u| = 2 or sqrt(8)
-      would make n even or (1, +-1) a shorter vector.  On sqrt(5) <= |u|,
-      h - |u| is concave in |u| and unimodal in W, so its minimum is at a
-      corner, and every corner is positive for n >= 15; the tests check
-      every c at the primes below 15.
-
-    Every point that ties with or beats t lies in the box, so the result is
-    the one the O(n) scan over all x returns, tie-breaks included.  The box
-    is O(|w|) wide, or the whole triangle when |w| is of order n and |u| is
-    O(1); either way it meets O(1) lines.  The cost is the O(log n) Gauss
-    reduction plus O(1) candidates on each of O(1) lines: about 1.8 lines
-    and at most eight candidates each at n of order 10^3 to 10^5.  This
-    kernel is the largest share of a balanced report, so it runs on plain
-    int locals: the basis is four ints, the candidates' max and min are
-    found by comparisons and ranked by cross-multiplication, and only a
-    line's best point becomes a tuple.
-    """
-    return next(subdivision_points(n, ((p, q),), strategy))
-
-
-def subdivision_points(n: int, cones, strategy: str) -> Iterator[tuple[int, int, int]]:
-    """The :func:`subdivision_point` of each cone (n, p, q), (p, q) in ``cones``.
-
-    A generator over the cones in order, with one strategy dispatch for all
-    of them; the global invariants pass every triple point of a report at
-    once.  A balanced point depends on the multiplier c = {-(p+1)(q+1)'}_n
-    alone, so it is computed once per distinct c within the call.  The first
-    cone of an excluded shape raises Degenerate after the points of the
-    cones before it have been yielded, so a caller that collects the points
-    knows which cone it was.  BadInput names an unknown strategy, at the
-    first cone.
+    ``balanced`` takes the point of :func:`_balanced_point` for the
+    multiplier c = {-(p+1)(q+1)'}_n, which it depends on alone, so it is
+    computed once per distinct c within the call.
     """
     if strategy not in STRATEGIES:
         raise BadInput(f"unknown strategy {strategy!r}")
-    # the test of _excluded_shape, inline: every triple point of a report
-    # passes it; the flags are built for an excluded cone only
-    edge = n - 1
-    if strategy == "minimal":
-        for p, q in cones:
-            if p == edge or q == edge or p == q or p + q == n:
-                raise Degenerate(f"excluded cone shape {_excluded_shape(n, p, q)}")
-            yield 1, 1, (p + q) % n
-        return
+    balanced = strategy == "balanced"
     points: dict[int, tuple[int, int, int]] = {}
+    edge = n - 1
     for p, q in cones:
+        # the test of _excluded_shape, inline: every triple point of a report
+        # passes it; the flags are built for an excluded cone only
         if p == edge or q == edge or p == q or p + q == n:
             raise Degenerate(f"excluded cone shape {_excluded_shape(n, p, q)}")
-        c = -(p + 1) * pow(q + 1, -1, n) % n
-        point = points.get(c)
-        if point is None:
-            point = points[c] = _balanced_point(n, c)
-        yield point
+        if balanced:
+            c = -(p + 1) * pow(q + 1, -1, n) % n
+            point = points.get(c)
+            if point is None:
+                point = points[c] = _balanced_point(n, c)
+            yield point
+        else:
+            yield 1, 1, (p + q) % n
 
 
 def _reduced_basis(n: int, c: int) -> tuple[int, int, int, int]:
@@ -450,10 +386,62 @@ def _line_best(n: int, ux: int, uy: int, x0: int, y0: int, lo: int, hi: int):
 
 
 def _balanced_point(n: int, c: int) -> tuple[int, int, int]:
-    """The balanced point for a multiplier 0 < c < n - 1 (see subdivision_point).
+    """The balanced point of the cones with the multiplier 0 < c < n - 1.
 
     c = 0 (p = n - 1) and c = n - 1 (p = q) are excluded shapes, and
     q = n - 1 leaves c undefined, so every c that reaches here has a point.
+
+    The balanced point solves v1 + v2 + v3 = n: those points are exactly
+    (x, {cx}_n, n - x - {cx}_n) with c = {-(p+1)(q+1)'}_n and x + {cx}_n < n,
+    i.e. the points (x, y) of the rank-2 lattice L = {(x, y) : y = cx (mod n)}
+    in the open triangle x, y >= 1, x + y <= n - 1.  Among them the one with
+    the smallest max slope max(v)/min(v) is returned, ties broken
+    lexicographically on (v1, v2, v3).  The search is exact, in integers:
+
+    * Gauss reduction of (1, c), (0, n) gives a basis u, w of L with u
+      shortest, so L is the union of the lines j*w + Z*u, spaced
+      n/|u| >= |w| sqrt(3)/2 apart.
+    * Along one line the coordinates are linear in the step, so the max
+      slope is piecewise linear-fractional, with pieces that end where two
+      coordinates cross.  The line's best point is one of at most eight
+      candidates: the two ends of the line inside the box, and the two
+      integer steps around each of the three crossings (see _line_best).
+      u points towards increasing v1, so the first of the line's ties is
+      also the lexicographically first.
+    * The two lines next to the centroid G = (n/3, n/3) give a bound t = a/b
+      on the answer.  Every point with max slope <= t has each coordinate in
+      [ceil(nb/(b+2a)), floor(na/(a+2b))], so only the lines that cross this
+      box are searched, within the box.  Each line is solved once: a
+      centroid line's best point over the triangle is its best in the box
+      when its max slope is t, and loses to the bound otherwise.
+    * A centroid line holds a point for every c but n - 1 (p = q, where
+      x + y = 0 (mod n) misses the triangle).  Let T be the closed triangle
+      x, y >= 1, x + y <= n - 1, with legs l = n - 3 and centroid G.  G has
+      line index b = det(u, G)/n = (u_x - u_y)/3, and 3b is an integer, so
+      the nearer centroid line is within d = n/(3|u|) of G.  The chord of T
+      parallel to u is a concave function of its offset, at least 2M/3 at G,
+      and reaches zero no nearer than W/3 to G on either side, where M is
+      the longest such chord and W the width of T normal to u: M W = l^2
+      and l/sqrt(2) <= W <= l sqrt(2).
+      So the nearer line's chord is at least h = (2M/3)(1 - 3d/W), and a
+      closed chord at least |u| long holds a lattice point.  By Hermite's
+      bound |u|^2 <= 2n/sqrt(3).  |u| = sqrt(2) only for c in {1, n - 1},
+      and c = 1 has (1, 1) on its centroid line x = y; |u| = 2 or sqrt(8)
+      would make n even or (1, +-1) a shorter vector.  On sqrt(5) <= |u|,
+      h - |u| is concave in |u| and unimodal in W, so its minimum is at a
+      corner, and every corner is positive for n >= 15; the tests check
+      every c at the primes below 15.
+
+    Every point that ties with or beats t lies in the box, so the result is
+    the one the O(n) scan over all x returns, tie-breaks included.  The box
+    is O(|w|) wide, or the whole triangle when |w| is of order n and |u| is
+    O(1); either way it meets O(1) lines.  The cost is the O(log n) Gauss
+    reduction plus O(1) candidates on each of O(1) lines: about 1.8 lines
+    and at most eight candidates each at n of order 10^3 to 10^5.  This
+    kernel is the largest share of a balanced report, so it runs on plain
+    int locals: the basis is four ints, the candidates' max and min are
+    found by comparisons and ranked by cross-multiplication, and only a
+    line's best point becomes a tuple.
     """
     ux, uy, wx, wy = _reduced_basis(n, c)
     # the centroid is a*u + b*w with b = det(u, centroid)/n = (u_x - u_y)/3,
@@ -467,7 +455,7 @@ def _balanced_point(n: int, c: int) -> tuple[int, int, int]:
             best is None or (cand[0] * best[1], cand[2]) < (best[0] * cand[1], best[2])
         ):
             best = cand
-    big, small, _ = best  # a centroid line holds a point (see subdivision_point)
+    big, small, _ = best  # a centroid line holds a point (see the docstring)
     lo = -((-n * small) // (small + 2 * big))
     hi = (n * big) // (big + 2 * small)
     # a point P lies on line det(u, P)/n, which over the box is extreme at

@@ -188,6 +188,19 @@ def test_sweep_modulus_two_row(tmp_path):
     assert text.splitlines()[1].startswith("2,1,4,1+1+1+1,error:BadInput,")
 
 
+@pytest.mark.parametrize("partition", ["1,two,4", "asymptotc", ""])
+def test_malformed_sweep_partition_is_a_config_error(tmp_path, capsys, partition):
+    # the partition is parsed once, before any cell runs; a config built by
+    # hand (not read from a file) is checked too
+    path = write_config(tmp_path, n_min=7, n_max=31, partition=partition)
+    assert main(["sweep", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config error: cannot parse multiplicities {partition!r}" in captured.err
+    with pytest.raises(ConfigError):
+        run_sweep({**_load_config(str(path)), "workers": 2})
+
+
 def test_config_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"preset": "planes_p3", "r": 3, "n_min": 7, "n_max": 7, "zzz": 1}')

@@ -35,6 +35,7 @@ from rootcover.invariants import (
 )
 from rootcover.logchern import (
     BasePair,
+    K3Plan,
     TripleTable,
     base_pair_from_json,
     log_chern_numbers,
@@ -618,8 +619,8 @@ def with_sparse_triples(pair):
 
 def test_k3_equals_the_per_triple_oracle():
     # the split kernel against its earlier one-loop form, exactly, on every
-    # preset cell below and on each preset with a sparse triple table (the
-    # kernel's other branch for the wall seeds), and on the sparse fixture
+    # preset cell below and on each preset with its triple table written as
+    # entries (both forms take one path), and on the sparse fixture
     # (a zero triple, pairs that meet without a triple point, a pair that
     # does not meet); an excluded cone must raise the same DegenerateCone
     # text on both
@@ -630,8 +631,8 @@ def test_k3_equals_the_per_triple_oracle():
     outcomes = collections.Counter()
     for preset in presets:
         sparse = with_sparse_triples(preset)
-        assert sparse.triple.constant is None and sparse.k3_plan.constant is None
-        assert preset.k3_plan.constant == preset.triple.constant
+        assert sparse.triple.constant is None
+        assert sparse.k3_plan == preset.k3_plan
         for n in primerange(17, 212):
             part = random_h_partition(rng, n, preset.r, distinct=rng.random() < 0.7)
             for strategy in ("minimal", "balanced"):
@@ -653,8 +654,8 @@ def test_k3_equals_the_per_triple_oracle():
 
 
 def test_k3_plan_indexes_its_pairs():
-    # every triple of the plan names the positions of its three pairs, and
-    # each pair lists the third index and value of every triple through it
+    # every triple of the plan names the positions of its three pairs; the
+    # plan holds nothing else of the triple table but the cube's sum
     pairs = [make_preset("hypersurface_p4", (6, r)) for r in (3, 4, 8)]
     pairs += [base_pair_from_json(json.dumps(SPARSE_PAIR_DOC))]
     pairs += [with_sparse_triples(make_preset("planes_p3", 5))]
@@ -665,20 +666,11 @@ def test_k3_plan_indexes_its_pairs():
         for j, k, kz, dd_sum, djk, dkj in plan.pairs:
             assert (kz, djk, dkj) == (pair.kz_dd(j, k), pair.dd2[j][k], pair.dd2[k][j])
             assert dd_sum == djk + dkj
-        want_thirds = {key: [] for key in keys}
         for ((a, b, c), t), entry in zip(pair.triple.items_nonzero(), plan.triples):
             assert entry[:4] == (a, b, c, t)
             assert [keys[i] for i in entry[4:]] == [(a, b), (a, c), (b, c)]
-            want_thirds[a, b].append((c, t))
-            want_thirds[a, c].append((b, t))
-            want_thirds[b, c].append((a, t))
-        if pair.triple.constant:
-            assert plan.constant == pair.triple.constant and plan.thirds is None
-            assert all(len(through) == pair.r - 2 for through in want_thirds.values())
-        else:
-            assert plan.constant is None
-            assert plan.thirds == tuple(tuple(want_thirds[key]) for key in keys)
         assert len(plan.triples) == len(pair.triple.items_nonzero())
+    assert K3Plan._fields == ("cube", "pairs", "triples")
 
 
 def derived_tables_by_direct_sums(pair):

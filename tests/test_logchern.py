@@ -471,6 +471,21 @@ def test_tables_are_checked_named_tuples():
     assert BasePair(*planes) == planes == tuple(planes)
 
 
+def test_triple_table_takes_a_constant_or_entries_not_both():
+    # a table with both would read as the constant alone and drop its entries
+    with pytest.raises(BadParams, match="constant or entries, not both"):
+        TripleTable(3, constant=0, entries={(0, 1, 2): 3})
+    with pytest.raises(BadParams, match="constant or entries, not both"):
+        TripleTable(3, constant=2)._replace(entries={(0, 1, 2): 3})
+    assert TripleTable(3, constant=2, entries={}).items_nonzero() == (((0, 1, 2), 2),)
+    doc = json.loads(base_pair_to_json(make_preset("planes_p3", 3)))
+    base_pair_from_json(json.dumps(doc))  # valid before the edit
+    for entries in ([[0, 1, 2, 1]], []):
+        doc["triple"] = {"constant": 1, "entries": entries}
+        with pytest.raises(BadParams, match="constant or entries, not both"):
+            base_pair_from_json(json.dumps(doc))
+
+
 def test_triple_table():
     t = TripleTable(r=4, constant=2)
     assert t.total() == 2 * math.comb(4, 3)

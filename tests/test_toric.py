@@ -19,7 +19,6 @@ from rootcover.toric import (
     parallelepiped_points,
     resolution_to_json,
     select_v,
-    subdivision_point,
     subdivision_points,
 )
 
@@ -173,18 +172,19 @@ def test_one_shape_check_for_both_strategies():
                 for strategy in toric.STRATEGIES:
                     if spec.is_degenerate:
                         with pytest.raises(Degenerate) as info:
-                            subdivision_point(n, p, q, strategy)
+                            select_v(spec, strategy)
                         assert str(info.value) == f"excluded cone shape {flags}"
                     elif strategy == "minimal":
-                        assert subdivision_point(n, p, q, strategy) == (1, 1, (p + q) % n)
+                        assert select_v(spec, strategy) == (1, 1, (p + q) % n)
                     else:
-                        assert sum(subdivision_point(n, p, q, strategy)) == n
+                        assert sum(select_v(spec, strategy)) == n
 
 
-def test_subdivision_points_is_subdivision_point_per_cone():
-    # the batched form gives each cone's point in order, computes a balanced
-    # point once per multiplier, and stops at the first excluded cone after
-    # yielding the points before it, with subdivision_point's error
+def test_subdivision_points_matches_the_scan_per_cone():
+    # the batched form gives each cone's point in order: (1, 1, {p+q}) under
+    # minimal, the O(n) scan's point of its multiplier under balanced; it
+    # stops at the first excluded cone after yielding the points before it,
+    # with that cone's flags in the error
     rng = random.Random(83)
     for n in (61, 211, 1009, 10007):
         cones = []
@@ -193,8 +193,9 @@ def test_subdivision_points_is_subdivision_point_per_cone():
             if not LocalConeSpec(n, p, q).is_degenerate:
                 cones.append((p, q))
         cones += cones[:10]  # repeated multipliers
-        for strategy in toric.STRATEGIES:
-            want = [subdivision_point(n, p, q, strategy) for p, q in cones]
+        balanced = [balanced_scan(n, multiplier(LocalConeSpec(n, p, q))) for p, q in cones]
+        minimal = [(1, 1, (p + q) % n) for p, q in cones]
+        for strategy, want in (("minimal", minimal), ("balanced", balanced)):
             assert list(subdivision_points(n, cones, strategy)) == want
             assert list(subdivision_points(n, iter(cones), strategy)) == want
             for bad in ((n - 1, 3), (5, 5), (7, n - 7)):
@@ -203,16 +204,15 @@ def test_subdivision_points_is_subdivision_point_per_cone():
                 with pytest.raises(Degenerate) as info:
                     got.extend(subdivision_points(n, batch, strategy))
                 assert got == want[:13]
-                with pytest.raises(Degenerate) as one:
-                    subdivision_point(n, *bad, strategy)
-                assert str(info.value) == str(one.value)
+                flags = LocalConeSpec(n, *bad).degenerate_flags
+                assert str(info.value) == f"excluded cone shape {flags}"
     assert list(subdivision_points(61, [], "minimal")) == []
     with pytest.raises(BadInput, match="unknown strategy"):
         next(subdivision_points(61, [(2, 3)], "best"))
 
 
 def test_subdivision_points_solves_each_multiplier_once(monkeypatch):
-    want = [subdivision_point(1009, p, q, "balanced") for p, q in ((2, 3), (5, 9))]
+    want = [select_v(LocalConeSpec(1009, p, q), "balanced") for p, q in ((2, 3), (5, 9))]
     calls = []
     real = toric._balanced_point
 
@@ -412,7 +412,7 @@ def test_balanced_point_matches_bisection_at_large_n():
 
 
 def test_centroid_lines_hold_a_point_for_every_multiplier_but_n_minus_1():
-    # subdivision_point's docstring proves this for n >= 15, so
+    # _balanced_point's docstring proves this for n >= 15, so
     # _balanced_point has no search for the case without such a point; below
     # 15 every c of every prime is checked against the scan, and the claim
     # itself at every prime below 400

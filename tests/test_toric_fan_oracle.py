@@ -17,8 +17,8 @@ multiplicities sum to 0 mod n.  X_n's fan, in N':
   force in x e_a + y e_b, x + y <= n (no Hirzebruch-Jung code);
 * each fully branched cone (e_a, e_b, e_c) is star-subdivided at
   v_a e_a + v_b e_b + v_c e_c, with (v_a, v_b, v_c) the package's
-  ``subdivision_point(n, q_ac, q_bc, strategy)``, the only input shared
-  with the package;
+  ``select_v(LocalConeSpec(n, q_ac, q_bc), strategy)``, the only input
+  shared with the package;
 * a cone with the unbranched ray keeps that ray; only its branched face is
   refined.
 
@@ -50,7 +50,7 @@ from rootcover.asympt import Partition, q_of_pair
 from rootcover.errors import Degenerate
 from rootcover.invariants import chi_root_cover, k3_root_cover
 from rootcover.logchern import make_preset
-from rootcover.toric import STRATEGIES, subdivision_point
+from rootcover.toric import STRATEGIES, LocalConeSpec, select_v
 
 RAYS = ((-1, -1, -1), (1, 0, 0), (0, 1, 0), (0, 0, 1))  # e0, e1, e2, e3
 XIS = ((1_000_003, -7_777_771, 31_415_927), (-2_718_281, 16_180_339, 9_999_991))
@@ -110,8 +110,9 @@ def cover_fan(n, nu, strategy):
     cones = []
     for a, b, c in itertools.combinations(range(4), 3):
         if mult[a] and mult[b] and mult[c]:
-            va, vb, vc = subdivision_point(
-                n, q_of_pair(n, mult[a], mult[c]), q_of_pair(n, mult[b], mult[c]), strategy
+            va, vb, vc = select_v(
+                LocalConeSpec(n, q_of_pair(n, mult[a], mult[c]), q_of_pair(n, mult[b], mult[c])),
+                strategy,
             )
             apex = _comb(((va, RAYS[a]), (vb, RAYS[b]), (vc, RAYS[c])))
             # a primitive point of N'
