@@ -177,7 +177,7 @@ def _build_pair(cfg: dict):
     A preset's pair is built once per process and shared by every later
     call with the same parameters, so the sweeps of a driver that calls
     :func:`main` many times reuse the pair's cached tables (``log_chern``,
-    ``pair_weights``, ...).  Only plain ints are looked up: ``True == 1``
+    ``plan``, ...).  Only plain ints are looked up: ``True == 1``
     and ``3.0 == 3`` hash alike, so any other value goes straight to
     ``make_preset``, which refuses it.  A pair file is read again on every
     call, since it may change between calls.

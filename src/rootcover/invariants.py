@@ -12,10 +12,10 @@ resolution, this module evaluates, as exact rationals:
   * aggregated reports with an a-priori Girstmair error bound for chi/n.
 
 The data splits into two kinds.  Per base pair, computed once and kept on
-the :class:`BasePair` (see its docstring): the divisor aggregates, the
-nonzero triples, the meeting pairs, the weights of each pair in chi and e,
-the weight of the chi bound, the plan of the K^3 kernel
-(``BasePair.k3_plan``), the log Chern numbers and the log slopes.  Per
+the :class:`BasePair` (see its docstring): the divisor aggregates, the log
+Chern numbers and slopes, and ``BasePair.plan``, whose rows (one per pair
+j < k: its weights w_jk in chi and c_jk in e, and the four K^3 constants)
+chi, e and K^3 all walk, reading each pair's chain record by its key.  Per
 cell (n and the partition) is everything else: ``Partition.q_matrix`` and
 ``Partition.chain_records``, one integer record (s, D, S0, S1, S2, B) per
 pair j < k from a single run-length pass over the wall chain n/q_kj (both
@@ -26,7 +26,7 @@ the Dedekind sums of chi from them, d(nu_j, nu_k, n) = -D_jk/(12 n), so chi
 is assembled over 24 n in integers.
 
 K^3 is one formula in two parts (see :func:`k3_root_cover`): a per-pair
-part over the meeting pairs, and a per-triple-point part that holds every
+part over the plan's rows, and a per-triple-point part that holds every
 term of a triple point.  The latter reads the chain ends, the S0 sums and
 the slope coefficients of a triple's three pairs from flat per-pair lists
 at the positions the plan names, and takes every point of a report from
@@ -147,7 +147,7 @@ def chi_root_cover(pair: BasePair, part: Partition) -> ChiValue:
 
     R_1 carries the pure divisor brackets, R_2 the mixed Chern terms, and
     R_3 = 6 sum_{j<k} d(nu_j, nu_k, n) w_jk, the Dedekind sums weighted by
-    w_jk = D_j D_k (D_j+D_k+K_Z) + sum_l D_jkl (``BasePair.pair_weights``).
+    w_jk = D_j D_k (D_j+D_k+K_Z) + sum_l D_jkl (a column of ``BasePair.plan``).
     By the length/excess relation d(nu_j, nu_k, n) = -d(1, q_jk, n) =
     -D_jk/(12 n), with D_jk = n (excess - s) + q + q' the integer of the
     pair's chain record, so R_3 = -sum D_jk w_jk/(2 n).  R_1, R_2 and R_3
@@ -159,7 +159,7 @@ def chi_root_cover(pair: BasePair, part: Partition) -> ChiValue:
     r1, r2 = _r12(pair, n)  # every R-term as its numerator over 2 n
     chains = part.chain_records
     r3 = 0
-    for j, k, w in pair.pair_weights:
+    for j, k, w, _c, _kz, _dd_sum, _djk, _dkj in pair.plan.rows:
         r3 -= chains[j, k][1] * w
     chi = Fraction(n * n * pair.c1c2 - r1 - r2 - r3, 24 * n)
     return ChiValue(
@@ -198,7 +198,7 @@ def chi_eigenspace_oracle(pair: BasePair, part: Partition) -> Fraction:
 def _triple_points(pair: BasePair, part: Partition, strategy: str) -> list:
     """The subdivision point (v1, v2, v3) of each nonzero triple, in integers.
 
-    Aligned with ``pair.k3_plan.triples`` (the order of
+    Aligned with ``pair.plan.triples`` (the order of
     ``pair.triple.items_nonzero()``).  The triple (a, b, c) has the cone
     (n, q_ac, q_bc) of :func:`rootcover.toric.local_cone`, and its point is
     the one :func:`rootcover.toric.subdivision_points` gives for those
@@ -207,7 +207,7 @@ def _triple_points(pair: BasePair, part: Partition, strategy: str) -> list:
     naming the triple.
     """
     q = part.q_matrix
-    triples = pair.k3_plan.triples
+    triples = pair.plan.triples
     points: list = []
     try:
         points.extend(
@@ -258,10 +258,11 @@ def k3_root_cover(pair: BasePair, part: Partition, strategy: str = "minimal") ->
     kernel reads from ``part.chain_records``).
 
     The kernel is one formula in two parts, over the pair's
-    ``BasePair.k3_plan``:
+    ``BasePair.plan``:
 
-    * Per pair j < k: the chain ends and the wall sum, over n^2, with the
-      pair's own wall seed D_jk D_k q_kj in S0_jk's coefficient.
+    * Per pair j < k, one row of the plan each: the chain ends and the wall
+      sum, over n^2, with the pair's own wall seed D_jk D_k q_kj in S0_jk's
+      coefficient.  A pair whose divisors do not meet adds 0.
     * Per triple point (a, b, c): its point v (:func:`_triple_points`, one
       strategy dispatch for the report); its chain-end term
       2 (v1 + v2 + v3 - 1) D_abc (B_ab + B_ac + B_bc); the wall seeds
@@ -283,7 +284,7 @@ def k3_root_cover(pair: BasePair, part: Partition, strategy: str = "minimal") ->
     n = part.n
     q = part.q_matrix  # the wall seed j -> k is q[k][j]
     chains = part.chain_records
-    plan = pair.k3_plan
+    plan = pair.plan
     points = _triple_points(pair, part, strategy)
 
     # Every integral piece is accumulated as a numerator over n^2.
@@ -300,9 +301,8 @@ def k3_root_cover(pair: BasePair, part: Partition, strategy: str = "minimal") ->
     # n x_{jk,1}, which cancel but for the seeds' q_lj D_jkl S0_jk, taken
     # at the triple point below.
     ends, s0s, lows, highs = [], [], [], []
-    records = map(chains.__getitem__, pair.meeting_pairs)
-    for (j, k, kz, dd_sum, djk, dkj), record in zip(plan.pairs, records):
-        _s, _d, s0, s1, s2, chain_end = record
+    for j, k, _w, _c, kz, dd_sum, djk, dkj in plan.rows:
+        _s, _d, s0, s1, s2, chain_end = chains[j, k]
         k_class = n * kz + (n - 1) * dd_sum  # n D_jk K, less triples
         # n x_{jk,1} = k_class + (q_kj + 1 - n) D_jk D_k, less triples
         total -= (
@@ -355,14 +355,14 @@ def euler_root_cover(pair: BasePair, part: Partition) -> Fraction:
 
     with s_jk the chain length l(q_jk, n), read from the pair's chain record
     (n/q_jk and its dual n/q_kj have the same length).  Collected per pair,
-    this is n (e(Z) - e(D)) + e_0 + sum_{j<k} c_jk s_jk with the constants of
-    ``BasePair.euler_weights``.
+    this is n (e(Z) - e(D)) + e_0 + sum_{j<k} c_jk s_jk with the constant
+    e_0 and the column c_jk of ``BasePair.plan``.
     """
     _check_compatible(pair, part)
     chains = part.chain_records
-    e_0, weights = pair.euler_weights
-    e = part.n * (pair.c3 - pair.e_d) + e_0
-    for j, k, c in weights:
+    plan = pair.plan
+    e = part.n * (pair.c3 - pair.e_d) + plan.e_0
+    for j, k, _w, c, _kz, _dd_sum, _djk, _dkj in plan.rows:
         e += chains[j, k][0] * c
     return Fraction(e)
 

@@ -25,7 +25,7 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple, Optional
 
 from .errors import BadParams
@@ -35,7 +35,7 @@ __all__ = [
     "PRESET_PARAMS",
     "TripleTable",
     "BasePair",
-    "K3Plan",
+    "PairPlan",
     "LogChernNumbers",
     "log_chern_numbers",
     "make_preset",
@@ -61,6 +61,17 @@ _DERIVED_INTS = ("e_d", "e_sing_d")
 
 def _from_json(value, rank: int):
     return value if rank == 0 else tuple(_from_json(x, rank - 1) for x in value)
+
+
+def _unique_keys(name: str, items) -> dict:
+    """{key: value} of the (key, value) items; BadParams names a key that
+    comes twice, which a dict would keep silently as its last value."""
+    table: dict = {}
+    for key, value in items:
+        if key in table:
+            raise BadParams(f"{name} lists {key} twice")
+        table[key] = value
+    return table
 
 
 class TripleTable(namedtuple("TripleTable", ("r", "constant", "entries"))):
@@ -123,20 +134,27 @@ class TripleTable(namedtuple("TripleTable", ("r", "constant", "entries"))):
         return sum(self.entries.values())
 
 
-class K3Plan(NamedTuple):
-    """What the K^3 kernel reads of a pair, once per pair (``BasePair.k3_plan``).
+class PairPlan(NamedTuple):
+    """What chi, e and K^3 read of a pair, once per pair (``BasePair.plan``).
+
+    ``rows`` has one row per pair j < k, in order, meeting or not:
+    (j, k, w_jk, c_jk, K_Z D_j D_k, D_j D_k^2 + D_j^2 D_k, D_j D_k^2,
+    D_j^2 D_k).  w_jk = D_j D_k (D_j + D_k + K_Z) + sum_l D_jkl weights the
+    Dedekind sum d(nu_j, nu_k, n) in chi, c_jk = sum_C (3 - 4 g(C))
+    - sum_l D_jkl over the components C of D_j D_k weights the chain length
+    s_jk in e, and the last four are the K^3 kernel's per-pair constants.
+    A column that does not apply to a pair holds an exact 0.
 
     ``cube`` is (c1^3, c1^2 D, c1 (D^[2] + 2 D^[1,1]), D^3) with D = D_red,
-    the numbers of (K_Z + (n-1)/n D)^3.  ``pairs`` holds, for each meeting
-    pair j < k in order, (j, k, K_Z D_j D_k, D_j D_k^2 + D_j^2 D_k,
-    D_j D_k^2, D_j^2 D_k).  ``triples`` holds, for each nonzero triple
-    a < b < c in order, (a, b, c, D_abc, i_ab, i_ac, i_bc), where i_jk is
-    the position of the pair (j, k) in ``pairs``.  A triple table, constant
-    or sparse, enters through ``triples`` (and ``cube``) alone.
+    the numbers of (K_Z + (n-1)/n D)^3, and ``e_0`` = e(D) - e(Sing D)
+    - #{components C} + 3 D^[1,1,1] is the constant of e.  ``triples``
+    holds, for each nonzero triple a < b < c in order, (a, b, c, D_abc,
+    i_ab, i_ac, i_bc), i_jk the position of the pair (j, k) in ``rows``.
     """
 
     cube: tuple[int, int, int, int]
-    pairs: tuple[tuple[int, int, int, int, int, int], ...]
+    e_0: int
+    rows: tuple[tuple[int, int, int, int, int, int, int, int], ...]
     triples: tuple[tuple[int, int, int, int, int, int, int], ...]
 
 
@@ -160,13 +178,12 @@ class BasePair(namedtuple(
     Everything the invariants derive from these tables alone is computed once
     per pair, on first use, and kept with it (also through pickling): the
     divisor aggregates (:meth:`sum_d3` ... :meth:`c2_dred`), the nonzero
-    triples, ``meeting_pairs``, ``e_d`` and ``e_sing_d``, the weights of chi
-    and e per pair (``pair_weights``, ``euler_weights``),
-    ``chi_bound_weight``, ``log_chern`` and ``log_slopes``, and the plan of
-    the K^3 kernel (``k3_plan``, a :class:`K3Plan`): the per-pair constants
-    of its per-pair part and the index triples of its per-triple-point
-    loop.  A report then does only the work that depends on n and the
-    partition.
+    triples, ``meeting_pairs``, ``e_d`` and ``e_sing_d``,
+    ``chi_bound_weight``, ``log_chern`` and ``log_slopes``, and the
+    ``plan`` (a :class:`PairPlan`) that chi, e and K^3 read: one row per
+    pair j < k with its weight in chi, its weight in e and the constants of
+    the K^3 kernel, and the triples with the positions of their pairs.  A
+    report then does only the work that depends on n and the partition.
     """
 
     def __new__(cls, *args, **kwargs):
@@ -281,98 +298,58 @@ class BasePair(namedtuple(
         )
 
     @cached_property
-    def _triple_sums(self) -> dict[tuple[int, int], int]:
-        """{(j, k): sum_l D_jkl} over the triples through each pair j < k."""
-        sums = dict.fromkeys(itertools.combinations(range(self.r), 2), 0)
-        for (j, k, l), t in self.triple.items_nonzero():
-            sums[j, k] += t
-            sums[j, l] += t
-            sums[k, l] += t
-        return sums
-
-    @cached_property
     def e_d(self) -> int:
         """e(D) = c3 - c3_bar, since e(Z) = e(D) + e(Z - D) and c3_bar = e(Z - D)."""
         return int(self.c3 - self.log_chern.c3_bar)
 
     @cached_property
-    def _curve_euler(self) -> dict[tuple[int, int], int]:
-        """{(j, k): e(D_j D_k)} for j < k, by adjunction
-        e(D_j D_k) = -(K_Z + D_j + D_k) D_j D_k = c1 D_j D_k - D_j D_k^2 - D_j^2 D_k."""
-        c1_dd, dd2 = self.c1_dd, self.dd2
-        return {
-            (j, k): c1_dd[j][k] - dd2[j][k] - dd2[k][j]
-            for j, k in itertools.combinations(range(self.r), 2)
-        }
-
-    @cached_property
     def e_sing_d(self) -> int:
-        """e(Sing D) = sum_{j<k} e(D_j D_k) - 2 D^[1,1,1]: each triple point
-        lies on three of the curves."""
-        return sum(self._curve_euler.values()) - 2 * self.triple.total()
+        """e(Sing D) = sum_{j<k} e(D_j D_k) - 2 D^[1,1,1], since each triple
+        point lies on three of the curves, with e(D_j D_k) = -(K_Z + D_j
+        + D_k) D_j D_k = c1 D_j D_k - D_j D_k^2 - D_j^2 D_k by adjunction."""
+        return self.c1_d11() - self.sum_12() - self.sum_21() - 2 * self.triple.total()
 
     @cached_property
-    def pair_weights(self) -> tuple[tuple[int, int, int], ...]:
-        """(j, k, w_jk) for the pairs j < k with w_jk != 0, the weight of the
-        Dedekind sum d(nu_j, nu_k, n) in chi: w_jk = D_j D_k (D_j + D_k + K_Z)
-        + sum_l D_jkl = sum_l D_jkl - e(D_j D_k), so each triple product
-        weights its three pairs."""
-        weights = (
-            (j, k, t - self._curve_euler[j, k]) for (j, k), t in self._triple_sums.items()
-        )
-        return tuple(entry for entry in weights if entry[2])
-
-    @cached_property
-    def euler_weights(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
-        """(e_0, ((j, k, c_jk), ...)) with e(X_n) = n (e(Z) - e(D)) + e_0
-        + sum_{j<k} c_jk s_jk for the chain lengths s_jk of a cell.
-
-        c_jk = sum_C (3 - 4 g(C)) - sum_l D_jkl over the components C of
-        D_j D_k (pairs with c_jk = 0 are left out), and e_0 = e(D) - e(Sing D)
-        - #{components C} + 3 D^[1,1,1].
-        """
-        e_0 = self.e_d - self.e_sing_d + 3 * self.triple.total()
-        weights = []
-        for (j, k), t in self._triple_sums.items():
+    def plan(self) -> PairPlan:
+        """The per-pair tables of chi, e and K^3, in one pass over the pairs
+        j < k (see :class:`PairPlan`)."""
+        keys = list(itertools.combinations(range(self.r), 2))
+        index = {key: i for i, key in enumerate(keys)}
+        through = [0] * len(keys)  # sum_l D_jkl over the triples through each pair
+        triples = []
+        for (a, b, c), t in self.triple.items_nonzero():
+            i_ab, i_ac, i_bc = index[a, b], index[a, c], index[b, c]
+            through[i_ab] += t
+            through[i_ac] += t
+            through[i_bc] += t
+            triples.append((a, b, c, t, i_ab, i_ac, i_bc))
+        c1_dd, dd2, curves = self.c1_dd, self.dd2, self.pair_curves
+        total = self.triple.total()
+        e_0 = self.e_d - self.e_sing_d + 3 * total
+        rows = []
+        for (j, k), t in zip(keys, through):
+            kz, djk, dkj = -c1_dd[j][k], dd2[j][k], dd2[k][j]
             c = -t
-            for genus, count in self.pair_curves.get((j, k), ()):
+            for genus, count in curves.get((j, k), ()):
                 c += count * (3 - 4 * genus)
                 e_0 -= count
-            if c:
-                weights.append((j, k, c))
-        return e_0, tuple(weights)
-
-    @cached_property
-    def k3_plan(self) -> K3Plan:
-        """The per-pair part of :func:`rootcover.invariants.k3_root_cover`:
-        the constants its kernel reads, and the index triples of its
-        per-triple-point loop (see :class:`K3Plan`)."""
-        keys = self.meeting_pairs
-        index = {key: i for i, key in enumerate(keys)}
-        c1_dd, dd2 = self.c1_dd, self.dd2
-        pairs = tuple(
-            (j, k, -c1_dd[j][k], dd2[j][k] + dd2[k][j], dd2[j][k], dd2[k][j])
-            for j, k in keys
-        )
-        triples = tuple(
-            (a, b, c, t, index[a, b], index[a, c], index[b, c])
-            for (a, b, c), t in self.triple.items_nonzero()
-        )
+            # w_jk: D_j D_k (D_j + D_k + K_Z) = D_j D_k^2 + D_j^2 D_k + K_Z D_j D_k
+            rows.append((j, k, djk + dkj + kz + t, c, kz, djk + dkj, djk, dkj))
         cube = (
             self.c1_cubed,
             self.c1sq_dred(),
             self.c1_d2() + 2 * self.c1_d11(),
-            self.sum_d3() + 3 * (self.sum_12() + self.sum_21()) + 6 * self.triple.total(),
+            self.sum_d3() + 3 * (self.sum_12() + self.sum_21()) + 6 * total,
         )
-        return K3Plan(cube, pairs, triples)
+        return PairPlan(cube, e_0, tuple(rows), tuple(triples))
 
     @cached_property
     def chi_bound_weight(self) -> int:
         """sum_{j<k} |D_j D_k (D_j + D_k + K_Z)| + 3 sum_{j<k<l} |D_jkl|, the
-        weight of the a-priori chi bound; D_j D_k (D_j + D_k + K_Z) = -e(D_j D_k)."""
-        return sum(map(abs, self._curve_euler.values())) + 3 * sum(
-            abs(t) for _key, t in self.triple.items_nonzero()
-        )
+        weight of the a-priori chi bound, from the columns of :attr:`plan`."""
+        plan = self.plan
+        pairs = sum(abs(kz + dd) for _j, _k, _w, _c, kz, dd, _djk, _dkj in plan.rows)
+        return pairs + 3 * sum(abs(t) for _a, _b, _c, t, _ab, _ac, _bc in plan.triples)
 
     @cached_property
     def log_chern(self) -> LogChernNumbers:
@@ -491,9 +468,11 @@ def base_pair_to_json(pair: BasePair) -> str:
 
 def base_pair_from_json(text: str) -> BasePair:
     """Inverse of base_pair_to_json; BadParams for text that is not a valid
-    document, or whose ``e_d`` or ``e_sing_d`` disagrees with its tables."""
+    document, that repeats a name within a JSON object, a pair of
+    ``pair_curves`` or a triple of ``triple.entries``, or whose ``e_d`` or
+    ``e_sing_d`` disagrees with its tables."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=partial(_unique_keys, "a JSON object"))
     except json.JSONDecodeError as exc:
         raise BadParams(f"base pair is not JSON: {exc}") from None
     schema = doc.get("schema") if isinstance(doc, dict) else None
@@ -507,15 +486,17 @@ def base_pair_from_json(text: str) -> BasePair:
                 raise BadParams("a triple table takes a constant or entries, not both")
             triple = TripleTable(r=r, constant=tdoc["constant"])
         else:
-            entries = {tuple(e[:3]): e[3] for e in tdoc["entries"]}
+            entries = _unique_keys(
+                "triple.entries", ((tuple(e[:3]), e[3]) for e in tdoc["entries"])
+            )
             triple = TripleTable(r=r, entries=entries)
         values = {"r": r, "triple": triple}
         for name in BasePair._fields:  # the rest in field order
             if name == "pair_curves":
-                values[name] = {
-                    (j, k): tuple((g, c) for g, c in curves)
+                values[name] = _unique_keys(name, (
+                    ((j, k), tuple((g, c) for g, c in curves))
                     for j, k, curves in doc["pair_curves"]
-                }
+                ))
             elif name in _INT_FIELDS and name not in values:
                 values[name] = _from_json(doc[name], _INT_FIELDS[name])
         pair = BasePair(

@@ -79,12 +79,6 @@ class LocalConeSpec(namedtuple("LocalConeSpec", ("n", "p", "q"))):
         return cls(*iterable)  # so that _replace checks too
 
     @property
-    def degenerate_flags(self) -> dict[str, bool]:
-        """The excluded shapes (edge, equal, opposite) and which of them hold."""
-        flags = _excluded_shape(self.n, self.p, self.q)
-        return flags or dict.fromkeys(("edge", "equal", "opposite"), False)
-
-    @property
     def is_degenerate(self) -> bool:
         return _excluded_shape(self.n, self.p, self.q) is not None
 
@@ -236,11 +230,11 @@ def subdivision_points(n: int, cones, strategy: str) -> Iterator[tuple[int, int,
     invariants pass every triple point of a report at once, with p, q read
     off ``Partition.q_matrix``; :func:`select_v` passes one validated spec.
     A generator over the cones in order.  The first cone of an excluded
-    shape (p or q = n - 1, p = q, p + q = n; see
-    ``LocalConeSpec.degenerate_flags``) raises Degenerate under either
-    strategy, after the points of the cones before it have been yielded, so
-    a caller that collects the points knows which cone it was.  BadInput
-    names an unknown strategy, at the first cone.
+    shape (p or q = n - 1, p = q, p + q = n; see :func:`_excluded_shape`)
+    raises Degenerate under either strategy, after the points of the cones
+    before it have been yielded, so a caller that collects the points knows
+    which cone it was.  BadInput names an unknown strategy, at the first
+    cone.
 
     ``minimal`` takes (1, 1, {p+q}_n), the interior point over the corner of
     the parallelepiped; {p+q}_n = 0 is the opposite shape.

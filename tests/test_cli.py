@@ -346,6 +346,18 @@ def test_invariants_params_go_with_a_preset_only(tmp_path, capsys):
     assert "lambda" not in err
 
 
+def test_pair_json_with_a_key_listed_twice_is_config_error(tmp_path, capsys):
+    doc = json.loads((DATA / "basepair_planes_p3_r4_sparse.json").read_text(encoding="utf-8"))
+    doc["pair_curves"].append([0, 1, [[3, 2]]])
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps(doc))
+    assert main(["invariants", "--pair-json", str(pair), "--n", "11", "--nu", "1,2,3,5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: cannot load base pair")
+    assert "pair_curves lists (0, 1) twice" in captured.err
+
+
 def test_invariants_from_pair_json(tmp_path, capsys):
     from rootcover.logchern import base_pair_to_json, make_preset
 

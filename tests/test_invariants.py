@@ -1,4 +1,5 @@
 import collections
+import itertools
 import json
 import math
 import pickle
@@ -35,13 +36,13 @@ from rootcover.invariants import (
 )
 from rootcover.logchern import (
     BasePair,
-    K3Plan,
+    PairPlan,
     TripleTable,
     base_pair_from_json,
     log_chern_numbers,
     make_preset,
 )
-from rootcover.toric import local_cone, select_v
+from rootcover.toric import _excluded_shape, local_cone, select_v
 
 PLANES3 = make_preset("planes_p3", 3)
 FIXTURE = Partition(7, (1, 2, 4))
@@ -135,7 +136,7 @@ def public_triple_point(part, key, strategy):
     spec = local_cone(part.n, part.nu[a], part.nu[b], part.nu[c])
     if spec.is_degenerate:
         raise DegenerateCone(
-            f"triple ({a},{b},{c}): excluded cone shape {spec.degenerate_flags}"
+            f"triple ({a},{b},{c}): excluded cone shape {_excluded_shape(*spec)}"
         )
     try:
         return select_v(spec, strategy)
@@ -632,7 +633,7 @@ def test_k3_equals_the_per_triple_oracle():
     for preset in presets:
         sparse = with_sparse_triples(preset)
         assert sparse.triple.constant is None
-        assert sparse.k3_plan == preset.k3_plan
+        assert sparse.plan == preset.plan
         for n in primerange(17, 212):
             part = random_h_partition(rng, n, preset.r, distinct=rng.random() < 0.7)
             for strategy in ("minimal", "balanced"):
@@ -654,23 +655,28 @@ def test_k3_equals_the_per_triple_oracle():
 
 
 def test_k3_plan_indexes_its_pairs():
-    # every triple of the plan names the positions of its three pairs; the
-    # plan holds nothing else of the triple table but the cube's sum
+    # the plan has one row per pair j < k, in order, whether or not the
+    # divisors meet; a pair that does not meet has K^3 constants 0; every
+    # triple of the plan names the rows of its three pairs; the plan holds
+    # nothing else of the triple table but the sums over l and the cube's sum
     pairs = [make_preset("hypersurface_p4", (6, r)) for r in (3, 4, 8)]
     pairs += [base_pair_from_json(json.dumps(SPARSE_PAIR_DOC))]
     pairs += [with_sparse_triples(make_preset("planes_p3", 5))]
     for pair in pairs:
-        plan = pair.k3_plan
-        keys = [entry[:2] for entry in plan.pairs]
-        assert tuple(keys) == pair.meeting_pairs
-        for j, k, kz, dd_sum, djk, dkj in plan.pairs:
+        plan = pair.plan
+        keys = [row[:2] for row in plan.rows]
+        assert keys == list(itertools.combinations(range(pair.r), 2))
+        for j, k, _w, _c, kz, dd_sum, djk, dkj in plan.rows:
             assert (kz, djk, dkj) == (pair.kz_dd(j, k), pair.dd2[j][k], pair.dd2[k][j])
             assert dd_sum == djk + dkj
+            if (j, k) not in pair.meeting_pairs:
+                assert (kz, djk, dkj) == (0, 0, 0)
         for ((a, b, c), t), entry in zip(pair.triple.items_nonzero(), plan.triples):
             assert entry[:4] == (a, b, c, t)
             assert [keys[i] for i in entry[4:]] == [(a, b), (a, c), (b, c)]
         assert len(plan.triples) == len(pair.triple.items_nonzero())
-    assert K3Plan._fields == ("cube", "pairs", "triples")
+    assert (2, 3) not in pairs[3].meeting_pairs  # the sparse pair has such a row
+    assert PairPlan._fields == ("cube", "e_0", "rows", "triples")
 
 
 def derived_tables_by_direct_sums(pair):
@@ -682,19 +688,34 @@ def derived_tables_by_direct_sums(pair):
     def through(j, k):
         return sum(tt.get(j, k, l) for l in range(r) if l not in (j, k))
 
-    weights = [
-        (j, k, dd2[k][j] + dd2[j][k] - c1_dd[j][k] + through(j, k)) for j, k in pairs
-    ]
     curves = {key: pair.pair_curves.get(key, ()) for key in pairs}
-    lengths = [
-        (j, k, sum(c * (3 - 4 * g) for g, c in curves[j, k]) - through(j, k))
+    rows = tuple(
+        (
+            j,
+            k,
+            dd2[k][j] + dd2[j][k] - c1_dd[j][k] + through(j, k),
+            sum(c * (3 - 4 * g) for g, c in curves[j, k]) - through(j, k),
+            -c1_dd[j][k],
+            dd2[j][k] + dd2[k][j],
+            dd2[j][k],
+            dd2[k][j],
+        )
         for j, k in pairs
-    ]
+    )
     e_0 = (
         pair.e_d
         - pair.e_sing_d
         - sum(c for cs in curves.values() for _g, c in cs)
         + 3 * sum(tt.get(*key) for key in triples)
+    )
+    # D_red^3 = sum_j D_j^3 + 3 sum_{j != k} D_j D_k^2 + 6 D^[1,1,1]
+    cube = (
+        pair.c1_cubed,
+        sum(pair.c1sq_d),
+        sum(c1_dd[j][j] for j in range(r)) + 2 * sum(c1_dd[j][k] for j, k in pairs),
+        sum(pair.d3)
+        + 3 * sum(dd2[j][k] for j in range(r) for k in range(r) if j != k)
+        + 6 * sum(tt.get(*key) for key in triples),
     )
     return {
         "aggregates": (
@@ -713,14 +734,16 @@ def derived_tables_by_direct_sums(pair):
             if c1_dd[j][k] or dd2[j][k] or dd2[k][j]
             or any(tt.get(j, k, l) for l in range(r) if l not in (j, k))
         ),
-        "weights": tuple(w for w in weights if w[2]),
-        "euler": (e_0, tuple(w for w in lengths if w[2])),
+        "rows": rows,
+        "e_0": e_0,
+        "cube": cube,
         "bound": sum(abs(dd2[k][j] + dd2[j][k] - c1_dd[j][k]) for j, k in pairs)
         + 3 * sum(abs(tt.get(*key)) for key in triples),
     }
 
 
 def derived_tables(pair):
+    plan = pair.plan
     return {
         "aggregates": (
             pair.sum_d3(), pair.sum_12(), pair.sum_21(), pair.c1_d2(),
@@ -728,8 +751,9 @@ def derived_tables(pair):
         ),
         "triples": pair.triple.items_nonzero(),
         "meeting": pair.meeting_pairs,
-        "weights": pair.pair_weights,
-        "euler": pair.euler_weights,
+        "rows": plan.rows,
+        "e_0": plan.e_0,
+        "cube": plan.cube,
         "bound": pair.chi_bound_weight,
     }
 
@@ -755,8 +779,8 @@ def test_pickled_pair_keeps_its_tables_and_reports():
     for base, parts in ((pair, SPARSE_PAIR_PARTS), (p4, p4_parts)):
         reports = [invariant_report(base, part, "balanced") for part in parts]
         copy = pickle.loads(pickle.dumps(base))
-        assert "log_chern" in vars(copy) and "pair_weights" in vars(copy)
-        assert vars(copy)["k3_plan"] == base.k3_plan
+        assert "log_chern" in vars(copy) and "plan" in vars(copy)
+        assert vars(copy)["plan"] == base.plan
         assert derived_tables(copy) == derived_tables(base)
         for part, want in zip(parts, reports):
             assert invariant_report(copy, part, "balanced") == want
@@ -796,6 +820,42 @@ def test_euler_varies_with_lengths():
         assert e == 2 * total_s
     assert euler_root_cover(PLANES3, Partition(11, (1, 1, 9))) == 28
     assert euler_root_cover(PLANES3, Partition(11, (1, 2, 8))) == 22
+
+
+def euler_by_docstring(pair, part):
+    """e(X_n) by the formula of ``euler_root_cover``'s docstring, summed
+    directly over every pair with curves and every nonzero triple, with the
+    chain lengths s_jk = l(q_jk, n) from ``hj_expand``."""
+    n = part.n
+
+    def s(j, k):
+        return len(hj_expand(n, part.q_matrix[j][k]).ks)
+
+    e = n * (pair.c3 - pair.e_d) + pair.e_d - pair.e_sing_d
+    for (j, k), curves in pair.pair_curves.items():
+        for genus, count in curves:
+            e += count * (s(j, k) * (3 - 4 * genus) - 1)
+    for (j, k, l), t in pair.triple.items_nonzero():
+        e -= (s(j, k) + s(j, l) + s(k, l) - 3) * t
+    return e
+
+
+def test_euler_counts_the_curves_of_a_pair_that_does_not_meet():
+    # (2, 3) of the sparse pair has no nonzero product, so it is not a
+    # meeting pair; given curves, e still counts them through its row of
+    # the plan, while chi and K^3 stay those of the pair without them
+    doc = json.loads(json.dumps(SPARSE_PAIR_DOC))
+    doc["pair_curves"].append([2, 3, [[1, 2], [0, 1]]])
+    pair = base_pair_from_json(json.dumps(doc))
+    base = base_pair_from_json(json.dumps(SPARSE_PAIR_DOC))
+    assert (2, 3) not in pair.meeting_pairs and pair.pair_curves[2, 3]
+    for part in SPARSE_PAIR_PARTS:
+        e = euler_root_cover(pair, part)
+        assert e == euler_by_docstring(pair, part)
+        assert euler_root_cover(base, part) == euler_by_docstring(base, part) != e
+        assert chi_root_cover(pair, part) == chi_root_cover(base, part)
+        for strategy in ("minimal", "balanced"):
+            assert k3_root_cover(pair, part, strategy) == k3_root_cover(base, part, strategy)
 
 
 def test_closed_forms_fixtures():

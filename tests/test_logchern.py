@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -410,6 +411,41 @@ def test_sparse_base_pair_golden_is_the_planes_preset_with_entries():
     pair = base_pair_from_json(text)
     assert pair == sparse and pair.triple.constant is None
     assert '"entries"' in text
+
+
+@pytest.mark.parametrize("name, entry, key", [
+    ("pair_curves", [0, 1, [[3, 2]]], "(0, 1)"),
+    ("pair_curves", [2, 3, [[0, 1]]], "(2, 3)"),
+    ("triple.entries", [0, 1, 2, 5], "(0, 1, 2)"),
+    ("triple.entries", [1, 2, 3, 1], "(1, 2, 3)"),
+])
+def test_base_pair_json_refuses_a_key_listed_twice(name, entry, key):
+    # a dict keeps the last entry of a repeated key: with [0, 1, [[3, 2]]]
+    # appended to the sparse planes document, e at n = 11, nu = (1, 2, 3, 5)
+    # read -83 instead of 23; a repeat with the same value is refused too
+    text = (Path(__file__).parent / "data" / "basepair_planes_p3_r4_sparse.json").read_text(
+        encoding="utf-8"
+    )
+    doc = json.loads(text)
+    listed = doc["pair_curves"] if name == "pair_curves" else doc["triple"]["entries"]
+    assert entry[:-1] in [row[:-1] for row in listed]  # the key is listed once already
+    listed.append(entry)
+    with pytest.raises(BadParams, match=rf"{name} lists {re.escape(key)} twice"):
+        base_pair_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field", ["h_section", "c3", "triple", "constant"])
+def test_base_pair_json_refuses_a_name_repeated_in_an_object(field):
+    # json.loads keeps the last value of a repeated name: a second
+    # "h_section": false dropped the sum(nu) ~ 0 check of a preset's document
+    doc = json.loads(base_pair_to_json(make_preset("planes_p3", 3)))
+    node = doc["triple"] if field == "constant" else doc
+    text = json.dumps(doc)
+    value = json.dumps(node[field])
+    repeated = text.replace(f'"{field}": {value}', f'"{field}": {value}, "{field}": {value}', 1)
+    assert repeated != text
+    with pytest.raises(BadParams, match=f"a JSON object lists {field} twice"):
+        base_pair_from_json(repeated)
 
 
 @pytest.mark.parametrize("field, bad", [("h_section", "no"), ("h_section", 1), ("label", 5)])

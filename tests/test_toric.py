@@ -51,10 +51,10 @@ def test_local_cone_examples():
 
     spec = local_cone(5, 1, 1, 3)
     assert spec.p == spec.q == 3
-    assert spec.degenerate_flags["equal"]
+    assert toric._excluded_shape(*spec)["equal"]
 
     spec = local_cone(5, 1, 2, 2)
-    assert spec.q == 4 and spec.degenerate_flags["edge"]
+    assert spec.q == 4 and toric._excluded_shape(*spec)["edge"]
 
     with pytest.raises(BadInput):
         LocalConeSpec(8, 3, 5)
@@ -167,7 +167,8 @@ def test_one_shape_check_for_both_strategies():
             for q in range(1, n):
                 flags = {"edge": n - 1 in (p, q), "equal": p == q, "opposite": p + q == n}
                 spec = LocalConeSpec(n, p, q)
-                assert spec.degenerate_flags == flags
+                # the flags are built for an excluded cone only
+                assert toric._excluded_shape(n, p, q) == (flags if any(flags.values()) else None)
                 assert spec.is_degenerate == any(flags.values())
                 for strategy in toric.STRATEGIES:
                     if spec.is_degenerate:
@@ -204,7 +205,7 @@ def test_subdivision_points_matches_the_scan_per_cone():
                 with pytest.raises(Degenerate) as info:
                     got.extend(subdivision_points(n, batch, strategy))
                 assert got == want[:13]
-                flags = LocalConeSpec(n, *bad).degenerate_flags
+                flags = toric._excluded_shape(n, *bad)
                 assert str(info.value) == f"excluded cone shape {flags}"
     assert list(subdivision_points(61, [], "minimal")) == []
     with pytest.raises(BadInput, match="unknown strategy"):
