@@ -32,7 +32,7 @@ from .errors import (
 from .exact import is_prime
 from .hj import hj_expand
 from .invariants import _rat_str, invariant_report, report_to_json_dict
-from .logchern import PRESET_PARAMS, base_pair_from_json, make_preset
+from .logchern import PRESET_PARAMS, _unique_keys, base_pair_from_json, make_preset
 from .toric import (
     STRATEGIES,
     LocalConeSpec,
@@ -128,12 +128,17 @@ def _load_config(path: str, *, digits: int | None = None,
 
     ``digits`` and ``workers``, when given, replace the file's values (the
     sweep's ``--digits`` and ``--workers``) before anything is checked.
+    A key given twice is a ConfigError, not its last value.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(
+                fh, object_pairs_hook=functools.partial(_unique_keys, "config")
+            )
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except BadParams as exc:
+        raise ConfigError(str(exc)) from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a flat JSON object")
     cfg = dict(_CONFIG_DEFAULTS)

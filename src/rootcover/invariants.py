@@ -12,11 +12,12 @@ resolution, this module evaluates, as exact rationals:
   * aggregated reports with an a-priori Girstmair error bound for chi/n.
 
 The data splits into two kinds.  Per base pair, computed once and kept on
-the :class:`BasePair` (see its docstring): the divisor aggregates, the log
-Chern numbers and slopes, and ``BasePair.plan``, whose rows (one per pair
-j < k: its weights w_jk in chi and c_jk in e, and the four K^3 constants)
-chi, e and K^3 all walk, reading each pair's chain record by its key.  Per
-cell (n and the partition) is everything else: ``Partition.q_matrix`` and
+the :class:`BasePair` (see its docstring): the log Chern numbers and
+slopes, and ``BasePair.plan``, whose bracket sums give R_1 and R_2 of chi
+and whose rows (one per pair j < k: its weights w_jk in chi and c_jk in e,
+and the four K^3 constants) chi, e and K^3 all walk, reading each pair's
+chain record by its key.  Per cell (n and the partition) is everything
+else: ``Partition.q_matrix`` and
 ``Partition.chain_records``, one integer record (s, D, S0, S1, S2, B) per
 pair j < k from a single run-length pass over the wall chain n/q_kj (both
 handed over by the partition search when it found the partition), and the
@@ -125,20 +126,14 @@ def _check_compatible(pair: BasePair, part: Partition) -> None:
 
 
 def _r12(pair: BasePair, n: int) -> tuple[int, int]:
-    """The numerators of R_1 and R_2 over 2 n; they depend on the pair and n
-    alone.  BadInput for n < 3, where chi has no Dedekind sums."""
+    """The numerators of R_1 and R_2 over 2 n, from the bracket sums of
+    ``BasePair.plan``; they depend on the pair and n alone.  BadInput for
+    n < 3, where chi has no Dedekind sums."""
     if n < 3:
         raise BadInput(f"modulus must be >= 3, got {n}")
-    r1 = (n - 1) * (
-        (n - 1) * pair.sum_d3()
-        + (2 * n - 1) * (pair.sum_12() + pair.sum_21())
-        + 3 * n * pair.triple.total()
-    )
-    r2 = (n - 1) * (
-        n * (pair.c1sq_dred() + pair.c2_dred())
-        - (2 * n - 1) * pair.c1_d2()
-        - 3 * n * pair.c1_d11()
-    )
+    d3, dd, d111, c1_d2, c1_d11, c1sq_d, c2_d = pair.plan.brackets
+    r1 = (n - 1) * ((n - 1) * d3 + (2 * n - 1) * dd + 3 * n * d111)
+    r2 = (n - 1) * (n * (c1sq_d + c2_d) - (2 * n - 1) * c1_d2 - 3 * n * c1_d11)
     return r1, r2
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
@@ -128,14 +127,14 @@ class TripleTable(namedtuple("TripleTable", ("r", "constant", "entries"))):
             (key, self.entries[key]) for key in sorted(self.entries) if self.entries[key]
         )
 
-    def total(self) -> int:
-        if self.constant is not None:
-            return self.constant * math.comb(self.r, 3)
-        return sum(self.entries.values())
-
 
 class PairPlan(NamedTuple):
-    """What chi, e and K^3 read of a pair, once per pair (``BasePair.plan``).
+    """Everything derived from a pair's tables alone, in one pass over its
+    pairs and triples (``BasePair.plan``).
+
+    ``brackets`` is (D^[3], D^[1,2] + D^[2,1], D^[1,1,1], c1 D^[2],
+    c1 D^[1,1], c1^2 D, c2 D) with D = D_red, the sums that the log Chern
+    numbers, e(Sing D) and R_1, R_2 of chi read.
 
     ``rows`` has one row per pair j < k, in order, meeting or not:
     (j, k, w_jk, c_jk, K_Z D_j D_k, D_j D_k^2 + D_j^2 D_k, D_j D_k^2,
@@ -145,13 +144,15 @@ class PairPlan(NamedTuple):
     s_jk in e, and the last four are the K^3 kernel's per-pair constants.
     A column that does not apply to a pair holds an exact 0.
 
-    ``cube`` is (c1^3, c1^2 D, c1 (D^[2] + 2 D^[1,1]), D^3) with D = D_red,
-    the numbers of (K_Z + (n-1)/n D)^3, and ``e_0`` = e(D) - e(Sing D)
-    - #{components C} + 3 D^[1,1,1] is the constant of e.  ``triples``
-    holds, for each nonzero triple a < b < c in order, (a, b, c, D_abc,
-    i_ab, i_ac, i_bc), i_jk the position of the pair (j, k) in ``rows``.
+    ``cube`` is (c1^3, c1^2 D, c1 (D^[2] + 2 D^[1,1]), D^3), the numbers
+    of (K_Z + (n-1)/n D)^3 and of (c1 - D)^3, and ``e_0`` = e(D)
+    - e(Sing D) - #{components C} + 3 D^[1,1,1] is the constant of e.
+    ``triples`` holds, for each nonzero triple a < b < c in order, (a, b,
+    c, D_abc, i_ab, i_ac, i_bc), i_jk the position of the pair (j, k) in
+    ``rows``.
     """
 
+    brackets: tuple[int, int, int, int, int, int, int]
     cube: tuple[int, int, int, int]
     e_0: int
     rows: tuple[tuple[int, int, int, int, int, int, int, int], ...]
@@ -170,20 +171,21 @@ class BasePair(namedtuple(
     c1.D_j^2); ``dd2[j][k]`` is D_j.D_k^2, ordered; both are r x r.
     ``pair_curves[(j,k)]`` lists (genus, component count) for the components
     of the curve D_j.D_k; it is nonempty for every pair with a nonzero
-    product (``meeting_pairs``), or BadParams.  ``h_section`` marks pairs
-    whose divisors are all linearly equivalent to a single class H, so
-    multiplicities must satisfy sum(nu) ~ 0 mod n.  The Euler numbers of D
-    and Sing(D) are not inputs: ``e_d`` and ``e_sing_d`` derive them.
+    product (c1 D_j D_k, D_j D_k^2, D_j^2 D_k or a triple D_jkl, even when
+    the triples through the pair sum to 0), or BadParams.  ``h_section``
+    marks pairs whose divisors are all linearly equivalent to a single
+    class H, so multiplicities must satisfy sum(nu) ~ 0 mod n.  The Euler
+    numbers of D and Sing(D) are not inputs: ``e_d`` and ``e_sing_d``
+    derive them.
 
     Everything the invariants derive from these tables alone is computed once
-    per pair, on first use, and kept with it (also through pickling): the
-    divisor aggregates (:meth:`sum_d3` ... :meth:`c2_dred`), the nonzero
-    triples, ``meeting_pairs``, ``e_d`` and ``e_sing_d``,
-    ``chi_bound_weight``, ``log_chern`` and ``log_slopes``, and the
-    ``plan`` (a :class:`PairPlan`) that chi, e and K^3 read: one row per
-    pair j < k with its weight in chi, its weight in e and the constants of
-    the K^3 kernel, and the triples with the positions of their pairs.  A
-    report then does only the work that depends on n and the partition.
+    per pair and kept with it (also through pickling): the ``plan`` (a
+    :class:`PairPlan`, built when the pair is), which holds the bracket sums,
+    the cube, one row per pair j < k with its weight in chi, its weight in
+    e and the constants of the K^3 kernel, and the triples with the
+    positions of their pairs; and, read from it on first use, ``e_d`` and
+    ``e_sing_d``, ``chi_bound_weight``, ``log_chern`` and ``log_slopes``.
+    A report then does only the work that depends on n and the partition.
     """
 
     def __new__(cls, *args, **kwargs):
@@ -219,8 +221,11 @@ class BasePair(namedtuple(
             for k in range(r):
                 if self.c1_dd[j][k] != self.c1_dd[k][j]:
                     raise BadParams("c1_dd must be symmetric")
-        for j, k in self.meeting_pairs:
-            if not self.pair_curves.get((j, k)):
+        plan = self.plan
+        through_triple = {i for t in plan.triples for i in t[4:]}
+        for i, (j, k, _w, _c, kz, _dd_sum, djk, dkj) in enumerate(plan.rows):
+            meets = kz or djk or dkj or i in through_triple
+            if meets and not self.pair_curves.get((j, k)):
                 raise BadParams(
                     f"divisors {j}, {k} meet but pair_curves[({j},{k})] is empty"
                 )
@@ -240,64 +245,6 @@ class BasePair(namedtuple(
         return -self.c1_dd[j][k]
 
     @cached_property
-    def _aggregates(self) -> tuple[int, ...]:
-        """(sum_d3, sum_12, sum_21, c1_d2, c1_d11, c1sq_dred, c2_dred)."""
-        r, dd2, c1_dd = self.r, self.dd2, self.c1_dd
-        pairs = list(itertools.combinations(range(r), 2))
-        return (
-            sum(self.d3),
-            sum(dd2[j][k] for j, k in pairs),
-            sum(dd2[k][j] for j, k in pairs),
-            sum(c1_dd[j][j] for j in range(r)),
-            sum(c1_dd[j][k] for j, k in pairs),
-            sum(self.c1sq_d),
-            sum(self.c2_d),
-        )
-
-    # aggregate divisor sums used by the closed forms
-    def sum_d3(self) -> int:
-        return self._aggregates[0]
-
-    def sum_12(self) -> int:
-        """D^[1,2] = sum_{j<k} D_j D_k^2."""
-        return self._aggregates[1]
-
-    def sum_21(self) -> int:
-        """D^[2,1] = sum_{j<k} D_j^2 D_k."""
-        return self._aggregates[2]
-
-    def c1_d2(self) -> int:
-        """c1 . D^[2]."""
-        return self._aggregates[3]
-
-    def c1_d11(self) -> int:
-        """c1 . D^[1,1]."""
-        return self._aggregates[4]
-
-    def c1sq_dred(self) -> int:
-        return self._aggregates[5]
-
-    def c2_dred(self) -> int:
-        return self._aggregates[6]
-
-    def pair_meets(self, j: int, k: int) -> bool:
-        """Whether the divisors D_j, D_k have any nonzero product."""
-        if self.c1_dd[j][k] or self.dd2[j][k] or self.dd2[k][j]:
-            return True
-        return any(
-            self.triple.get(j, k, l) for l in range(self.r) if l not in (j, k)
-        )
-
-    @cached_property
-    def meeting_pairs(self) -> tuple[tuple[int, int], ...]:
-        """The pairs j < k for which :meth:`pair_meets` holds, in order."""
-        return tuple(
-            (j, k)
-            for j, k in itertools.combinations(range(self.r), 2)
-            if self.pair_meets(j, k)
-        )
-
-    @cached_property
     def e_d(self) -> int:
         """e(D) = c3 - c3_bar, since e(Z) = e(D) + e(Z - D) and c3_bar = e(Z - D)."""
         return int(self.c3 - self.log_chern.c3_bar)
@@ -307,41 +254,47 @@ class BasePair(namedtuple(
         """e(Sing D) = sum_{j<k} e(D_j D_k) - 2 D^[1,1,1], since each triple
         point lies on three of the curves, with e(D_j D_k) = -(K_Z + D_j
         + D_k) D_j D_k = c1 D_j D_k - D_j D_k^2 - D_j^2 D_k by adjunction."""
-        return self.c1_d11() - self.sum_12() - self.sum_21() - 2 * self.triple.total()
+        _d3, dd, d111, _c1_d2, c1_d11, _c1sq_d, _c2_d = self.plan.brackets
+        return c1_d11 - dd - 2 * d111
 
     @cached_property
     def plan(self) -> PairPlan:
-        """The per-pair tables of chi, e and K^3, in one pass over the pairs
-        j < k (see :class:`PairPlan`)."""
+        """The pair's derived numbers, in one pass over the pairs j < k and
+        the nonzero triples (see :class:`PairPlan`)."""
         keys = list(itertools.combinations(range(self.r), 2))
         index = {key: i for i, key in enumerate(keys)}
         through = [0] * len(keys)  # sum_l D_jkl over the triples through each pair
         triples = []
+        d111 = 0
         for (a, b, c), t in self.triple.items_nonzero():
             i_ab, i_ac, i_bc = index[a, b], index[a, c], index[b, c]
             through[i_ab] += t
             through[i_ac] += t
             through[i_bc] += t
+            d111 += t
             triples.append((a, b, c, t, i_ab, i_ac, i_bc))
         c1_dd, dd2, curves = self.c1_dd, self.dd2, self.pair_curves
-        total = self.triple.total()
-        e_0 = self.e_d - self.e_sing_d + 3 * total
+        dd = c1_d11 = components = 0
         rows = []
         for (j, k), t in zip(keys, through):
             kz, djk, dkj = -c1_dd[j][k], dd2[j][k], dd2[k][j]
+            dd += djk + dkj
+            c1_d11 -= kz
             c = -t
             for genus, count in curves.get((j, k), ()):
                 c += count * (3 - 4 * genus)
-                e_0 -= count
+                components += count
             # w_jk: D_j D_k (D_j + D_k + K_Z) = D_j D_k^2 + D_j^2 D_k + K_Z D_j D_k
             rows.append((j, k, djk + dkj + kz + t, c, kz, djk + dkj, djk, dkj))
-        cube = (
-            self.c1_cubed,
-            self.c1sq_dred(),
-            self.c1_d2() + 2 * self.c1_d11(),
-            self.sum_d3() + 3 * (self.sum_12() + self.sum_21()) + 6 * total,
-        )
-        return PairPlan(cube, e_0, tuple(rows), tuple(triples))
+        d3, c1sq_d, c2_d = sum(self.d3), sum(self.c1sq_d), sum(self.c2_d)
+        c1_d2 = sum(c1_dd[j][j] for j in range(self.r))
+        # D_red^3 = D^[3] + 3 (D^[1,2] + D^[2,1]) + 6 D^[1,1,1]
+        cube = (self.c1_cubed, c1sq_d, c1_d2 + 2 * c1_d11, d3 + 3 * dd + 6 * d111)
+        # e(D) - e(Sing D) + 3 D^[1,1,1] - #{C}, with e(D) = c3 - c3_bar and
+        # e(Sing D) as in e_sing_d, both written in the bracket sums
+        e_0 = c2_d - c1_d2 - 2 * c1_d11 + d3 + 2 * dd + 6 * d111 - components
+        brackets = (d3, dd, d111, c1_d2, c1_d11, c1sq_d, c2_d)
+        return PairPlan(brackets, cube, e_0, tuple(rows), tuple(triples))
 
     @cached_property
     def chi_bound_weight(self) -> int:
@@ -374,23 +327,17 @@ class LogChernNumbers(NamedTuple):
 
 
 def log_chern_numbers(pair: BasePair) -> LogChernNumbers:
-    """The three log Chern numbers of the pair."""
-    s3, s12, s21 = pair.sum_d3(), pair.sum_12(), pair.sum_21()
-    s111 = pair.triple.total()
-    c1_d2, c1_d11 = pair.c1_d2(), pair.c1_d11()
-    c1sq_d, c2_d = pair.c1sq_dred(), pair.c2_dred()
-
-    dred_cubed = s3 + 3 * (s12 + s21) + 6 * s111
-    dred_d2 = s3 + s12 + s21          # D_red . D^[2]
-    dred_d11 = s12 + s21 + 3 * s111   # D_red . D^[1,1]
-
-    c1_cubed_bar = (
-        pair.c1_cubed - 3 * c1sq_d + 3 * (c1_d2 + 2 * c1_d11) - dred_cubed
-    )
+    """The three log Chern numbers of the pair, from its plan's brackets,
+    with c1_bar^3 = (c1 - D)^3 read off the plan's cube."""
+    plan = pair.plan
+    d3, dd, d111, c1_d2, c1_d11, c1sq_d, c2_d = plan.brackets
+    c1_cubed, c1sq_dred, c1_dred2, dred_cubed = plan.cube
+    c1_cubed_bar = c1_cubed - 3 * c1sq_dred + 3 * c1_dred2 - dred_cubed
+    # D_red . D^[2] + D_red . D^[1,1] = D^[3] + 2 (D^[1,2] + D^[2,1]) + 3 D^[1,1,1]
     c1c2_bar = (
-        pair.c1c2 - (c1sq_d + c2_d) + (2 * c1_d2 + 3 * c1_d11) - (dred_d2 + dred_d11)
+        pair.c1c2 - (c1sq_d + c2_d) + (2 * c1_d2 + 3 * c1_d11) - (d3 + 2 * dd + 3 * d111)
     )
-    c3_bar = pair.c3 - c2_d + (c1_d2 + c1_d11) - (s3 + s12 + s21 + s111)
+    c3_bar = pair.c3 - c2_d + (c1_d2 + c1_d11) - (d3 + dd + d111)
     return LogChernNumbers(Fraction(c1_cubed_bar), Fraction(c1c2_bar), Fraction(c3_bar))
 
 

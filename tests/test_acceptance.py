@@ -43,7 +43,7 @@ from rootcover.toric import (
 )
 import rootcover.toric as toric
 from test_exact import leq_sqrt_bound
-from test_logchern import nonsingular_cover_chern
+from test_logchern import bracket_sums, nonsingular_cover_chern
 from test_toric import ray_vector
 
 
@@ -437,11 +437,12 @@ def test_criterion_11_smooth_cover_identity():
         label="disjoint-acceptance",
     )
     bars = log_chern_numbers(pair)
-    d3 = Fraction(sum(pair.d3))
-    c1_d2 = Fraction(pair.c1_d2())
-    c1b_sq_d = Fraction(pair.c1sq_dred()) - 2 * c1_d2 + d3
+    brackets = bracket_sums(pair)
+    d3 = Fraction(brackets.d3)
+    c1_d2 = Fraction(brackets.c1_d2)
+    c1b_sq_d = Fraction(brackets.c1sq_d) - 2 * c1_d2 + d3
     c1b_d2 = c1_d2 - d3
-    c2b_d = Fraction(pair.c2_dred()) - c1_d2 + d3
+    c2b_d = Fraction(brackets.c2_d) - c1_d2 + d3
     for n in primerange(2, 101):
         c1c, c1c2, c3 = nonsingular_cover_chern(pair, n)
         assert c1c / n - bars.c1_cubed_bar == (

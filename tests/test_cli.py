@@ -358,6 +358,19 @@ def test_pair_json_with_a_key_listed_twice_is_config_error(tmp_path, capsys):
     assert "pair_curves lists (0, 1) twice" in captured.err
 
 
+def test_sweep_config_with_a_key_listed_twice_is_config_error(tmp_path, capsys):
+    # json.load alone keeps the last "r" and sweeps r = 4 (exit 2, one row)
+    path = tmp_path / "cfg.json"
+    path.write_text(
+        '{"preset": "planes_p3", "r": 3, "n_min": 7, "n_max": 7,'
+        ' "partition": "1,2,4", "r": 4}'
+    )
+    assert main(["sweep", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: config lists r twice\n"
+
+
 def test_invariants_from_pair_json(tmp_path, capsys):
     from rootcover.logchern import base_pair_to_json, make_preset
 

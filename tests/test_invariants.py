@@ -43,8 +43,10 @@ from rootcover.logchern import (
     make_preset,
 )
 from rootcover.toric import _excluded_shape, local_cone, select_v
+from test_logchern import bracket_sums
 
 PLANES3 = make_preset("planes_p3", 3)
+
 FIXTURE = Partition(7, (1, 2, 4))
 
 # (0,1,3) is a zero triple, (0,3) and (1,3) meet without a triple point,
@@ -72,6 +74,14 @@ SPARSE_PAIR_DOC = {
     "e_sing_d": -10,
 }
 SPARSE_PAIR_PARTS = (Partition(101, (3, 17, 40, 55)), Partition(103, (5, 60, 22, 91)))
+
+
+def pair_meets(pair, j, k):
+    """Whether D_j and D_k have a nonzero product, straight from the tables:
+    c1 D_j D_k, D_j D_k^2, D_j^2 D_k or any triple D_jkl."""
+    if pair.c1_dd[j][k] or pair.dd2[j][k] or pair.dd2[k][j]:
+        return True
+    return any(pair.triple.get(j, k, l) for l in range(pair.r) if l not in (j, k))
 
 
 def random_h_partition(rng, n, r, distinct=False):
@@ -104,14 +114,15 @@ def chi_dedekind_oracle(pair, part):
     """
     _check_compatible(pair, part)
     n = part.n
+    b = bracket_sums(pair)
     r1 = (
-        Fraction((n - 1) ** 2, 2 * n) * pair.sum_d3()
-        + Fraction((n - 1) * (2 * n - 1), 2 * n) * (pair.sum_12() + pair.sum_21())
-        + Fraction(3 * (n - 1), 2) * pair.triple.total()
+        Fraction((n - 1) ** 2, 2 * n) * b.d3
+        + Fraction((n - 1) * (2 * n - 1), 2 * n) * (b.d12 + b.d21)
+        + Fraction(3 * (n - 1), 2) * b.d111
     )
     r2 = Fraction(1 - n, 2) * (
-        Fraction(2 * n - 1, n) * pair.c1_d2() + 3 * pair.c1_d11()
-    ) + Fraction(n - 1, 2) * (pair.c1sq_dred() + pair.c2_dred())
+        Fraction(2 * n - 1, n) * b.c1_d2 + 3 * b.c1_d11
+    ) + Fraction(n - 1, 2) * (b.c1sq_d + b.c2_d)
 
     def dval(j, k):
         return dedekind_fast(part.nu[j], part.nu[k], n)
@@ -159,11 +170,12 @@ def k3_wall_recursion(pair, part, strategy="minimal"):
         for key, _t in pair.triple.items_nonzero()
     }
 
-    dred3 = pair.sum_d3() + 3 * (pair.sum_12() + pair.sum_21()) + 6 * pair.triple.total()
+    b = bracket_sums(pair)
+    dred3 = b.d3 + 3 * (b.d12 + b.d21) + 6 * b.d111
     k_cubed = (
         -pair.c1_cubed
-        + 3 * t_frac * pair.c1sq_dred()
-        - 3 * t_frac**2 * (pair.c1_d2() + 2 * pair.c1_d11())
+        + 3 * t_frac * b.c1sq_d
+        - 3 * t_frac**2 * (b.c1_d2 + 2 * b.c1_d11)
         + t_frac**3 * dred3
     )
     total = n * k_cubed
@@ -195,7 +207,7 @@ def k3_wall_recursion(pair, part, strategy="minimal"):
 
     for j in range(r):
         for k in range(j + 1, r):
-            if not pair.pair_meets(j, k):
+            if not pair_meets(pair, j, k):
                 continue
             wall = hj_expand(n, part.q_matrix[k][j])
             s = wall.s
@@ -518,7 +530,7 @@ def test_k3_matches_wall_recursion_planes():
 
 def test_k3_matches_wall_recursion_sparse_pair():
     pair = base_pair_from_json(json.dumps(SPARSE_PAIR_DOC))
-    assert not pair.pair_meets(2, 3)
+    assert not pair_meets(pair, 2, 3)
     for part in SPARSE_PAIR_PARTS:
         for strategy in ("minimal", "balanced"):
             assert_k3_matches_recursion(pair, part, strategy)
@@ -572,14 +584,17 @@ def k3_per_triple_oracle(pair, part, strategy="minimal"):
     points = [
         public_triple_point(part, key, strategy) for key, _t in pair.triple.items_nonzero()
     ]
-    dred3 = pair.sum_d3() + 3 * (pair.sum_12() + pair.sum_21()) + 6 * pair.triple.total()
+    b = bracket_sums(pair)
+    dred3 = b.d3 + 3 * (b.d12 + b.d21) + 6 * b.d111
     total = (
         -pair.c1_cubed * n**3
-        + 3 * n * n * (n - 1) * pair.c1sq_dred()
-        - 3 * n * (n - 1) ** 2 * (pair.c1_d2() + 2 * pair.c1_d11())
+        + 3 * n * n * (n - 1) * b.c1sq_d
+        - 3 * n * (n - 1) ** 2 * (b.c1_d2 + 2 * b.c1_d11)
         + (n - 1) ** 3 * dred3
     )
-    for j, k in pair.meeting_pairs:
+    for j, k in itertools.combinations(range(pair.r), 2):
+        if not pair_meets(pair, j, k):
+            continue
         _s, _d, s0, s1, s2, chain_end = chains[j, k]
         dd_sum = dd2[k][j] + dd2[j][k]
         k_class = n * pair.kz_dd(j, k) + (n - 1) * dd_sum
@@ -669,14 +684,14 @@ def test_k3_plan_indexes_its_pairs():
         for j, k, _w, _c, kz, dd_sum, djk, dkj in plan.rows:
             assert (kz, djk, dkj) == (pair.kz_dd(j, k), pair.dd2[j][k], pair.dd2[k][j])
             assert dd_sum == djk + dkj
-            if (j, k) not in pair.meeting_pairs:
+            if not pair_meets(pair, j, k):
                 assert (kz, djk, dkj) == (0, 0, 0)
         for ((a, b, c), t), entry in zip(pair.triple.items_nonzero(), plan.triples):
             assert entry[:4] == (a, b, c, t)
             assert [keys[i] for i in entry[4:]] == [(a, b), (a, c), (b, c)]
         assert len(plan.triples) == len(pair.triple.items_nonzero())
-    assert (2, 3) not in pairs[3].meeting_pairs  # the sparse pair has such a row
-    assert PairPlan._fields == ("cube", "e_0", "rows", "triples")
+    assert not pair_meets(pairs[3], 2, 3)  # the sparse pair has such a row
+    assert PairPlan._fields == ("brackets", "cube", "e_0", "rows", "triples")
 
 
 def derived_tables_by_direct_sums(pair):
@@ -702,9 +717,13 @@ def derived_tables_by_direct_sums(pair):
         )
         for j, k in pairs
     )
+    b = bracket_sums(pair)
+    # e(D) = c3 - c3_bar and e(Sing D) = sum_{j<k} e(D_j D_k) - 2 D^[1,1,1]
+    e_d = b.c2_d - b.c1_d2 - b.c1_d11 + b.d3 + b.d12 + b.d21 + b.d111
+    e_sing_d = b.c1_d11 - b.d12 - b.d21 - 2 * b.d111
     e_0 = (
-        pair.e_d
-        - pair.e_sing_d
+        e_d
+        - e_sing_d
         - sum(c for cs in curves.values() for _g, c in cs)
         + 3 * sum(tt.get(*key) for key in triples)
     )
@@ -718,22 +737,12 @@ def derived_tables_by_direct_sums(pair):
         + 6 * sum(tt.get(*key) for key in triples),
     )
     return {
-        "aggregates": (
-            sum(pair.d3),
-            sum(dd2[j][k] for j, k in pairs),
-            sum(dd2[k][j] for j, k in pairs),
-            sum(c1_dd[j][j] for j in range(r)),
-            sum(c1_dd[j][k] for j, k in pairs),
-            sum(pair.c1sq_d),
-            sum(pair.c2_d),
+        "brackets": (
+            b.d3, b.d12 + b.d21, b.d111, b.c1_d2, b.c1_d11, b.c1sq_d, b.c2_d
         ),
+        "e_d": e_d,
+        "e_sing_d": e_sing_d,
         "triples": tuple((key, tt.get(*key)) for key in triples if tt.get(*key)),
-        "meeting": tuple(
-            (j, k)
-            for j, k in pairs
-            if c1_dd[j][k] or dd2[j][k] or dd2[k][j]
-            or any(tt.get(j, k, l) for l in range(r) if l not in (j, k))
-        ),
         "rows": rows,
         "e_0": e_0,
         "cube": cube,
@@ -745,12 +754,10 @@ def derived_tables_by_direct_sums(pair):
 def derived_tables(pair):
     plan = pair.plan
     return {
-        "aggregates": (
-            pair.sum_d3(), pair.sum_12(), pair.sum_21(), pair.c1_d2(),
-            pair.c1_d11(), pair.c1sq_dred(), pair.c2_dred(),
-        ),
+        "brackets": plan.brackets,
+        "e_d": pair.e_d,
+        "e_sing_d": pair.e_sing_d,
         "triples": pair.triple.items_nonzero(),
-        "meeting": pair.meeting_pairs,
         "rows": plan.rows,
         "e_0": plan.e_0,
         "cube": plan.cube,
@@ -848,7 +855,7 @@ def test_euler_counts_the_curves_of_a_pair_that_does_not_meet():
     doc["pair_curves"].append([2, 3, [[1, 2], [0, 1]]])
     pair = base_pair_from_json(json.dumps(doc))
     base = base_pair_from_json(json.dumps(SPARSE_PAIR_DOC))
-    assert (2, 3) not in pair.meeting_pairs and pair.pair_curves[2, 3]
+    assert not pair_meets(pair, 2, 3) and pair.pair_curves[2, 3]
     for part in SPARSE_PAIR_PARTS:
         e = euler_root_cover(pair, part)
         assert e == euler_by_docstring(pair, part)

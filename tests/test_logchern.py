@@ -1,8 +1,10 @@
+import itertools
 import json
 import math
 import re
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -21,6 +23,36 @@ class NotDisjoint(RootcoverError):
     """The branch divisors have nonzero pairwise products."""
 
 
+class Brackets(NamedTuple):
+    """The bracket sums of a pair (see :func:`bracket_sums`)."""
+
+    d3: int  # D^[3] = sum_j D_j^3
+    d12: int  # D^[1,2] = sum_{j<k} D_j D_k^2
+    d21: int  # D^[2,1] = sum_{j<k} D_j^2 D_k
+    d111: int  # D^[1,1,1] = sum_{j<k<l} D_j D_k D_l
+    c1_d2: int  # c1 . D^[2]
+    c1_d11: int  # c1 . D^[1,1]
+    c1sq_d: int  # c1^2 . D
+    c2_d: int  # c2 . D
+
+
+def bracket_sums(pair: BasePair) -> Brackets:
+    """The bracket sums straight from the pair's tables, the oracle of the
+    sums ``BasePair.plan`` keeps; it never reads the plan."""
+    r, dd2, c1_dd = pair.r, pair.dd2, pair.c1_dd
+    pairs = list(itertools.combinations(range(r), 2))
+    return Brackets(
+        sum(pair.d3),
+        sum(dd2[j][k] for j, k in pairs),
+        sum(dd2[k][j] for j, k in pairs),
+        sum(pair.triple.get(*key) for key in itertools.combinations(range(r), 3)),
+        sum(c1_dd[j][j] for j in range(r)),
+        sum(c1_dd[j][k] for j, k in pairs),
+        sum(pair.c1sq_d),
+        sum(pair.c2_d),
+    )
+
+
 def nonsingular_cover_chern(pair: BasePair, n: int) -> tuple[Fraction, Fraction, Fraction]:
     """Chern numbers (c1^3, c1c2, c3) of the smooth degree-n cover of (Z, D),
     the oracle of the log Chern numbers on pairs whose divisors do not meet.
@@ -37,10 +69,11 @@ def nonsingular_cover_chern(pair: BasePair, n: int) -> tuple[Fraction, Fraction,
     if pair.triple.items_nonzero():
         raise NotDisjoint("triple products present")
 
-    d3 = Fraction(pair.sum_d3())
-    c1_d2 = Fraction(pair.c1_d2())
-    c1sq_d = Fraction(pair.c1sq_dred())
-    c2_d = Fraction(pair.c2_dred())
+    brackets = bracket_sums(pair)
+    d3 = Fraction(brackets.d3)
+    c1_d2 = Fraction(brackets.c1_d2)
+    c1sq_d = Fraction(brackets.c1sq_d)
+    c2_d = Fraction(brackets.c2_d)
 
     bars = log_chern_numbers(pair)
     c1b_sq_d = c1sq_d - 2 * c1_d2 + d3       # (c1 - D)^2 . D
@@ -162,15 +195,20 @@ def test_preset_hypersurface_fixtures():
 def test_bracket_examples():
     # degree-3 pairings of the brackets D^[i_1,...,i_m] with ambient classes
     pair = make_preset("planes_p3", 3)
-    assert pair.triple.total() == 1  # D^[1,1,1]
-    assert pair.sum_d3() == 3  # D^[3]
+    brackets = bracket_sums(pair)
+    assert brackets.d111 == 1  # D^[1,1,1]
+    assert brackets.d3 == 3  # D^[3]
     assert pair.c1c2 == 24
     assert pair.c1_cubed == 64
-    assert pair.c1_d2() == 12  # c1 . D^[2]
-    assert pair.c1_d11() == 12  # c1 . D^[1,1]
-    assert pair.c1sq_dred() == 48  # c1^2 . D^[1]
-    assert pair.c2_dred() == 18  # c2 . D^[1]
-    assert pair.sum_12() == 3 and pair.sum_21() == 3  # D^[1,2], D^[2,1]
+    assert brackets.c1_d2 == 12  # c1 . D^[2]
+    assert brackets.c1_d11 == 12  # c1 . D^[1,1]
+    assert brackets.c1sq_d == 48  # c1^2 . D^[1]
+    assert brackets.c2_d == 18  # c2 . D^[1]
+    assert brackets.d12 == 3 and brackets.d21 == 3  # D^[1,2], D^[2,1]
+    # the plan keeps D^[1,2] + D^[2,1] as one sum
+    assert pair.plan.brackets == (3, 3 + 3, 1, 12, 12, 48, 18)
+    # (c1^3, c1^2 D, c1 (D^[2] + 2 D^[1,1]), D_red^3 = 3 + 3 * 6 + 6 * 1)
+    assert pair.plan.cube == (64, 48, 12 + 2 * 12, 27)
 
 
 def test_bracket_trinomial_identity():
@@ -191,12 +229,11 @@ def test_bracket_trinomial_identity():
                         direct += pair.dd2[j][k]
                     else:
                         direct += pair.triple.get(j, k, l)
+        brackets = bracket_sums(pair)
         via_brackets = (
-            pair.sum_d3()
-            + 3 * (pair.sum_12() + pair.sum_21())
-            + 6 * pair.triple.total()
+            brackets.d3 + 3 * (brackets.d12 + brackets.d21) + 6 * brackets.d111
         )
-        assert direct == via_brackets
+        assert direct == via_brackets == pair.plan.cube[3]
 
 
 def test_log_chern_planes_fixture():
@@ -258,11 +295,12 @@ def test_cover_chern_residual_identity():
     # exact residual: c_e(Y)/n - c_e_bar built from the 1/n expansion terms
     pair = disjoint_pair(2)
     bars = log_chern_numbers(pair)
-    d3 = Fraction(sum(pair.d3))
-    c1_d2 = Fraction(pair.c1_d2())
-    c1b_sq_d = Fraction(pair.c1sq_dred()) - 2 * c1_d2 + d3
+    brackets = bracket_sums(pair)
+    d3 = Fraction(brackets.d3)
+    c1_d2 = Fraction(brackets.c1_d2)
+    c1b_sq_d = Fraction(brackets.c1sq_d) - 2 * c1_d2 + d3
     c1b_d2 = c1_d2 - d3
-    c2b_d = Fraction(pair.c2_dred()) - c1_d2 + d3
+    c2b_d = Fraction(brackets.c2_d) - c1_d2 + d3
     for n in (2, 3, 5, 97):
         c1c, c1c2, c3 = nonsingular_cover_chern(pair, n)
         assert c1c / n - bars.c1_cubed_bar == (
@@ -310,15 +348,31 @@ def test_base_pair_requires_curves_for_crossing_pairs():
 
 
 def test_base_pair_requires_curves_for_every_meeting_pair():
-    # c1.D_0 D_1 != 0 alone makes the pair meet: meeting_pairs lists it and
-    # e counts its curves, so a pair without them is refused
+    # c1.D_0 D_1 != 0 alone makes the pair meet: e counts its curves (one
+    # rational curve gives c_01 = 3), so a pair without them is refused
     with pytest.raises(BadParams, match=r"pair_curves\[\(0,1\)\] is empty"):
         disjoint_pair(2)._replace(c1_dd=((6, 2), (2, 6)))
     pair = disjoint_pair(2)._replace(
         c1_dd=((6, 2), (2, 6)), pair_curves={(0, 1): ((0, 1),)}
     )
-    assert pair.meeting_pairs == ((0, 1),)
-    assert disjoint_pair(2).meeting_pairs == ()
+    assert [row[:4] for row in pair.plan.rows] == [(0, 1, -2, 3)]
+    # a pair that does not meet needs no curves, and its row is all 0
+    assert disjoint_pair(2).plan.rows == ((0, 1, 0, 0, 0, 0, 0, 0),)
+
+
+def test_base_pair_requires_curves_where_triples_cancel():
+    # D_0 and D_1 meet only at triple points, whose products sum to 0 over
+    # l (D_012 = 1, D_013 = -1): they still meet, so they need curves
+    r = 4
+    zeros = tuple((0,) * r for _ in range(r))
+    entries = {(0, 1, 2): 1, (0, 1, 3): -1}
+    pair = disjoint_pair(r)._replace(c1_dd=zeros, dd2=zeros)
+    with pytest.raises(BadParams, match=r"pair_curves\[\(0,1\)\] is empty"):
+        pair._replace(triple=TripleTable(r, entries=entries))
+    curves = {key: ((0, 1),) for key in itertools.combinations(range(r), 2)}
+    del curves[2, 3]  # the one pair no triple passes through
+    met = pair._replace(triple=TripleTable(r, entries=entries), pair_curves=curves)
+    assert met.plan.rows[0][:3] == (0, 1, 0)  # w_01 = 0, and still a meeting pair
 
 
 def test_base_pair_checks_table_shapes():
@@ -524,11 +578,11 @@ def test_triple_table_takes_a_constant_or_entries_not_both():
 
 def test_triple_table():
     t = TripleTable(r=4, constant=2)
-    assert t.total() == 2 * math.comb(4, 3)
+    assert sum(v for _key, v in t.items_nonzero()) == 2 * math.comb(4, 3)
     assert t.get(3, 1, 0) == 2
     assert len(list(t.items_nonzero())) == 4
     s = TripleTable(r=4, entries={(0, 1, 2): 3})
     assert s.get(2, 1, 0) == 3 and s.get(0, 1, 3) == 0
-    assert s.total() == 3
+    assert s.items_nonzero() == (((0, 1, 2), 3),)
     with pytest.raises(BadParams):
         s.get(1, 1, 2)
