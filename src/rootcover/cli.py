@@ -127,8 +127,9 @@ def _load_config(path: str, *, digits: int | None = None,
     """The sweep config in ``path`` over the defaults, checked.
 
     ``digits`` and ``workers``, when given, replace the file's values (the
-    sweep's ``--digits`` and ``--workers``) before anything is checked.
-    A key given twice is a ConfigError, not its last value.
+    sweep's ``--digits`` and ``--workers``) before anything is checked; see
+    :func:`_checked_config`.  A key given twice is a ConfigError, not its
+    last value.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -139,6 +140,17 @@ def _load_config(path: str, *, digits: int | None = None,
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except BadParams as exc:
         raise ConfigError(str(exc)) from exc
+    return _checked_config(raw, digits=digits, workers=workers)
+
+
+def _checked_config(raw, *, digits: int | None = None,
+                    workers: int | None = None) -> dict:
+    """The sweep config ``raw`` over the defaults, checked; ConfigError if not.
+
+    The one rule for a sweep config, whether read from a file or built by
+    hand for :func:`run_sweep`.  ``digits`` and ``workers``, when given,
+    replace the values of ``raw`` before anything is checked.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a flat JSON object")
     cfg = dict(_CONFIG_DEFAULTS)
@@ -329,6 +341,8 @@ def _forked_rows(cells: list, workers: int) -> list[dict]:
 def run_sweep(cfg: dict) -> tuple[str, int]:
     """Execute a sweep; returns (rendered output, exit code).
 
+    ``cfg`` is a sweep config as a dict: it gets the defaults and the checks
+    of a config file, so a bad value is a ConfigError with the CLI's message.
     ``workers`` (default 1, capped at the number of cells) counts this
     process: with ``workers = k`` it forks ``k - 1`` children, and process
     ``w`` computes every ``k``-th cell from the ``w``-th on.  Without
@@ -338,6 +352,7 @@ def run_sweep(cfg: dict) -> tuple[str, int]:
     ConfigError before any cell runs; one that does not fit some n fails
     that cell alone.
     """
+    cfg = _checked_config(cfg)
     pair, d = _build_pair(cfg)
     nu = None if cfg["partition"] == "asymptotic" else _parse_nu(cfg["partition"])
     primes = [n for n in range(cfg["n_min"], cfg["n_max"] + 1) if is_prime(n)]

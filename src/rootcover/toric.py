@@ -42,8 +42,6 @@ __all__ = [
     "resolution_to_json",
 ]
 
-WALLS = ((1, 2), (1, 3), (2, 3))
-
 STRATEGIES = ("minimal", "balanced")
 
 
@@ -88,25 +86,30 @@ class LocalConeSpec(namedtuple("LocalConeSpec", ("n", "p", "q"))):
         return ((n, 0, -p), (0, n, -q), (0, 0, 1))
 
 
-def _point(v) -> tuple[int, int, int]:
-    """``v`` as a point (v1, v2, v3) of three ints; anything else is BadInput."""
+def _interior_point(v) -> tuple[int, int, int]:
+    """``v`` as a point (v1, v2, v3) of three positive ints.
+
+    Anything but three ints is BadInput; a point with a coordinate <= 0 is
+    NotInterior.
+    """
     try:
         v1, v2, v3 = v
     except (TypeError, ValueError):
         raise BadInput(f"{v!r} is not a point (v1, v2, v3)") from None
     require_ints("point coordinates", v1, v2, v3)
-    return v1, v2, v3
+    v = v1, v2, v3
+    if min(v) <= 0:
+        raise NotInterior(f"{v} has a non-positive coordinate")
+    return v
 
 
 def max_slope(v: tuple[int, int, int]) -> Fraction:
     """max v_j / v_k over all coordinate pairs (the balance figure of merit).
 
     ``v`` is a point (v1, v2, v3) of three ints, else BadInput.  Raises
-    :class:`NotInterior` for a point with a zero coordinate.
+    :class:`NotInterior` for a point with a coordinate <= 0.
     """
-    v = _point(v)
-    if min(v) <= 0:
-        raise NotInterior(f"{v} has a zero coordinate")
+    v = _interior_point(v)
     return Fraction(max(v), min(v))
 
 
@@ -240,8 +243,10 @@ def subdivision_points(n: int, cones, strategy: str) -> Iterator[tuple[int, int,
     the parallelepiped; {p+q}_n = 0 is the opposite shape.
 
     ``balanced`` takes the point of :func:`_balanced_point` for the
-    multiplier c = {-(p+1)(q+1)'}_n, which it depends on alone, so it is
-    computed once per distinct c within the call.
+    multiplier c = {-(p+1)(q+1)'}_n: the point of smallest max slope, which
+    is the best point of the one or two lattice lines next to the centroid.
+    It depends on c alone, so it is computed once per distinct c within the
+    call.
     """
     if strategy not in STRATEGIES:
         raise BadInput(f"unknown strategy {strategy!r}")
@@ -285,12 +290,12 @@ def _reduced_basis(n: int, c: int) -> tuple[int, int, int, int]:
     return ux, uy, wx, wy
 
 
-def _line_best(n: int, ux: int, uy: int, x0: int, y0: int, lo: int, hi: int):
-    """Best point (max, min, coords) of the line (x0, y0) + Z*u in the box.
+def _line_best(n: int, ux: int, uy: int, x0: int, y0: int):
+    """Best point (max, min, coords) of the line (x0, y0) + Z*u in the triangle.
 
-    The box is lo <= v1, v2, v3 <= hi with v3 = n - v1 - v2 and lo >= 1,
-    and u_x > 0.  Of tied points the one with the smallest v1 is returned;
-    None when the line has no lattice point in the box.
+    The triangle is v1, v2, v3 >= 1 with v3 = n - v1 - v2, and u_x > 0.  Of
+    tied points the one with the smallest v1 is returned; None when the line
+    has no lattice point in the triangle.
 
     The coordinates are linear in the step i, so between two of the
     crossings v1 = v2, v1 = v3, v2 = v3 the max slope f is one
@@ -301,42 +306,31 @@ def _line_best(n: int, ux: int, uy: int, x0: int, y0: int, lo: int, hi: int):
     two ends and floor(b), floor(b) + 1 for each crossing b in range; a
     stretch of constant f needs no special case.
     """
-    # the steps i with lo <= v1, v2, v3 <= hi, one coordinate at a time
-    i_lo = -((x0 - lo) // ux)
-    i_hi = (hi - x0) // ux
-    if uy > 0:
-        j = -((y0 - lo) // uy)
-        if j > i_lo:
-            i_lo = j
-        j = (hi - y0) // uy
-        if j < i_hi:
-            i_hi = j
-    elif uy < 0:
-        j = -((y0 - hi) // uy)
-        if j > i_lo:
-            i_lo = j
-        j = (lo - y0) // uy
-        if j < i_hi:
-            i_hi = j
-    elif not lo <= y0 <= hi:
-        return None
+    # the steps i with v1, v2, v3 >= 1; v1 grows with i (u_x > 0), so v2 or
+    # v3 falls and bounds i above, and each v <= n - 2 follows from the
+    # other two being >= 1
+    i_lo = -((x0 - 1) // ux)
     s0, s1 = n - x0 - y0, ux + uy  # v3 = s0 - i*s1
-    if s1 > 0:
-        j = -((hi - s0) // s1)
-        if j > i_lo:
-            i_lo = j
-        j = (s0 - lo) // s1
-        if j < i_hi:
-            i_hi = j
-    elif s1 < 0:
-        j = -((lo - s0) // s1)
-        if j > i_lo:
-            i_lo = j
-        j = (s0 - hi) // s1
-        if j < i_hi:
-            i_hi = j
-    elif not lo <= s0 <= hi:
-        return None
+    if uy < 0:
+        i_hi = (1 - y0) // uy
+        if s1 > 0:
+            j = (s0 - 1) // s1
+            if j < i_hi:
+                i_hi = j
+        elif s1 < 0:
+            j = -((1 - s0) // s1)
+            if j > i_lo:
+                i_lo = j
+        elif s0 < 1:
+            return None
+    else:  # so s1 > 0
+        if uy:
+            j = -((y0 - 1) // uy)
+            if j > i_lo:
+                i_lo = j
+        elif y0 < 1:
+            return None
+        i_hi = (s0 - 1) // s1
     if i_lo > i_hi:
         return None
     steps = [i_lo, i_hi]
@@ -357,7 +351,7 @@ def _line_best(n: int, ux: int, uy: int, x0: int, y0: int, lo: int, hi: int):
         if i_lo <= b < i_hi:
             steps += (b, b + 1)
     steps.sort()
-    best_big, best_small, best_i = 1, 0, i_lo  # loses to any point in the box
+    best_big, best_small, best_i = 1, 0, i_lo  # loses to any point in range
     for i in steps:
         x = x0 + i * ux
         y = y0 + i * uy
@@ -393,90 +387,80 @@ def _balanced_point(n: int, c: int) -> tuple[int, int, int]:
     lexicographically on (v1, v2, v3).  The search is exact, in integers:
 
     * Gauss reduction of (1, c), (0, n) gives a basis u, w of L with u
-      shortest, so L is the union of the lines j*w + Z*u, spaced
-      n/|u| >= |w| sqrt(3)/2 apart.
+      shortest and det(u, w) = n, so L is the union of the lines
+      j*w + Z*u, and a point P of L lies on the line j = det(u, P)/n.
     * Along one line the coordinates are linear in the step, so the max
       slope is piecewise linear-fractional, with pieces that end where two
       coordinates cross.  The line's best point is one of at most eight
-      candidates: the two ends of the line inside the box, and the two
+      candidates: the two ends of the line inside the triangle, and the two
       integer steps around each of the three crossings (see _line_best).
       u points towards increasing v1, so the first of the line's ties is
       also the lexicographically first.
-    * The two lines next to the centroid G = (n/3, n/3) give a bound t = a/b
-      on the answer.  Every point with max slope <= t has each coordinate in
-      [ceil(nb/(b+2a)), floor(na/(a+2b))], so only the lines that cross this
-      box are searched, within the box.  Each line is solved once: a
-      centroid line's best point over the triangle is its best in the box
-      when its max slope is t, and loses to the bound otherwise.
-    * A centroid line holds a point for every c but n - 1 (p = q, where
-      x + y = 0 (mod n) misses the triangle).  Let T be the closed triangle
-      x, y >= 1, x + y <= n - 1, with legs l = n - 3 and centroid G.  G has
-      line index b = det(u, G)/n = (u_x - u_y)/3, and 3b is an integer, so
-      the nearer centroid line is within d = n/(3|u|) of G.  The chord of T
-      parallel to u is a concave function of its offset, at least 2M/3 at G,
-      and reaches zero no nearer than W/3 to G on either side, where M is
-      the longest such chord and W the width of T normal to u: M W = l^2
-      and l/sqrt(2) <= W <= l sqrt(2).
-      So the nearer line's chord is at least h = (2M/3)(1 - 3d/W), and a
-      closed chord at least |u| long holds a lattice point.  By Hermite's
-      bound |u|^2 <= 2n/sqrt(3).  |u| = sqrt(2) only for c in {1, n - 1},
-      and c = 1 has (1, 1) on its centroid line x = y; |u| = 2 or sqrt(8)
-      would make n even or (1, +-1) a shorter vector.  On sqrt(5) <= |u|,
-      h - |u| is concave in |u| and unimodal in W, so its minimum is at a
-      corner, and every corner is positive for n >= 15; the tests check
-      every c at the primes below 15.
+    * The centroid G = (n/3, n/3) lies on the line b = (u_x - u_y)/3.  The
+      answer is the best point of the centroid lines j0 = floor(b) and
+      j1 = ceil(b) (one line when 3 | u_x - u_y): no point of another line
+      has a max slope at or below t*, the best max slope on those two.
 
-    Every point that ties with or beats t lies in the box, so the result is
-    the one the O(n) scan over all x returns, tie-breaks included.  The box
-    is O(|w|) wide, or the whole triangle when |w| is of order n and |u| is
-    O(1); either way it meets O(1) lines.  The cost is the O(log n) Gauss
-    reduction plus O(1) candidates on each of O(1) lines: about 1.8 lines
-    and at most eight candidates each at n of order 10^3 to 10^5.  This
-    kernel is the largest share of a balanced report, so it runs on plain
-    int locals: the basis is four ints, the candidates' max and min are
-    found by comparisons and ranked by cross-multiplication, and only a
-    line's best point becomes a tuple.
+    The proof.  S(v) = max(|v_x - v_y|, |2v_x + v_y|, |v_x + 2v_y|) is a
+    norm with S(v) <= sqrt(5)|v|.  For P = G + d let e = (d_x, d_y,
+    -d_x - d_y), the offsets of v1, v2, v3 from n/3, with largest M and
+    smallest m: M - m = S(d), and 2M + m >= 0 as e sums to 0.
+
+    * The reach.  The points with max slope <= t form the hexagon with the
+      vertices G + n(t-1)/(3(t+2)) {(-1,-1), (-1,2), (2,-1)} and
+      G + n(t-1)/(3(2t+1)) {(-2,1), (1,-2), (1,1)}.  det(u, P)/n is
+      linear in P, so over the hexagon |det(u, P)/n - b| <= R(t) =
+      (t-1)S(u)/(3(t+2)), its value at a vertex.
+    * The gap.  3b is an integer, so every other line j has |j - b| >= g,
+      with g = 1 when b is an integer and g = 4/3 when it is not.  So the
+      claim holds when R(t*) < g, ties included.
+    * A witness.  A point P = G + d of L in the triangle has max slope
+      t = (n + 3M)/(n + 3m), so (t-1)/(t+2) = S(d)/(n + M + 2m) <=
+      S(d)/(n - S(d)).  On a centroid line it has t* <= t, and R grows
+      with t, so R(t*) < g once S(d)(S(u) + 3g) < 3gn.  P lies in the
+      triangle when every |e_i| < n/3, which holds when sqrt(2)|d| < n/3.
+    * b an integer.  3G = (n, n) is in L and G is not (n > 3), so
+      G = a u + b w with 3a an integer and a not one, and line b holds
+      P = G + d with d = +-u/3.  The condition is S(u)^2 + 3S(u) < 9n.
+      By Hermite's bound |u|^2 <= 2n/sqrt(3), S(u)^2 <= 5|u|^2 < 5.78n,
+      so it holds for n >= 7, and sqrt(2)|u|/3 < n/3 for n >= 3.
+    * b not an integer.  Then u is none of (1, 0) (c = 0), (2, 0) (n odd),
+      (1, 1) (b = 0) and (1, -1) (c = n - 1), so |u|^2 >= 5.  Write
+      w = omega u + w' with w' normal to u, |w'| = n/|u|.  The nearer
+      centroid line j = b +- 1/3 holds the points G + tau u +- w'/3 with
+      tau in a coset of Z, one of them with |tau| <= 1/2, so
+      |u|^2 |d|^2 <= |u|^4/4 + n^2/9.  The condition is
+      S(d)(S(u) + 4) < 4n, and S(d)(S(u) + 4) <= sqrt(5)|d| (sqrt(5)|u| + 4).
+      - |u|^2 > 80: Hermite gives |u|^4/4 <= n^2/3, so |u||d| <= 2n/3.
+        Then S(u)S(d) <= 5|u||d| <= 10n/3 and 4S(d) <= 8 sqrt(5)n/(3|u|)
+        < 2n/3, and sqrt(2)|d| <= 2 sqrt(2)n/(3|u|) < n/3, at every n.
+      - 5 <= |u|^2 <= 80: |d| <= |u|/2 + n/(3|u|), so sqrt(5)|d|
+        (sqrt(5)|u| + 4) <= 5|u|^2/2 + 2 sqrt(5)|u| + n(5/3 +
+        4 sqrt(5)/(3|u|)) <= 240 + 3n < 4n, and sqrt(2)|d| < 6.4 +
+        0.22n < n/3, for n > 240.
+
+    So the claim holds for n > 240, and the witness shows that a centroid
+    line holds a point there; below, the tests check both at every c of
+    every prime.  The cost is the O(log n) Gauss reduction plus at most
+    eight candidates on each of at most two lines.  This kernel is the
+    largest share of a balanced report, so it runs on plain int locals:
+    the basis is four ints, the candidates' max and min are found by
+    comparisons and ranked by cross-multiplication, and only a line's best
+    point becomes a tuple.
     """
     ux, uy, wx, wy = _reduced_basis(n, c)
     # the centroid is a*u + b*w with b = det(u, centroid)/n = (u_x - u_y)/3,
     # between the lines j0 and j1 (one line when 3 | u_x - u_y)
     j0 = (ux - uy) // 3
     j1 = -((uy - ux) // 3)
-    best = _line_best(n, ux, uy, j0 * wx, j0 * wy, 1, n - 2)
+    best = _line_best(n, ux, uy, j0 * wx, j0 * wy)
     if j1 != j0:
-        cand = _line_best(n, ux, uy, j1 * wx, j1 * wy, 1, n - 2)
+        cand = _line_best(n, ux, uy, j1 * wx, j1 * wy)
         if cand is not None and (
             best is None or (cand[0] * best[1], cand[2]) < (best[0] * cand[1], best[2])
         ):
             best = cand
-    big, small, _ = best  # a centroid line holds a point (see the docstring)
-    lo = -((-n * small) // (small + 2 * big))
-    hi = (n * big) // (big + 2 * small)
-    # a point P lies on line det(u, P)/n, which over the box is extreme at
-    # a corner of the triangle v1, v2, v3 >= lo: (lo, lo), (n - 2 lo, lo)
-    # and (lo, n - 2 lo); the centroid lines are not searched again, as
-    # their best point over the triangle is also their best in the box or
-    # loses to the bound
-    e0 = (ux - uy) * lo
-    e1 = ux * lo - uy * (n - 2 * lo)
-    e2 = ux * (n - 2 * lo) - uy * lo
-    if e1 < e2:
-        e_min, e_max = e1, e2
-    else:
-        e_min, e_max = e2, e1
-    if e0 < e_min:
-        e_min = e0
-    elif e0 > e_max:
-        e_max = e0
-    for j in range(-(-e_min // n), e_max // n + 1):
-        if j == j0 or j == j1:
-            continue
-        cand = _line_best(n, ux, uy, j * wx, j * wy, lo, hi)
-        if cand is not None and (
-            (cand[0] * best[1], cand[2]) < (best[0] * cand[1], best[2])
-        ):
-            best = cand
-    return best[2]
+    return best[2]  # a centroid line holds a point (see the docstring)
 
 
 def _wall_seeds(spec: LocalConeSpec) -> dict[tuple[int, int], int]:
@@ -489,18 +473,16 @@ def cyclic_resolution(spec: LocalConeSpec, v: tuple[int, int, int]) -> CyclicRes
     """Star subdivision at v, walls refined; every record certified exactly.
 
     ``v`` is a point (v1, v2, v3) of three ints, as :func:`select_v`
-    returns; anything else raises BadInput.  For each 3-cone the lattice
-    determinant is compared with the predicted multiplicity v_l, exterior
-    walls are checked unimodular, and the cyclic type is the solution of the
-    divisibility congruence.  A record that fails a check raises
-    CertificationError.
+    returns; anything else raises BadInput, and a coordinate <= 0 raises
+    NotInterior.  For each 3-cone the lattice determinant is compared with
+    the predicted multiplicity v_l, exterior walls are checked unimodular,
+    and the cyclic type is the solution of the divisibility congruence.  A
+    record that fails a check raises CertificationError.
     """
     flags = _excluded_shape(spec.n, spec.p, spec.q)
     if flags is not None:
         raise Degenerate(f"excluded cone shape {flags}")
-    v = v1, v2, v3 = _point(v)
-    if min(v) <= 0:
-        raise NotInterior(f"{v} has a zero coordinate")
+    v = v1, v2, v3 = _interior_point(v)
     n = spec.n
     if v3 != (spec.p * v1 + spec.q * v2) % n or max(v) >= n:
         raise BadInput(f"{v} is not in the open parallelepiped")

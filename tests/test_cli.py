@@ -170,6 +170,9 @@ def test_sweep_csv_golden(tmp_path):
         ("sweep_p4d6_r8_17_211", "csv", 2),
         # r = 4 balanced over 2003..2129
         ("sweep_p4d6_r4_balanced_2003_2129", "json", 0),
+        # r = 4 balanced at n near 10^12, where the lattice lines of a cone
+        # are far apart
+        ("sweep_p4d6_r4_balanced_1000000000000_1000000002000", "csv", 0),
     ],
 )
 def test_sweep_goldens(name, golden_ext, exit_code):
@@ -215,6 +218,39 @@ def test_config_errors(tmp_path):
     assert main(["sweep", "--config", str(bad)]) == 1
     bad.write_bytes(b"\xff\xfe{}")
     assert main(["sweep", "--config", str(bad)]) == 1
+
+
+PLANES_CONFIG = {"preset": "planes_p3", "r": 3, "n_min": 7, "n_max": 7}
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ([1, 2], "config must be a flat JSON object"),
+        ({**PLANES_CONFIG, "r": "3"}, "config key 'r' must be int"),
+        ({"preset": "planes_p3", "r": 3, "n_max": 7}, "config needs n_min"),
+        ({**PLANES_CONFIG, "format": "xml"}, "unknown format 'xml'"),
+        ({**PLANES_CONFIG, "strategy": "mini"}, "unknown strategy 'mini'"),
+        ({"preset": "p5", "n_min": 7, "n_max": 7}, "unknown preset 'p5'"),
+        ({"preset": "hypersurface_p4", "r": 3, "n_min": 7, "n_max": 7},
+         "hypersurface_p4 needs d and r"),
+    ],
+)
+def test_sweep_config_error_message(tmp_path, capsys, config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+
+def test_run_sweep_fills_in_and_checks_a_config_built_by_hand(tmp_path):
+    # the defaults and the checks of a config file, with the CLI's message
+    cfg = {**PLANES_CONFIG, "n_max": 13}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_sweep(cfg) == run_sweep(_load_config(str(path)))
+    with pytest.raises(ConfigError, match=r"^unknown strategy 'mini'$"):
+        run_sweep({**_load_config(str(path)), "strategy": "mini"})
 
 
 def test_sweep_records_certification_failure(tmp_path, monkeypatch):
@@ -467,9 +503,8 @@ def test_sweep_over_no_primes(tmp_path):
     # an empty range still runs on one worker: a stride of 0 would raise
     path = write_config(tmp_path, n_min=24, n_max=28, partition="asymptotic")
     cfg = _load_config(str(path))
-    for workers in (None, 1, 2):
-        cfg["workers"] = workers
-        assert run_sweep(cfg) == (",".join(_CSV_COLUMNS) + "\n", 0)
+    for workers in ({}, {"workers": 1}, {"workers": 2}):
+        assert run_sweep({**cfg, **workers}) == (",".join(_CSV_COLUMNS) + "\n", 0)
 
 
 def test_sweep_without_fork_runs_in_one_process(tmp_path, monkeypatch):
@@ -605,7 +640,8 @@ def test_build_pair_memo_keeps_refusing_bools_and_floats(preset, good, bad):
     assert cli._build_pair({"preset": preset, **good})[0] is pair
     with pytest.raises(BadParams):
         cli._build_pair({"preset": preset, **bad})
-    with pytest.raises(BadParams):  # a hand-built sweep config, as in demo 05
+    # a hand-built sweep config, as in demo 05, is checked as a config file is
+    with pytest.raises(ConfigError, match=r"^config key '[dr]' must be int$"):
         run_sweep({"preset": preset, **bad, "n_min": 7, "n_max": 7, "partition": "1,2,4"})
 
 

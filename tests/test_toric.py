@@ -350,11 +350,12 @@ def balanced_point_bisect(n, c):
     return None if best is None else best[2]
 
 
-def assert_line_kernel(n, u, x0, y0, lo, hi, seen):
-    points = line_scan(n, u, x0, y0, lo, hi)
-    got = toric._line_best(n, *u, x0, y0, lo, hi)
-    assert got == line_best_scan(points) == line_best_bisect(n, u, x0, y0, lo, hi), (
-        n, u, x0, y0, lo, hi)
+def assert_line_kernel(n, u, x0, y0, seen):
+    # the kernel searches the triangle, the oracles' box 1 <= v <= n - 2
+    points = line_scan(n, u, x0, y0, 1, n - 2)
+    got = toric._line_best(n, *u, x0, y0)
+    assert got == line_best_scan(points) == line_best_bisect(n, u, x0, y0, 1, n - 2), (
+        n, u, x0, y0)
     if len(points) == 1:
         seen["one point"] += 1
     if u[0] == u[1] and points:
@@ -372,32 +373,23 @@ def test_line_kernel_matches_bisection_and_scan_on_every_line():
         for c in range(1, n):
             ux, uy, wx, wy = toric._reduced_basis(n, c)
             u, w = (ux, uy), (wx, wy)
-            scan = balanced_scan(n, c)
-            boxes = [(1, n - 2)]
-            if scan is not None:
-                big, small = max(scan), min(scan)
-                boxes.append((-((-n * small) // (small + 2 * big)),
-                              (n * big) // (big + 2 * small)))
             corners = ((1, 1), (n - 2, 1), (1, n - 2))
             ends = [u[0] * y - u[1] * x for x, y in corners]
             for j in range(-(-min(ends) // n), max(ends) // n + 1):
-                for lo, hi in boxes:
-                    assert_line_kernel(n, u, j * w[0], j * w[1], lo, hi, seen)
+                assert_line_kernel(n, u, j * w[0], j * w[1], seen)
     assert seen["one point"] and seen["u_x = u_y"] and seen["origin plateau"]
 
 
 def test_line_kernel_matches_scan_on_synthetic_lines():
     # lines no Gauss-reduced basis produces: u_y = 0, steep and flat u, far
-    # offsets and narrow boxes
+    # offsets
     rng = random.Random(11)
     seen = collections.Counter()
     for _ in range(4000):
         n = rng.randrange(6, 400)
         u = (rng.randrange(1, 8), rng.randrange(-8, 9))
         x0, y0 = rng.randrange(-n, 2 * n), rng.randrange(-n, 2 * n)
-        lo = rng.randrange(1, n // 3 + 1)
-        hi = rng.randrange(n // 3, n - 1)
-        assert_line_kernel(n, u, x0, y0, lo, hi, seen)
+        assert_line_kernel(n, u, x0, y0, seen)
     assert seen["u_y = 0"] and seen["u_x = u_y"] and seen["one point"]
 
 
@@ -412,8 +404,31 @@ def test_balanced_point_matches_bisection_at_large_n():
         assert toric._balanced_point(n, c) == balanced_point_bisect(n, c), (n, c)
 
 
+def s_norm(x, y):
+    """The hexagonal norm S(v) of _balanced_point's proof."""
+    return max(abs(x - y), abs(2 * x + y), abs(x + 2 * y))
+
+
+def test_no_other_line_reaches_the_best_slope_of_the_centroid_lines():
+    # _balanced_point's docstring proves, for n > 240, that no point off
+    # the centroid lines has a max slope at or below t*, the best of those
+    # lines: the reach (t* - 1) S(u) / (3 (t* + 2)) of that slope in line
+    # index stays below the gap g to the next line, 1 when b is an integer
+    # and 4/3 when not.  Here the exact inequality at every c of every
+    # prime below 400, and the point against the oracle that searches
+    # every line crossing the box of t*
+    for n in primerange(3, 400):
+        for c in range(1, n - 1):
+            v = toric._balanced_point(n, c)
+            assert v == balanced_point_bisect(n, c), (n, c)
+            ux, uy, _, _ = toric._reduced_basis(n, c)
+            g3 = 3 if (ux - uy) % 3 == 0 else 4  # 3g
+            big, small = max(v), min(v)
+            assert (big - small) * s_norm(ux, uy) < g3 * (big + 2 * small), (n, c)
+
+
 def test_centroid_lines_hold_a_point_for_every_multiplier_but_n_minus_1():
-    # _balanced_point's docstring proves this for n >= 15, so
+    # _balanced_point's docstring proves this for n > 240, so
     # _balanced_point has no search for the case without such a point; below
     # 15 every c of every prime is checked against the scan, and the claim
     # itself at every prime below 400
@@ -427,34 +442,37 @@ def test_centroid_lines_hold_a_point_for_every_multiplier_but_n_minus_1():
             ux, uy, wx, wy = toric._reduced_basis(n, c)
             b = Fraction(ux - uy, 3)  # the line of the centroid (n/3, n/3)
             held = any(
-                toric._line_best(n, ux, uy, j * wx, j * wy, 1, n - 2)
+                toric._line_best(n, ux, uy, j * wx, j * wy)
                 for j in (math.floor(b), math.ceil(b))
             )
             assert held == (c != n - 1), (n, c)
 
 
 def test_balanced_point_solves_each_line_once(monkeypatch):
+    # once per centroid line: at most two lines
     kernel = toric._line_best
     lines = []
 
-    def counted(n, ux, uy, x0, y0, lo, hi):
+    def counted(n, ux, uy, x0, y0):
         lines.append((x0, y0))
-        return kernel(n, ux, uy, x0, y0, lo, hi)
+        return kernel(n, ux, uy, x0, y0)
 
     monkeypatch.setattr(toric, "_line_best", counted)
     rng = random.Random(8)
     for _ in range(300):
         n = nextprime(rng.randrange(5, 10**6))
         del lines[:]
-        toric._balanced_point(n, rng.randrange(1, n))
-        assert len(lines) == len(set(lines))
+        toric._balanced_point(n, rng.randrange(1, n - 1))
+        assert len(lines) == len(set(lines)) <= 2
 
 
 def test_max_slope_of_a_boundary_point_is_typed():
     assert max_slope((2, 3, 4)) == 2
-    for v in ((0, 3, 4), (3, 0, 4), (3, 4, 0)):
-        with pytest.raises(NotInterior):
-            max_slope(v)
+    spec = LocalConeSpec(7, 5, 3)
+    for v in ((0, 3, 4), (3, 0, 4), (3, 4, 0), (-1, 2, 3)):
+        for call in (max_slope, lambda v: cyclic_resolution(spec, v)):
+            with pytest.raises(NotInterior, match=r"has a non-positive coordinate$"):
+                call(v)
     # the one point rule of cyclic_resolution: three ints, else BadInput
     for v in (5, (), (1, 2), (1, 2, 3, 4)):
         with pytest.raises(BadInput, match=r"is not a point \(v1, v2, v3\)"):
