@@ -30,8 +30,8 @@ K^3 is one formula in two parts (see :func:`k3_root_cover`): a per-pair
 part over the plan's rows, and a per-triple-point part that holds every
 term of a triple point.  The latter reads the chain ends, the S0 sums and
 the slope coefficients of a triple's three pairs from flat per-pair lists
-at the positions the plan names, and takes every point of a report from
-one call of :func:`rootcover.toric.subdivision_points`.
+at the positions ``BasePair.triple_rows`` names, and takes a report's points
+from one call of :func:`rootcover.toric.subdivision_points`.
 
 Slopes use the singular-model convention c1^3 := -K^3, c1c2 := 24 chi,
 c3 := e.
@@ -193,7 +193,7 @@ def chi_eigenspace_oracle(pair: BasePair, part: Partition) -> Fraction:
 def _triple_points(pair: BasePair, part: Partition, strategy: str) -> list:
     """The subdivision point (v1, v2, v3) of each nonzero triple, in integers.
 
-    Aligned with ``pair.plan.triples`` (the order of
+    Aligned with ``pair.triple_rows`` (the order of
     ``pair.triple.items_nonzero()``).  The triple (a, b, c) has the cone
     (n, q_ac, q_bc) of :func:`rootcover.toric.local_cone`, and its point is
     the one :func:`rootcover.toric.subdivision_points` gives for those
@@ -202,7 +202,7 @@ def _triple_points(pair: BasePair, part: Partition, strategy: str) -> list:
     naming the triple.
     """
     q = part.q_matrix
-    triples = pair.plan.triples
+    triples = pair.triple_rows
     points: list = []
     try:
         points.extend(
@@ -253,7 +253,7 @@ def k3_root_cover(pair: BasePair, part: Partition, strategy: str = "minimal") ->
     kernel reads from ``part.chain_records``).
 
     The kernel is one formula in two parts, over the pair's
-    ``BasePair.plan``:
+    ``BasePair.plan`` and ``BasePair.triple_rows``:
 
     * Per pair j < k, one row of the plan each: the chain ends and the wall
       sum, over n^2, with the pair's own wall seed D_jk D_k q_kj in S0_jk's
@@ -319,7 +319,7 @@ def k3_root_cover(pair: BasePair, part: Partition, strategy: str = "minimal") ->
     # summed per denominator v1 v2 v3.
     points_sum = 0
     nums: dict[int, int] = {}
-    for (a, b, c, t, ab, ac, bc), (va, vb, vc) in zip(plan.triples, points):
+    for (a, b, c, t, ab, ac, bc), (va, vb, vc) in zip(pair.triple_rows, points):
         v_sum = va + vb + vc
         points_sum += t * (
             2 * (v_sum - 1) * (ends[ab] + ends[ac] + ends[bc])

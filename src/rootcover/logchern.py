@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property, partial
 from typing import NamedTuple, Optional
@@ -79,7 +80,8 @@ class TripleTable(namedtuple("TripleTable", ("r", "constant", "entries"))):
     Either one constant value for every triple (the uniform arrangements) or
     an explicit sparse map {(j, k, l): value}, j < k < l, that defaults to a
     new empty dict for each table; both forms appear in the JSON schema.  A
-    table given both a constant and entries is BadParams.
+    table given both a constant and entries is BadParams.  It lists no
+    triples: :meth:`items_nonzero` yields them on demand.
     """
 
     def __new__(cls, r: int, constant: Optional[int] = None, entries: Optional[dict] = None):
@@ -102,35 +104,20 @@ class TripleTable(namedtuple("TripleTable", ("r", "constant", "entries"))):
     def _make(cls, iterable):
         return cls(*iterable)  # so that _replace checks too
 
-    def get(self, j: int, k: int, l: int) -> int:
-        key = tuple(sorted((j, k, l)))
-        if len(set(key)) != 3:
-            raise BadParams(f"triple indices must be distinct, got {key}")
-        if self.constant is not None:
-            return self.constant
-        return self.entries.get(key, 0)
-
-    def items_nonzero(self) -> tuple[tuple[tuple[int, int, int], int], ...]:
-        """The nonzero triples ((j, k, l), D_jkl), j < k < l, in sorted order."""
-        return self._nonzero
-
-    @cached_property
-    def _nonzero(self) -> tuple[tuple[tuple[int, int, int], int], ...]:
-        if self.constant is not None:
-            if not self.constant:
-                return ()
-            return tuple(
-                (key, self.constant)
-                for key in itertools.combinations(range(self.r), 3)
-            )
-        return tuple(
-            (key, self.entries[key]) for key in sorted(self.entries) if self.entries[key]
-        )
+    def items_nonzero(self) -> Iterator[tuple[tuple[int, int, int], int]]:
+        """Yield the nonzero triples ((j, k, l), D_jkl), j < k < l, in sorted order."""
+        if self.constant is None:
+            for key in sorted(self.entries):
+                if self.entries[key]:
+                    yield key, self.entries[key]
+        elif self.constant:
+            for key in itertools.combinations(range(self.r), 3):
+                yield key, self.constant
 
 
 class PairPlan(NamedTuple):
-    """Everything derived from a pair's tables alone, in one pass over its
-    pairs and triples (``BasePair.plan``).
+    """The sums and rows derived from a pair's tables alone, in one pass over
+    its pairs (``BasePair.plan``); a constant triple table enters in closed form.
 
     ``brackets`` is (D^[3], D^[1,2] + D^[2,1], D^[1,1,1], c1 D^[2],
     c1 D^[1,1], c1^2 D, c2 D) with D = D_red, the sums that the log Chern
@@ -147,16 +134,12 @@ class PairPlan(NamedTuple):
     ``cube`` is (c1^3, c1^2 D, c1 (D^[2] + 2 D^[1,1]), D^3), the numbers
     of (K_Z + (n-1)/n D)^3 and of (c1 - D)^3, and ``e_0`` = e(D)
     - e(Sing D) - #{components C} + 3 D^[1,1,1] is the constant of e.
-    ``triples`` holds, for each nonzero triple a < b < c in order, (a, b,
-    c, D_abc, i_ab, i_ac, i_bc), i_jk the position of the pair (j, k) in
-    ``rows``.
     """
 
     brackets: tuple[int, int, int, int, int, int, int]
     cube: tuple[int, int, int, int]
     e_0: int
     rows: tuple[tuple[int, int, int, int, int, int, int, int], ...]
-    triples: tuple[tuple[int, int, int, int, int, int, int], ...]
 
 
 class BasePair(namedtuple(
@@ -181,11 +164,11 @@ class BasePair(namedtuple(
     Everything the invariants derive from these tables alone is computed once
     per pair and kept with it (also through pickling): the ``plan`` (a
     :class:`PairPlan`, built when the pair is), which holds the bracket sums,
-    the cube, one row per pair j < k with its weight in chi, its weight in
-    e and the constants of the K^3 kernel, and the triples with the
-    positions of their pairs; and, read from it on first use, ``e_d`` and
-    ``e_sing_d``, ``chi_bound_weight``, ``log_chern`` and ``log_slopes``.
-    A report then does only the work that depends on n and the partition.
+    the cube and one row per pair j < k with its weight in chi, its weight
+    in e and the constants of the K^3 kernel; and, on first use, ``e_d``,
+    ``e_sing_d``, ``chi_bound_weight``, ``log_chern``, ``log_slopes`` and
+    the ``triple_rows`` of K^3.  A report then does only the work that
+    depends on n and the partition.
     """
 
     def __new__(cls, *args, **kwargs):
@@ -221,14 +204,7 @@ class BasePair(namedtuple(
             for k in range(r):
                 if self.c1_dd[j][k] != self.c1_dd[k][j]:
                     raise BadParams("c1_dd must be symmetric")
-        plan = self.plan
-        through_triple = {i for t in plan.triples for i in t[4:]}
-        for i, (j, k, _w, _c, kz, _dd_sum, djk, dkj) in enumerate(plan.rows):
-            meets = kz or djk or dkj or i in through_triple
-            if meets and not self.pair_curves.get((j, k)):
-                raise BadParams(
-                    f"divisors {j}, {k} meet but pair_curves[({j},{k})] is empty"
-                )
+        self.plan  # checks that every meeting pair has curves
         return self
 
     @classmethod
@@ -259,29 +235,39 @@ class BasePair(namedtuple(
 
     @cached_property
     def plan(self) -> PairPlan:
-        """The pair's derived numbers, in one pass over the pairs j < k and
-        the nonzero triples (see :class:`PairPlan`)."""
-        keys = list(itertools.combinations(range(self.r), 2))
-        index = {key: i for i, key in enumerate(keys)}
-        through = [0] * len(keys)  # sum_l D_jkl over the triples through each pair
-        triples = []
-        d111 = 0
-        for (a, b, c), t in self.triple.items_nonzero():
-            i_ab, i_ac, i_bc = index[a, b], index[a, c], index[b, c]
-            through[i_ab] += t
-            through[i_ac] += t
-            through[i_bc] += t
-            d111 += t
-            triples.append((a, b, c, t, i_ab, i_ac, i_bc))
-        c1_dd, dd2, curves = self.c1_dd, self.dd2, self.pair_curves
+        """The pair's derived numbers, in one pass over the pairs j < k (see
+        :class:`PairPlan`); BadParams for a meeting pair without curves."""
+        r = self.r
+        keys = list(itertools.combinations(range(r), 2))
+        constant = self.triple.constant
+        if constant is None:
+            index = {key: i for i, key in enumerate(keys)}
+            through = [0] * len(keys)  # sum_l D_jkl over the triples through each pair
+            on_triple = [False] * len(keys)  # a nonzero triple passes through it
+            d111 = 0
+            for (a, b, c), t in self.triple.items_nonzero():
+                for i in (index[a, b], index[a, c], index[b, c]):
+                    through[i] += t
+                    on_triple[i] = True
+                d111 += t
+        else:  # each pair lies on r - 2 of the C(r, 3) triples
+            through = [constant * (r - 2)] * len(keys)
+            on_triple = [bool(constant) and r > 2] * len(keys)
+            d111 = constant * math.comb(r, 3)
+        c1_dd, dd2, pair_curves = self.c1_dd, self.dd2, self.pair_curves
         dd = c1_d11 = components = 0
         rows = []
-        for (j, k), t in zip(keys, through):
+        for (j, k), t, met in zip(keys, through, on_triple):
             kz, djk, dkj = -c1_dd[j][k], dd2[j][k], dd2[k][j]
+            curves = pair_curves.get((j, k))
+            if not curves and (kz or djk or dkj or met):
+                raise BadParams(
+                    f"divisors {j}, {k} meet but pair_curves[({j},{k})] is empty"
+                )
             dd += djk + dkj
             c1_d11 -= kz
             c = -t
-            for genus, count in curves.get((j, k), ()):
+            for genus, count in curves or ():
                 c += count * (3 - 4 * genus)
                 components += count
             # w_jk: D_j D_k (D_j + D_k + K_Z) = D_j D_k^2 + D_j^2 D_k + K_Z D_j D_k
@@ -294,15 +280,25 @@ class BasePair(namedtuple(
         # e(Sing D) as in e_sing_d, both written in the bracket sums
         e_0 = c2_d - c1_d2 - 2 * c1_d11 + d3 + 2 * dd + 6 * d111 - components
         brackets = (d3, dd, d111, c1_d2, c1_d11, c1sq_d, c2_d)
-        return PairPlan(brackets, cube, e_0, tuple(rows), tuple(triples))
+        return PairPlan(brackets, cube, e_0, tuple(rows))
+
+    @cached_property
+    def triple_rows(self) -> tuple[tuple[int, int, int, int, int, int, int], ...]:
+        """(a, b, c, D_abc, i_ab, i_ac, i_bc) for each nonzero triple a < b < c,
+        in the order of ``triple.items_nonzero()``, i_jk the position of the
+        pair (j, k) in ``plan.rows``; built on first use, by the K^3 kernel."""
+        index = {key: i for i, key in enumerate(itertools.combinations(range(self.r), 2))}
+        return tuple(
+            (a, b, c, t, index[a, b], index[a, c], index[b, c])
+            for (a, b, c), t in self.triple.items_nonzero()
+        )
 
     @cached_property
     def chi_bound_weight(self) -> int:
         """sum_{j<k} |D_j D_k (D_j + D_k + K_Z)| + 3 sum_{j<k<l} |D_jkl|, the
-        weight of the a-priori chi bound, from the columns of :attr:`plan`."""
-        plan = self.plan
-        pairs = sum(abs(kz + dd) for _j, _k, _w, _c, kz, dd, _djk, _dkj in plan.rows)
-        return pairs + 3 * sum(abs(t) for _a, _b, _c, t, _ab, _ac, _bc in plan.triples)
+        weight of the a-priori chi bound, from :attr:`plan` and the triples."""
+        pairs = sum(abs(kz + dd) for _j, _k, _w, _c, kz, dd, _djk, _dkj in self.plan.rows)
+        return pairs + 3 * sum(abs(t) for _key, t in self.triple.items_nonzero())
 
     @cached_property
     def log_chern(self) -> LogChernNumbers:

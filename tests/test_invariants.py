@@ -43,7 +43,7 @@ from rootcover.logchern import (
     make_preset,
 )
 from rootcover.toric import _excluded_shape, local_cone, select_v
-from test_logchern import bracket_sums
+from test_logchern import bracket_sums, triple_value
 
 PLANES3 = make_preset("planes_p3", 3)
 
@@ -81,7 +81,7 @@ def pair_meets(pair, j, k):
     c1 D_j D_k, D_j D_k^2, D_j^2 D_k or any triple D_jkl."""
     if pair.c1_dd[j][k] or pair.dd2[j][k] or pair.dd2[k][j]:
         return True
-    return any(pair.triple.get(j, k, l) for l in range(pair.r) if l not in (j, k))
+    return any(triple_value(pair.triple, j, k, l) for l in range(pair.r) if l not in (j, k))
 
 
 def random_h_partition(rng, n, r, distinct=False):
@@ -185,7 +185,7 @@ def k3_wall_recursion(pair, part, strategy="minimal"):
             return pair.dd2[k][j]
         if l == k:
             return pair.dd2[j][k]
-        return pair.triple.get(j, k, l)
+        return triple_value(pair.triple, j, k, l)
 
     def n_first(j, l):
         # N_{jl,1} = (m_{jl,1} + 1 - n)/n with m_{jl,1} the wall seed j -> l
@@ -197,7 +197,7 @@ def k3_wall_recursion(pair, part, strategy="minimal"):
         for l in range(r):
             if l in (j, k):
                 continue
-            t = pair.triple.get(j, k, l)
+            t = triple_value(pair.triple, j, k, l)
             if not t:
                 continue
             key = tuple(sorted((j, k, l)))
@@ -220,7 +220,7 @@ def k3_wall_recursion(pair, part, strategy="minimal"):
                 pair.dd2[k][j]
                 + pair.dd2[j][k]
                 + sum(
-                    pair.triple.get(j, k, l)
+                    triple_value(pair.triple, j, k, l)
                     for l in range(r)
                     if l not in (j, k)
                 )
@@ -229,7 +229,7 @@ def k3_wall_recursion(pair, part, strategy="minimal"):
             for l in range(r):
                 if l in (j, k):
                     continue
-                t = pair.triple.get(j, k, l)
+                t = triple_value(pair.triple, j, k, l)
                 if not t:
                     continue
                 key = tuple(sorted((j, k, l)))
@@ -442,14 +442,15 @@ def test_k3_wall_recursion_chain_end_consistency():
                 def n1(a, b):
                     return Fraction(part.q_matrix[b][a] + 1 - n, n)
 
+                t = triple_value(pair.triple, j, k, l)
                 djk_k = Fraction(pair.kz_dd(j, k)) + Fraction(n - 1, n) * (
-                    pair.dd2[k][j] + pair.dd2[j][k] + pair.triple.get(j, k, l)
+                    pair.dd2[k][j] + pair.dd2[j][k] + t
                 )
-                x1 = djk_k + n1(j, k) * pair.dd2[j][k] + n1(j, l) * pair.triple.get(j, k, l)
-                x_end = djk_k + n1(k, j) * pair.dd2[k][j] + n1(k, l) * pair.triple.get(j, k, l)
+                x1 = djk_k + n1(j, k) * pair.dd2[j][k] + n1(j, l) * t
+                x_end = djk_k + n1(k, j) * pair.dd2[k][j] + n1(k, l) * t
                 # |D_j|_k = T and |D_k|_j = T when all v-coordinates are 1
-                a_j = pair.dd2[k][j] - pair.triple.get(j, k, l)
-                a_k = pair.dd2[j][k] - pair.triple.get(j, k, l)
+                a_j = pair.dd2[k][j] - t
+                a_k = pair.dd2[j][k] - t
                 mstar = m_seq[s + 1] - m_seq[s] - m_seq[1] + m_seq[0]
                 nstar = n_seq[s + 1] - n_seq[s] - n_seq[1] + n_seq[0]
                 assert x_end == x1 + Fraction(mstar * a_k - nstar * a_j, n)
@@ -672,8 +673,9 @@ def test_k3_equals_the_per_triple_oracle():
 def test_k3_plan_indexes_its_pairs():
     # the plan has one row per pair j < k, in order, whether or not the
     # divisors meet; a pair that does not meet has K^3 constants 0; every
-    # triple of the plan names the rows of its three pairs; the plan holds
-    # nothing else of the triple table but the sums over l and the cube's sum
+    # triple row of the pair names the plan's rows of its three pairs; the
+    # plan holds nothing of the triple table but the sums over l and the
+    # cube's sum
     pairs = [make_preset("hypersurface_p4", (6, r)) for r in (3, 4, 8)]
     pairs += [base_pair_from_json(json.dumps(SPARSE_PAIR_DOC))]
     pairs += [with_sparse_triples(make_preset("planes_p3", 5))]
@@ -686,12 +688,13 @@ def test_k3_plan_indexes_its_pairs():
             assert dd_sum == djk + dkj
             if not pair_meets(pair, j, k):
                 assert (kz, djk, dkj) == (0, 0, 0)
-        for ((a, b, c), t), entry in zip(pair.triple.items_nonzero(), plan.triples):
+        triples = list(pair.triple.items_nonzero())
+        assert len(pair.triple_rows) == len(triples)
+        for ((a, b, c), t), entry in zip(triples, pair.triple_rows):
             assert entry[:4] == (a, b, c, t)
             assert [keys[i] for i in entry[4:]] == [(a, b), (a, c), (b, c)]
-        assert len(plan.triples) == len(pair.triple.items_nonzero())
     assert not pair_meets(pairs[3], 2, 3)  # the sparse pair has such a row
-    assert PairPlan._fields == ("brackets", "cube", "e_0", "rows", "triples")
+    assert PairPlan._fields == ("brackets", "cube", "e_0", "rows")
 
 
 def derived_tables_by_direct_sums(pair):
@@ -701,7 +704,7 @@ def derived_tables_by_direct_sums(pair):
     triples = [(j, k, l) for j, k in pairs for l in range(k + 1, r)]
 
     def through(j, k):
-        return sum(tt.get(j, k, l) for l in range(r) if l not in (j, k))
+        return sum(triple_value(tt, j, k, l) for l in range(r) if l not in (j, k))
 
     curves = {key: pair.pair_curves.get(key, ()) for key in pairs}
     rows = tuple(
@@ -725,7 +728,7 @@ def derived_tables_by_direct_sums(pair):
         e_d
         - e_sing_d
         - sum(c for cs in curves.values() for _g, c in cs)
-        + 3 * sum(tt.get(*key) for key in triples)
+        + 3 * sum(triple_value(tt, *key) for key in triples)
     )
     # D_red^3 = sum_j D_j^3 + 3 sum_{j != k} D_j D_k^2 + 6 D^[1,1,1]
     cube = (
@@ -734,7 +737,7 @@ def derived_tables_by_direct_sums(pair):
         sum(c1_dd[j][j] for j in range(r)) + 2 * sum(c1_dd[j][k] for j, k in pairs),
         sum(pair.d3)
         + 3 * sum(dd2[j][k] for j in range(r) for k in range(r) if j != k)
-        + 6 * sum(tt.get(*key) for key in triples),
+        + 6 * sum(triple_value(tt, *key) for key in triples),
     )
     return {
         "brackets": (
@@ -742,12 +745,14 @@ def derived_tables_by_direct_sums(pair):
         ),
         "e_d": e_d,
         "e_sing_d": e_sing_d,
-        "triples": tuple((key, tt.get(*key)) for key in triples if tt.get(*key)),
+        "triples": tuple(
+            (key, triple_value(tt, *key)) for key in triples if triple_value(tt, *key)
+        ),
         "rows": rows,
         "e_0": e_0,
         "cube": cube,
         "bound": sum(abs(dd2[k][j] + dd2[j][k] - c1_dd[j][k]) for j, k in pairs)
-        + 3 * sum(abs(tt.get(*key)) for key in triples),
+        + 3 * sum(abs(triple_value(tt, *key)) for key in triples),
     }
 
 
@@ -757,7 +762,7 @@ def derived_tables(pair):
         "brackets": plan.brackets,
         "e_d": pair.e_d,
         "e_sing_d": pair.e_sing_d,
-        "triples": pair.triple.items_nonzero(),
+        "triples": tuple(pair.triple.items_nonzero()),
         "rows": plan.rows,
         "e_0": plan.e_0,
         "cube": plan.cube,
@@ -766,8 +771,14 @@ def derived_tables(pair):
 
 
 def test_base_pair_derived_tables_match_direct_sums():
+    # the direct sums walk every triple, so the constant tables check the
+    # plan's closed form for their sums, at r < 3 too
     pairs = [make_preset("planes_p3", r) for r in range(1, 9)]
     pairs += [make_preset("hypersurface_p4", (d, r)) for d in range(1, 7) for r in (3, 5)]
+    pairs += [
+        make_preset("hypersurface_p4", (d, r))._replace(triple=TripleTable(r, constant=t))
+        for d in (1, 6) for r in range(1, 9) for t in (0, -2)
+    ]
     pairs.append(base_pair_from_json(json.dumps(SPARSE_PAIR_DOC)))
     for pair in pairs:
         assert derived_tables(pair) == derived_tables_by_direct_sums(pair), pair.label

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
@@ -21,6 +22,17 @@ from rootcover.logchern import (
 
 class NotDisjoint(RootcoverError):
     """The branch divisors have nonzero pairwise products."""
+
+
+def triple_value(table: TripleTable, j: int, k: int, l: int) -> int:
+    """D_jkl of the table for distinct j, k, l in any order, 0 for a triple
+    a sparse table does not list: the oracles' lookup of one triple."""
+    key = tuple(sorted((j, k, l)))
+    if len(set(key)) != 3:
+        raise ValueError(f"triple indices must be distinct, got {key}")
+    if table.constant is not None:
+        return table.constant
+    return table.entries.get(key, 0)
 
 
 class Brackets(NamedTuple):
@@ -45,7 +57,7 @@ def bracket_sums(pair: BasePair) -> Brackets:
         sum(pair.d3),
         sum(dd2[j][k] for j, k in pairs),
         sum(dd2[k][j] for j, k in pairs),
-        sum(pair.triple.get(*key) for key in itertools.combinations(range(r), 3)),
+        sum(triple_value(pair.triple, *key) for key in itertools.combinations(range(r), 3)),
         sum(c1_dd[j][j] for j in range(r)),
         sum(c1_dd[j][k] for j, k in pairs),
         sum(pair.c1sq_d),
@@ -66,7 +78,7 @@ def nonsingular_cover_chern(pair: BasePair, n: int) -> tuple[Fraction, Fraction,
         for k in range(pair.r):
             if j != k and (pair.c1_dd[j][k] or pair.dd2[j][k]):
                 raise NotDisjoint(f"divisors {j}, {k} have nonzero products")
-    if pair.triple.items_nonzero():
+    if any(pair.triple.items_nonzero()):
         raise NotDisjoint("triple products present")
 
     brackets = bracket_sums(pair)
@@ -228,7 +240,7 @@ def test_bracket_trinomial_identity():
                     elif k == l:
                         direct += pair.dd2[j][k]
                     else:
-                        direct += pair.triple.get(j, k, l)
+                        direct += triple_value(pair.triple, j, k, l)
         brackets = bracket_sums(pair)
         via_brackets = (
             brackets.d3 + 3 * (brackets.d12 + brackets.d21) + 6 * brackets.d111
@@ -279,6 +291,27 @@ def test_log_chern_ratio_limits():
             assert gap < prev_gap
         prev_gap = gap
     assert gap < Fraction(1, 20)
+
+
+def test_a_constant_triple_table_is_never_listed():
+    # the plan sums a constant table in closed form and lists none of its
+    # C(200, 3) = 1,313,400 triples, whose list peaked at 311.6 MiB
+    d, r = 6, 200
+    tracemalloc.start()
+    try:
+        pair = make_preset("hypersurface_p4", (d, r))
+        bars, e_d, e_sing_d = pair.log_chern, pair.e_d, pair.e_sing_d
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak
+    a = 5 - d - r
+    assert bars.c1_cubed_bar == a**3 * d
+    assert bars.c1c2_bar == a * (10 + d * (d - 5) - r * a - math.comb(r, 2)) * d
+    e_c = 2 - (d - 1) * (d - 2)
+    assert e_d == r * (d**3 - 4 * d * d + 6 * d) - math.comb(r, 2) * e_c + math.comb(r, 3) * d
+    assert e_sing_d == math.comb(r, 2) * e_c - 2 * d * math.comb(r, 3)
+    assert "triple_rows" not in vars(pair)
 
 
 def test_cover_chern_empty_branch():
@@ -373,6 +406,13 @@ def test_base_pair_requires_curves_where_triples_cancel():
     del curves[2, 3]  # the one pair no triple passes through
     met = pair._replace(triple=TripleTable(r, entries=entries), pair_curves=curves)
     assert met.plan.rows[0][:3] == (0, 1, 0)  # w_01 = 0, and still a meeting pair
+    # a constant t != 0 makes every pair meet at its r - 2 triple points,
+    # t = 0 makes none meet, and at r = 2 there are no triple points
+    with pytest.raises(BadParams, match=r"pair_curves\[\(0,1\)\] is empty"):
+        pair._replace(triple=TripleTable(r, constant=-1))
+    pair._replace(triple=TripleTable(r, constant=0))  # builds: no pair meets
+    two = disjoint_pair(2)._replace(triple=TripleTable(2, constant=3))
+    assert two.plan.rows == ((0, 1, 0, 0, 0, 0, 0, 0),)
 
 
 def test_base_pair_checks_table_shapes():
@@ -397,7 +437,7 @@ def test_base_pair_checks_table_shapes():
 
 def test_base_pair_rejects_unordered_keys():
     # the invariants index pair data by (j, k), j < k, and triples by
-    # j < k < l; TripleTable.get would also miss an unordered entry
+    # j < k < l; a lookup by sorted key would also miss an unordered entry
     doc = json.loads(base_pair_to_json(make_preset("planes_p3", 3)))
     for field_name, bad in (
         ("triple", {"entries": [[2, 0, 1, 1]]}),
@@ -567,7 +607,7 @@ def test_triple_table_takes_a_constant_or_entries_not_both():
         TripleTable(3, constant=0, entries={(0, 1, 2): 3})
     with pytest.raises(BadParams, match="constant or entries, not both"):
         TripleTable(3, constant=2)._replace(entries={(0, 1, 2): 3})
-    assert TripleTable(3, constant=2, entries={}).items_nonzero() == (((0, 1, 2), 2),)
+    assert list(TripleTable(3, constant=2, entries={}).items_nonzero()) == [((0, 1, 2), 2)]
     doc = json.loads(base_pair_to_json(make_preset("planes_p3", 3)))
     base_pair_from_json(json.dumps(doc))  # valid before the edit
     for entries in ([[0, 1, 2, 1]], []):
@@ -578,11 +618,11 @@ def test_triple_table_takes_a_constant_or_entries_not_both():
 
 def test_triple_table():
     t = TripleTable(r=4, constant=2)
-    assert sum(v for _key, v in t.items_nonzero()) == 2 * math.comb(4, 3)
-    assert t.get(3, 1, 0) == 2
-    assert len(list(t.items_nonzero())) == 4
-    s = TripleTable(r=4, entries={(0, 1, 2): 3})
-    assert s.get(2, 1, 0) == 3 and s.get(0, 1, 3) == 0
-    assert s.items_nonzero() == (((0, 1, 2), 3),)
-    with pytest.raises(BadParams):
-        s.get(1, 1, 2)
+    assert list(t.items_nonzero()) == [(key, 2) for key in itertools.combinations(range(4), 3)]
+    assert triple_value(t, 3, 1, 0) == 2
+    assert list(TripleTable(r=4, constant=0).items_nonzero()) == []
+    s = TripleTable(r=4, entries={(0, 2, 3): 0, (0, 1, 2): 3})
+    assert triple_value(s, 2, 1, 0) == 3 and triple_value(s, 0, 1, 3) == 0
+    assert list(s.items_nonzero()) == [((0, 1, 2), 3)]  # sorted, zero entries skipped
+    with pytest.raises(ValueError):
+        triple_value(s, 1, 1, 2)
