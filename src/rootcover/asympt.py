@@ -303,32 +303,28 @@ def _sampled_compositions(n: int, r: int, seed: int):
         yield tuple(map(operator.sub, ordered, [0, *ordered]))
 
 
-def _asymptotic_test(n: int, memo: dict, neg_inverses: dict | None = None):
+def _asymptotic_test(n: int, memo: dict, neg_inverses: dict):
     """The test nu -> (every pair residue of nu lies in O_n).
 
-    Each pair j < k is tested on its wall seed q_kj = q_jk': O_n is closed
-    under q -> q', which keeps the length s and D, so the verdict is that of
-    q_jk.  ``memo`` holds the chain record of n/q for a member q and False
-    otherwise (q is a nonzero residue of the prime n, so no coprimality
-    check is needed).
+    Each pair j < k is tested on its wall seed q_kj: O_n is closed under
+    q -> q', which keeps the length s and D, so the verdict is that of q_jk.
+    ``memo`` holds the chain-pass verdict of each wall seed tested: the chain
+    record of n/q for a member q, False otherwise (q is a nonzero residue of
+    the prime n, so no coprimality check is needed).
 
     A pre-pass rejects the composition before any chain pass when two parts
-    are equal, or when for some pair q = q_kj or q = q_jk is known False in
-    the memo or has q >= (cap + 1)(n - q), cap = floor(3 sqrt(n) + 2).  That
-    rule is exact: such a q is above 2n/3, so the chain n/q opens with a run
-    of floor(q / (n - q)) > cap twos, where the chain pass stops, and q is
-    not in O_n; it holds for q_jk as well, whose chain is that of n/q_kj
-    reversed.  Equal parts pair to q = n - 1, the rule's extreme case
-    (n - 1 >= cap + 1 for n >= 17).  The residue a rule rejects is set False
-    in the memo (n - 1 for equal parts).  Only then are the missing records
-    computed, pair by pair, stopping at the first residue outside O_n, so a
-    composition that passes leaves the record of each of its wall chains
-    n/q_kj in the memo, and the negative inverse n - v' of each of its parts
-    v in ``neg_inverses`` (a dict of the caller's, or the test's own), which
-    the test fills as it goes.
+    are equal, or when for some pair q = q_kj or q = q_jk has
+    q >= (cap + 1)(n - q), cap = floor(3 sqrt(n) + 2), or is known False in
+    the memo.  The first rule is exact: such a q is above 2n/3, so the chain
+    n/q opens with a run of floor(q / (n - q)) > cap twos, where the chain
+    pass stops, and q is not in O_n; it holds for q_jk as well, whose chain
+    is that of n/q_kj reversed.  Equal parts pair to q = n - 1, the rule's
+    extreme case (n - 1 >= cap + 1 for n >= 17).  Only then are the missing
+    records computed, pair by pair, stopping at the first residue outside
+    O_n, so a composition that passes leaves the record of each of its wall
+    chains n/q_kj in the memo, and the negative inverse n - v' of each of its
+    parts v in ``neg_inverses``, which the test fills as it goes.
     """
-    if neg_inverses is None:
-        neg_inverses = {}
     cap = _length_cap(n)
     first_run_over = -(-(cap + 1) * n // (cap + 2))  # least q >= (cap + 1)(n - q)
 
@@ -339,7 +335,6 @@ def _asymptotic_test(n: int, memo: dict, neg_inverses: dict | None = None):
     def asymptotic(nu) -> bool:
         r = len(nu)
         if len(set(nu)) < r:
-            memo[n - 1] = False
             return False
         ms = [neg_inverses.get(v) or neg_inverse(v) for v in nu]
         missing = []
@@ -348,11 +343,7 @@ def _asymptotic_test(n: int, memo: dict, neg_inverses: dict | None = None):
             for k in range(j + 1, r):
                 q = nu[k] * m % n  # q_kj = q_of_pair(n, nu[k], nu[j])
                 p = v * ms[k] % n  # q_jk
-                if q >= first_run_over:
-                    memo[q] = False
-                    return False
-                if p >= first_run_over:
-                    memo[p] = False
+                if q >= first_run_over or p >= first_run_over:
                     return False
                 hit = memo.get(q)
                 if hit is None:
@@ -372,7 +363,7 @@ def _asymptotic_test(n: int, memo: dict, neg_inverses: dict | None = None):
     return asymptotic
 
 
-def _composition_tree(n: int, r: int, memo: dict):
+def _composition_tree(n: int, r: int, asymptotic):
     """Exact depth-first search for an asymptotic composition of n into r parts.
 
     Permuting the parts maps each pair residue to itself or its inverse, and
@@ -386,23 +377,13 @@ def _composition_tree(n: int, r: int, memo: dict):
     left (left + 1) / 2 <= R <= cap + (cap - 1) + ... + (cap - left + 1).
 
     Yields ``(candidate, ok)`` once per part tried: the prefix with that part
-    appended, and whether its new pair residues all lie in O_n (``memo``
-    shared as in :func:`_asymptotic_test`).  An ok candidate of length r is
-    an asymptotic composition; the generator returns once the tree is
-    exhausted, which proves that none exists (at the root when
-    r (r + 1) / 2 > n).  :func:`find_asymptotic_partition` settles that case
-    before it samples and starts a tree only after ``_TREE_AFTER`` misses;
-    it never returns a tree's witness, so there a tree only ends searches
-    where nothing qualifies.
+    appended, and ``ok = asymptotic(candidate)``, the search's own
+    :func:`_asymptotic_test`.  Every pair of the prefix has passed it
+    already, so ``ok`` says whether the new pair residues all lie in O_n.
+    An ok candidate of length r is an asymptotic composition; the generator
+    returns once the tree is exhausted, which proves that none exists (at
+    the root when r (r + 1) / 2 > n).
     """
-
-    cap = _length_cap(n)
-
-    def member(q: int):
-        hit = memo.get(q)
-        if hit is None:
-            hit = memo[q] = _member_record(n, q, cap)
-        return hit
 
     def span(rest_sum: int, left: int, cap: int) -> tuple[int, int]:
         # Values v for the largest of `left` distinct parts with sum
@@ -425,9 +406,9 @@ def _composition_tree(n: int, r: int, memo: dict):
             hi = highs.pop()
             v += 1
             continue
-        m = n - pow(v, -1, n)
-        ok = all(member(p * m % n) for p in parts)
-        yield (*parts, v), ok
+        candidate = (*parts, v)
+        ok = asymptotic(candidate)
+        yield candidate, ok
         if ok and len(parts) + 1 < r:
             parts.append(v)
             highs.append(hi)
@@ -455,23 +436,23 @@ def find_asymptotic_partition(
     budget runs out (immediately when r > n - 1, where no composition with
     positive parts below n exists).  Two exact shortcuts end a search where
     no composition qualifies with ``Exhausted(max_trials)``, the error the
-    samples would have ended in:
+    samples would have ended in, its message naming the shortcut:
 
     - before any sample when r (r + 1) / 2 > n: r distinct parts sum to at
       least 1 + ... + r, and equal parts pair to n - 1, which is not in O_n;
     - once an exact search of the compositions (:func:`_composition_tree`)
       is exhausted.  It starts after ``_TREE_AFTER`` missed samples and
       takes one step after each miss from then on, until it finds a witness;
-      from then on sampling alone decides.
+      from then on sampling alone decides, and a budget that runs out says
+      that a qualifying composition exists.
 
-    Neither shortcut can change the output: the tree only proves that no
-    composition qualifies or finds a witness that is dropped, and the
-    memo it shares with the samples holds exact verdicts and records, so
-    when the tree starts moves only the moment an infeasible search stops.
-    The partition returned carries the chain records its search computed
-    (``Partition.chain_records``).  BadInput unless all four arguments are
-    ints, for a negative ``max_trials``, and for an n that
-    :func:`_check_search_modulus` refuses.
+    Neither shortcut can change which partition is returned, or when: the
+    tree asks the samples' own test, so it only proves that no composition
+    qualifies or finds a witness that is dropped, and the memo it fills
+    holds exact verdicts and records.  The partition returned carries the
+    chain records its search computed (``Partition.chain_records``).
+    BadInput unless all four arguments are ints, for a negative
+    ``max_trials``, and for an n that :func:`_check_search_modulus` refuses.
     """
     require_ints("n, r, seed and max_trials", n, r, seed, max_trials)
     _check_search_modulus(n)
@@ -482,25 +463,35 @@ def find_asymptotic_partition(
     if r > n - 1:
         raise Exhausted(0, f"no composition of {n} into {r} parts in (0, n)")
     if r * (r + 1) // 2 > n:
-        raise Exhausted(max_trials)
+        raise _exhausted(max_trials, f"no {r} distinct parts sum to {n}")
     memo: dict = {}
     neg_inverses: dict = {}
     asymptotic = _asymptotic_test(n, memo, neg_inverses)
-    tree = None
+    tree = reason = None
     samples = zip(range(1, max_trials + 1), _sampled_compositions(n, r, seed))
     for trial, nu in samples:
         if asymptotic(nu):
             return _with_search_records(Partition(n, nu), memo, neg_inverses)
         if trial == _TREE_AFTER:
-            tree = _composition_tree(n, r, memo)
+            tree = _composition_tree(n, r, asymptotic)
         if tree is not None:
             node = next(tree, None)
             if node is None:
-                break
+                raise _exhausted(
+                    max_trials,
+                    f"an exact search finds no asymptotic composition of {n} into {r} parts",
+                )
             candidate, ok = node
             if ok and len(candidate) == r:
                 tree = None  # a composition qualifies: sampling decides
-    raise Exhausted(max_trials)
+                reason = "an asymptotic composition exists, but no sample hit it"
+    raise _exhausted(max_trials, reason)
+
+
+def _exhausted(trials: int, reason: str | None) -> Exhausted:
+    # Exhausted's own message, then the case when the search knows it
+    plain = Exhausted(trials)
+    return Exhausted(trials, f"{plain}: {reason}") if reason else plain
 
 
 def _with_search_records(part: Partition, memo: dict, neg_inverses: dict) -> Partition:
@@ -509,15 +500,11 @@ def _with_search_records(part: Partition, memo: dict, neg_inverses: dict) -> Par
     # pair j < k in ``memo``.  Seeding the cached_properties' slots in the
     # instance dict leaves equality, hash and repr of the named tuple as they
     # are, and pickling keeps the slots; they equal what Partition.q_matrix
-    # and Partition.chain_records would compute.  Column j of the q_matrix
-    # below the diagonal holds the seeds q_kj, k > j, in key order.
+    # and Partition.chain_records would compute.
     n, nu = part.n, part.nu
     slots = part.__dict__
     q = slots["q_matrix"] = _q_rows(n, nu, [neg_inverses[v] for v in nu])
-    seeds = itertools.chain.from_iterable(
-        column[j + 1 :] for j, column in enumerate(zip(*q))
-    )
-    slots["chain_records"] = dict(zip(_pair_keys(part.r), map(memo.__getitem__, seeds)))
+    slots["chain_records"] = {(j, k): memo[q[k][j]] for j, k in _pair_keys(part.r)}
     return part
 
 
@@ -547,7 +534,7 @@ def partition_density(
         return Fraction(1)
     if r > n - 1:
         raise BadInput(f"no composition of {n} into {r} positive parts")
-    asymptotic = _asymptotic_test(n, {})
+    asymptotic = _asymptotic_test(n, {}, {})
     if samples is None:
         hits = total = 0
         for nu in _all_compositions(n, r):

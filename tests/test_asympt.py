@@ -72,10 +72,11 @@ def sample_search(n, r, seed, max_trials):
 
 
 def _outcome(search, n, r, seed, max_trials):
+    # an Exhausted message may go on to name its case after a ": "
     try:
         return search(n, r, seed, max_trials).nu
     except Exhausted as exc:
-        return ("exhausted", exc.trials, str(exc))
+        return ("exhausted", exc.trials, str(exc).split(": ")[0])
 
 
 def test_splitmix64_reference_stream():
@@ -298,17 +299,18 @@ def test_n_past_two_to_the_64_is_bad_input():
 
 
 def test_search_memo_holds_chain_records_of_members():
-    # both searches share one memo: the chain record of n/q for q in O_n,
-    # False otherwise
+    # both searches ask one test, which memoises its chain passes: the chain
+    # record of n/q for q in O_n, False otherwise
     for n, r in ((17, 3), (101, 5), (1009, 8)):
         memo = {}
-        test = asympt._asymptotic_test(n, memo)
+        test = asympt._asymptotic_test(n, memo, {})
         stream = asympt._sampled_compositions(n, r, 3)
         for _ in range(300):
             test(next(stream))
-        for _ in zip(range(300), asympt._composition_tree(n, r, memo)):
+        for _ in zip(range(300), asympt._composition_tree(n, r, test)):
             pass
-        assert any(memo.values()) and not all(memo.values())
+        assert any(memo.values())
+        assert n == 17 or not all(memo.values())
         for q, hit in memo.items():
             assert hit == (chain_record(n, q) if girstmair_member(n, q) else False), q
 
@@ -484,7 +486,7 @@ def _check_test_on(n, compositions, pair_member, counted):
     q_kj, once, and never for a composition that the pre-pass rejects.
     """
     memo = {}
-    test = asympt._asymptotic_test(n, memo)
+    test = asympt._asymptotic_test(n, memo, {})
     for nu in compositions:
         verdict = all(map(pair_member, itertools.combinations(nu, 2)))
         counted.clear()
@@ -568,9 +570,9 @@ def test_tree_starts_after_the_sampler_misses(monkeypatch):
             events.append("step")
             yield node
 
-    def counted_tree(n, r, memo):
+    def counted_tree(n, r, asymptotic):
         events.append("tree")
-        return counted_steps(tree(n, r, memo))
+        return counted_steps(tree(n, r, asymptotic))
 
     monkeypatch.setattr(asympt, "_sampled_compositions", counted_samples)
     monkeypatch.setattr(asympt, "_composition_tree", counted_tree)
@@ -595,6 +597,38 @@ def test_tree_starts_after_the_sampler_misses(monkeypatch):
     assert events == ["sample"] * d + ["tree"] + ["step", "sample"] * steps
 
 
+def test_exhausted_names_its_case():
+    # Exhausted keeps the plain sampler's message and trials; what the
+    # search knows follows after a colon
+    cases = [
+        ((31, 8, 0, 10**4), ": no 8 distinct parts sum to 31"),
+        ((47, 8, 0, 10**4),
+         ": an exact search finds no asymptotic composition of 47 into 8 parts"),
+        # seed 0 finds one at its 4335th sample, and the tree sooner
+        ((53, 8, 0, 1000), ": an asymptotic composition exists, but no sample hit it"),
+        ((53, 8, 0, 100), ""),  # the tree has found nothing yet
+        ((53, 8, 0, asympt._TREE_AFTER), ""),  # no tree
+    ]
+    for (n, r, seed, max_trials), case in cases:
+        with pytest.raises(Exhausted) as info:
+            find_asymptotic_partition(n, r, seed, max_trials)
+        assert info.value.trials == max_trials
+        assert str(info.value) == f"search exhausted after {max_trials} trials{case}"
+
+
+def test_composition_tree_asks_the_search_test():
+    # The tree's verdict on a candidate is the search's own test; it must
+    # be the reciprocity-descent membership of every pair residue.
+    for n in primerange(17, 62):
+        for r in range(3, 9):
+            if r * (r + 1) // 2 > n:
+                continue
+            test = asympt._asymptotic_test(n, {}, {})
+            nodes = itertools.islice(asympt._composition_tree(n, r, test), 20000)
+            for candidate, ok in nodes:
+                assert ok == _is_asymptotic(n, candidate), (n, r, candidate)
+
+
 def _brute_force_witnesses(n, r, member):
     """Every asymptotic composition of n into r parts, parts sorted down."""
     found = set()
@@ -609,15 +643,20 @@ def _brute_force_witnesses(n, r, member):
     return found
 
 
-def _tree_witnesses(n, r, member, memo):
+def _tree_witnesses(n, r, member):
     """Run the tree to the end; check every candidate it tries on the way.
 
+    The tree asks whether every pair residue of a candidate is a ``member``.
     ``member`` must leave n - 1 out of O_n, as the real set does for n >= 17,
     so the tree runs over distinct parts only.
     """
     assert not member(n - 1)
+
+    def asymptotic(nu):
+        return all(member(q_of_pair(n, a, b)) for a, b in itertools.combinations(nu, 2))
+
     found = []
-    for candidate, ok in asympt._composition_tree(n, r, memo):
+    for candidate, ok in asympt._composition_tree(n, r, asymptotic):
         *prefix, v = candidate
         assert ok == all(member(q_of_pair(n, p, v)) for p in prefix)
         # decreasing, below n
@@ -636,23 +675,23 @@ def test_composition_tree_matches_brute_force():
     cases += [(n, 8) for n in [17, 19, 23]]
     for n, r in cases:
         member = functools.partial(fraction_member, n)
-        assert _tree_witnesses(n, r, member, {}) == _brute_force_witnesses(
+        assert _tree_witnesses(n, r, member) == _brute_force_witnesses(
             n, r, member
         )
     # r = 8 needs 1 + ... + 8 = 36 from distinct parts: proven at the root
-    assert list(asympt._composition_tree(31, 8, {})) == []
+    assert list(asympt._composition_tree(31, 8, asympt._asymptotic_test(31, {}, {}))) == []
 
 
 def test_composition_tree_repeat_rule():
-    # With a memo that puts every residue but n - 1 in O_n, every partition
-    # of n into r distinct parts qualifies, and equal parts never do.
+    # With a membership that puts every residue but n - 1 in O_n, every
+    # partition of n into r distinct parts qualifies, and equal parts never do.
     n = 17
     but_last = {**dict.fromkeys(range(1, n), True), n - 1: False}
     for r in range(2, 7):
-        assert _tree_witnesses(
-            n, r, but_last.get, dict(but_last)
-        ) == _brute_force_witnesses(n, r, but_last.get)
-    assert _tree_witnesses(n, 16, but_last.get, dict(but_last)) == set()
+        assert _tree_witnesses(n, r, but_last.get) == _brute_force_witnesses(
+            n, r, but_last.get
+        )
+    assert _tree_witnesses(n, 16, but_last.get) == set()
 
 
 def test_n_minus_1_is_never_in_o_n():

@@ -154,18 +154,11 @@ def test_sweep_output_file(tmp_path):
     assert out_file.read_text().startswith(",".join(_CSV_COLUMNS))
 
 
-def test_sweep_csv_golden(tmp_path):
-    # byte-for-byte regression of the CSV surface
-    path = write_config(tmp_path, n_min=7, n_max=13, partition="1,2,4")
-    text, code = run_sweep(_load_config(str(path)))
-    assert code == 2  # 11 and 13 reject the explicit partition
-    golden = Path(__file__).parent / "data" / "sweep_planes3_7_13.csv"
-    assert text == golden.read_text()
-
-
 @pytest.mark.parametrize(
     "name, golden_ext, exit_code",
     [
+        # planes, explicit partition 1,2,4: 11 and 13 reject it
+        ("sweep_planes3_7_13", "csv", 2),
         # r = 8 minimal: six primes exhaust the search, the rest are ok
         ("sweep_p4d6_r8_17_211", "csv", 2),
         # r = 4 balanced over 2003..2129
@@ -176,7 +169,8 @@ def test_sweep_csv_golden(tmp_path):
     ],
 )
 def test_sweep_goldens(name, golden_ext, exit_code):
-    # byte-for-byte regression of search, r >= 4 and balanced cells
+    # byte-for-byte regression of the CSV surface, search, r >= 4 and
+    # balanced cells
     data = Path(__file__).parent / "data"
     text, code = run_sweep(_load_config(str(data / f"{name}.cfg.json")))
     assert code == exit_code

@@ -23,13 +23,14 @@ import itertools
 
 import pytest
 
-from rootcover.asympt import Partition
+from rootcover.asympt import Partition, find_asymptotic_partition
 from rootcover.invariants import chi_eigenspace_oracle, chi_root_cover, k3_root_cover
 from rootcover.logchern import BasePair, TripleTable
 
 PRIMES = (5, 7, 11, 13)
 GENERA = (0, 1, 2, 5)
 DEGREES = ((1, 1, 1), (1, 1, 1, 1), (1, 2), (2, 3), (1, 1, 2), (1, 2, 3))
+LARGE_PRIMES = (10007, 100003, 999983)
 
 
 def product_pair(genus, degrees, triple):
@@ -124,3 +125,21 @@ def test_product_pairs_chi_and_k3(degrees):
     # each a_j is a unit mod n, so ((n-1)^r + (-1)^r (n-1))/n of the nu in
     # ((Z/n)^*)^r satisfy the congruence: 14,400 cells over all degree sets
     assert cells == len(GENERA) * sum(((n - 1) ** r + (-1) ** r * (n - 1)) // n for n in PRIMES)
+
+
+@pytest.mark.parametrize("degrees", [(1, 1, 1), (1, 1, 1, 1)], ids=["3 lines", "4 lines"])
+def test_product_pairs_at_large_n(degrees):
+    # Seeded asymptotic partitions, whose parts sum to n, at 10^4 < n < 10^6.
+    # chi_eigenspace_oracle costs O(n r^2) a cell, so here chi and K^3 are
+    # checked against the closed forms alone.
+    r = len(degrees)
+    for n in LARGE_PRIMES:
+        part = find_asymptotic_partition(n, r, 1, 10**4)
+        chi_s, e_s = surface_chi_e(n, part.nu, degrees)
+        for genus in (0, 2):
+            chi = (1 - genus) * chi_s
+            k3 = 3 * (2 * genus - 2) * (12 * chi_s - e_s)
+            for triple in (TripleTable(r, constant=0), TripleTable(r, entries={})):
+                pair = product_pair(genus, degrees, triple)
+                assert chi_root_cover(pair, part).chi == chi, (pair.label, n, part.nu)
+                assert k3_root_cover(pair, part) == k3, (pair.label, n, part.nu)
